@@ -38,6 +38,9 @@ class ReferenceRecord:
             raise DomainError("reference record needs at least one point measurement")
         if any(not 0.0 <= v <= 1.0 for v in self.point_sm):
             raise DomainError(f"point_sm values must be in [0, 1], got {self.point_sm}")
+        if not (math.isfinite(self.point_temperature_k) and self.point_temperature_k > 0.0):
+            raise DomainError(
+                f"soil temperature must be finite and positive, got {self.point_temperature_k}")
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,30 @@ def test_corrupt_reference_file_isolates_site(tmp_path):
     assert {s.site for s in report.sessions} == {"grass"}
 
 
+def test_bad_probe_temperature_isolates_site(tmp_path):
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=5, n_days=2, n_samples=20,
+                            voltage_site=None)
+    clean = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                  output_dir=tmp_path / "clean")
+    ref = root / "ref_bare.csv"
+    lines = ref.read_text().splitlines()
+    fields = lines[2].split(",")
+    lines[2] = ",".join(fields[:-1] + ["-5"])
+    ref.write_text("\n".join(lines) + "\n")
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "out")
+    assert not report.ok
+    assert len(report.data_errors) == 1
+    assert "ref_bare.csv:3:" in report.data_errors[0]
+    assert "temperature" in report.data_errors[0]
+    assert {s.site for s in report.sessions} == {"grass"}
+    assert [r for r in report.retrievals if r.site == "grass"] == \
+        [r for r in clean.retrievals if r.site == "grass"]
+    assert [s for s in report.sessions if s.site == "grass"] == \
+        [s for s in clean.sessions if s.site == "grass"]
+
+
 def test_malformed_session_reported_not_fatal(tmp_path):
     root = tmp_path / "camp"
     synth.generate_campaign(root, seed=9, n_days=2, n_samples=20,

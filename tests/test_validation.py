@@ -32,6 +32,12 @@ def test_reference_record_invariants():
         va.ReferenceRecord(0.0, (0.2, 1.4), 290.0)
 
 
+def test_reference_record_rejects_bad_temperature():
+    for bad_t in (-5.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="temperature"):
+            va.ReferenceRecord(0.0, (0.2,), bad_t)
+
+
 def test_metrics_identity():
     report = va.metrics([0.2, 0.3, 0.25], [0.2, 0.3, 0.25])
     assert report.bias == 0.0
@@ -168,6 +174,16 @@ def test_load_reference_csv_flexible_point_count(tmp_path):
     path.write_text("timestamp,sm_1,sm_2,soil_temp_k\n"
                     "2023-11-11T14:05:00Z,0.2,0.3,290.0\n")
     assert va.load_reference_csv(path)[0].point_sm == (0.2, 0.3)
+
+
+@pytest.mark.parametrize("bad_t", ["-5", "nan", "inf", "0"])
+def test_load_reference_csv_bad_temperature_names_line(tmp_path, bad_t):
+    path = tmp_path / "ref.csv"
+    path.write_text("timestamp,sm_1,soil_temp_k\n"
+                    "2023-11-11T14:05:00Z,0.2,290.0\n"
+                    f"2023-11-12T14:05:00Z,0.2,{bad_t}\n")
+    with pytest.raises(DataError, match=r"ref\.csv:3: .*temperature"):
+        va.load_reference_csv(path)
 
 
 def test_load_reference_csv_header_checked(tmp_path):
