@@ -55,7 +55,31 @@ MIRONOV_FREQ_RANGE_GHZ = (0.3, 26.5)
 # ascending powers.
 TOPP_COEFFS = (-5.3e-2, 2.92e-2, -5.5e-4, 4.3e-6)
 TOPP_EPS_RANGE = (1.0, 80.0)
-_TOPP_BISECTIONS = 48  # bracket width 79/2**48 ~ 3e-13, well under 1e-9
+
+
+def _topp_root_constants():
+    """Constants of the closed-form Topp inversion.
+
+    Dividing sm = c0 + c1 eps + c2 eps^2 + c3 eps^3 by c3 and shifting
+    eps = t - a/3 (a = c2/c3, b = c1/c3) gives the depressed cubic
+    t^3 + p t + q = 0 with p = b - a^2/3 and q = q0 - sm/c3. The cubic's
+    derivative has a negative discriminant, so p > 0 and the one real root
+    is t = -2 sqrt(p/3) sinh(asinh(3q/(2p) sqrt(3/p)) / 3), a form free of
+    the cancellation in Cardano's sum of cube roots.
+    Returns (q0, 1/c3, 3/(2p) sqrt(3/p), 2 sqrt(p/3), a/3).
+    """
+    c0, c1, c2, c3 = TOPP_COEFFS
+    a, b = c2 / c3, c1 / c3
+    p = b - a * a / 3.0
+    if not p > 0.0:
+        raise DomainError("Topp coefficients must give a strictly increasing cubic")
+    q0 = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c0 / c3
+    return (q0, 1.0 / c3, 1.5 / p * math.sqrt(3.0 / p), 2.0 * math.sqrt(p / 3.0),
+            a / 3.0)
+
+
+_TOPP_Q0, _TOPP_INV_C3, _TOPP_ASINH_SCALE, _TOPP_SINH_SCALE, _TOPP_SHIFT = \
+    _topp_root_constants()
 
 
 class DielectricModel(str, Enum):
@@ -208,9 +232,8 @@ def topp_sm_of_eps(eps_real):
 
 
 def topp_eps(sm):
-    """Real permittivity for a given moisture by bisecting the Topp cubic
-    on eps in [1, 80]; the cubic is strictly increasing there, so the
-    bracket holds a single root."""
+    """Real permittivity for a given moisture: the single real root of the
+    Topp cubic, which is strictly increasing on eps in [1, 80]."""
     sm = np.asarray(sm, dtype=float)
     if np.any(sm < 0.0) or np.any(sm > 1.0):
         raise DomainError("sm must be in [0, 1]")
@@ -218,14 +241,9 @@ def topp_eps(sm):
     if np.any(sm > sm_max):
         raise DomainError(
             f"sm above {sm_max:.4f} is outside the invertible branch of the Topp cubic")
-    lo = np.full(sm.shape, TOPP_EPS_RANGE[0])
-    hi = np.full(sm.shape, TOPP_EPS_RANGE[1])
-    for _ in range(_TOPP_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        below = topp_sm_of_eps(mid) < sm
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    q = _TOPP_Q0 - sm * _TOPP_INV_C3
+    return -_TOPP_SINH_SCALE * np.sinh(np.arcsinh(_TOPP_ASINH_SCALE * q) / 3.0) \
+        - _TOPP_SHIFT
 
 
 # ----------------------------------------------------------------------
@@ -329,15 +347,9 @@ def _mironov_mixing_params(clay_fraction, frequency_ghz):
 
 
 def _topp_eps_scalar(sm):
-    c0, c1, c2, c3 = TOPP_COEFFS
-    lo, hi = TOPP_EPS_RANGE
-    for _ in range(_TOPP_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if c0 + mid * (c1 + mid * (c2 + mid * c3)) < sm:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    q = _TOPP_Q0 - sm * _TOPP_INV_C3
+    return -_TOPP_SINH_SCALE * math.sinh(math.asinh(_TOPP_ASINH_SCALE * q) / 3.0) \
+        - _TOPP_SHIFT
 
 
 def emissivity_evaluator(clay_fraction, incidence_deg, h,

@@ -73,8 +73,8 @@ def topp_sm_of_eps(eps):
 
 
 def topp_eps_of_sm(sm):
-    """Invert the cubic by locating its roots directly (no iteration shared
-    with the library's bisection)."""
+    """Invert the cubic by locating its roots numerically (polynomial root
+    finding, not the library's closed-form root)."""
     c0, c1, c2, c3 = (mp.mpf(c) for c in TOPP_COEFFS)
     roots = mp.polyroots([c3, c2, c1, c0 - mp.mpf(sm)])
     real = [mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf("1e-30")]
