@@ -9,10 +9,16 @@ Three inversion families share the same forward model:
   * RDCA: DCA plus a quadratic pull of the retrieved opacity toward the
     optical estimate, + lambda^2 * (tau - tau_sca)^2 with lambda = 20.
 
-Minimization is deterministic: a coarse grid seeds golden-section
-refinement (1-d) or alternating per-coordinate golden sections with a
-pattern move along each sweep's displacement (2-d), over sm in
-[0.01, 0.70] and tau in [0, 3].
+Minimization is deterministic over sm in [0.01, 0.70] and tau in [0, 3].
+A coarse grid seeds the refinement: golden-section search for the
+single-channel kinds, and for the dual-channel kinds a box-projected
+Levenberg-Marquardt solve on the residual vector (tb_h - obs_h,
+tb_v - obs_v, plus lambda (tau - tau_sca) for RDCA). Its Jacobian takes
+d/dtau analytically through gamma = exp(-tau / cos theta) and d/dsm by a
+central difference of the soil emissivities. A coordinate on a bound
+whose gradient points out of the box is held fixed, and a trial point,
+clipped to the box, is kept only if it lowers the cost, so the cost never
+rises above the grid seed's.
 
 Six named presets cover the operational algorithm configurations (SCAV,
 SCAH, RDCA, DCA0, DCA1, DCA2); they ship as key-value files under
@@ -38,12 +44,16 @@ SM_BOUNDS = (0.01, 0.70)
 TAU_BOUNDS = (0.0, 3.0)
 SM_TOL = 1e-5
 TAU_TOL = 1e-4
-# Line searches run well below the reported tolerances: near the optimum
-# the sweep displacements must stay meaningful against line-search noise
-# or the alternating descent stalls on the correlated (sm, tau) valley.
-_LINE_REFINE = 1e-3
 SEED_GRID_N = 64          # coarse-grid points per dimension
-MAX_SWEEPS = 80           # alternating-coordinate passes before giving up
+LM_MAX_STEPS = 100        # Levenberg-Marquardt Jacobians before giving up
+_SM_FD_STEP = 1e-7        # central-difference step of d(emissivity)/d(sm)
+# Marquardt damping mu scales the diagonal of J^T J by (1 + mu); it falls
+# by _LM_MU_FACTOR after an accepted step and rises by it after a rejected
+# trial. A trial rejected at mu > _LM_MU_MAX, a step of ~1e-8 of the
+# Gauss-Newton one, means no damping gives descent.
+_LM_MU_START = 1e-3
+_LM_MU_FACTOR = 10.0
+_LM_MU_MAX = 1e8
 RDCA_LAMBDA = 20.0
 CONSTANT_T_E = 292.15     # K, fixed effective temperature for the DCA0/DCA1 setups
 
@@ -228,20 +238,6 @@ def _near(x, bound, tol):
     return abs(x - bound) <= tol
 
 
-def _line_box_range(x, y, dx, dy, x_bounds, y_bounds):
-    """Parameter range [t_lo, t_hi] keeping (x + t dx, y + t dy) inside the
-    box; 0 is always inside for an in-box starting point."""
-    t_lo, t_hi = -math.inf, math.inf
-    for value, step, (lo, hi) in ((x, dx, x_bounds), (y, dy, y_bounds)):
-        if step == 0.0:
-            continue
-        t0, t1 = (lo - value) / step, (hi - value) / step
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t_lo, t_hi = max(t_lo, t0), min(t_hi, t1)
-    return t_lo, t_hi
-
-
 def _retrieve_single(tb_obs, algo, surface, t_e, tau, frequency_ghz):
     tb_obs_p = tb_obs.tb_h if algo.polarization == "H" else tb_obs.tb_v
     sm_lo, sm_hi = SM_BOUNDS
@@ -280,7 +276,8 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     sm_lo, sm_hi = SM_BOUNDS
     tau_lo, tau_hi = TAU_BOUNDS
     regularized = algo.kind == AlgorithmKind.RDCA
-    lam2 = algo.lam ** 2 if regularized else 0.0
+    lam = algo.lam if regularized else 0.0
+    omega = algo.omega
     obs_h, obs_v = tb_obs.tb_h, tb_obs.tb_v
     cos_theta = math.cos(math.radians(surface.incidence_deg))
 
@@ -291,67 +288,88 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     e_h, e_v = soil_emissivity_pair(xs, surface.clay_fraction, surface.incidence_deg,
                                     algo.h, algo.dielectric, frequency_ghz)
     gamma = canopy_transmissivity(ts, surface.incidence_deg)
-    tb_h = tau_omega_tb(e_h[:, None], gamma[None, :], algo.omega, t_e)
-    tb_v = tau_omega_tb(e_v[:, None], gamma[None, :], algo.omega, t_e)
+    tb_h = tau_omega_tb(e_h[:, None], gamma[None, :], omega, t_e)
+    tb_v = tau_omega_tb(e_v[:, None], gamma[None, :], omega, t_e)
     costs = (tb_v - obs_v) ** 2 + (tb_h - obs_h) ** 2
     if regularized:
-        costs = costs + lam2 * (ts[None, :] - tau_sca) ** 2
+        costs = costs + lam ** 2 * (ts[None, :] - tau_sca) ** 2
     i, j = np.unravel_index(int(np.argmin(costs)), costs.shape)
     sm, tau = float(xs[i]), float(ts[j])
     evaluations = SEED_GRID_N * SEED_GRID_N
 
+    # Box-projected Levenberg-Marquardt on the residual vector
+    # r = (tb_h - obs_h, tb_v - obs_v, lam (tau - tau_sca)), cost |r|^2.
     e_pair = emissivity_evaluator(surface.clay_fraction, surface.incidence_deg,
                                   algo.h, algo.dielectric, frequency_ghz)
+    w = 1.0 - omega
 
-    def f_at(e_hv, tau_trial):
+    def state(sm_trial, tau_trial):
+        e_hv = e_pair(sm_trial)
         g = math.exp(-tau_trial / cos_theta)
-        res_h = tau_omega_tb(e_hv[0], g, algo.omega, t_e) - obs_h
-        res_v = tau_omega_tb(e_hv[1], g, algo.omega, t_e) - obs_v
-        c = res_v * res_v + res_h * res_h
-        if regularized:
-            c += lam2 * (tau_trial - tau_sca) ** 2
-        return c
+        res = (tau_omega_tb(e_hv[0], g, omega, t_e) - obs_h,
+               tau_omega_tb(e_hv[1], g, omega, t_e) - obs_v,
+               lam * (tau_trial - tau_sca) if regularized else 0.0)
+        return e_hv, g, res, res[0] * res[0] + res[1] * res[1] + res[2] * res[2]
 
-    def f_full(sm_trial, tau_trial):
-        return f_at(e_pair(sm_trial), tau_trial)
-
-    cost = f_full(sm, tau)
+    e_hv, g, res, cost = state(sm, tau)
     evaluations += 1
-    sm_line_tol = SM_TOL * _LINE_REFINE
-    tau_line_tol = TAU_TOL * _LINE_REFINE
+    mu = _LM_MU_START
     converged = False
-    stable = 0
-    for _ in range(MAX_SWEEPS):
-        sm_prev, tau_prev = sm, tau
-        sm, _, _, n_sm = golden_section(
-            lambda x: f_full(x, tau), sm_lo, sm_hi, sm_line_tol)
-        e_here = e_pair(sm)  # soil emissivity is fixed along the tau line
-        tau, cost, _, n_tau = golden_section(
-            lambda t: f_at(e_here, t), tau_lo, tau_hi, tau_line_tol)
-        evaluations += n_sm + n_tau
+    small_steps = 0
+    for _ in range(LM_MAX_STEPS):
+        # d tb / d sm: central difference of the emissivities, clipped to
+        # the box; d tb / d tau: chain rule through gamma = exp(-tau/cos).
+        sm_up, sm_dn = min(sm + _SM_FD_STEP, sm_hi), max(sm - _SM_FD_STEP, sm_lo)
+        e_up, e_dn = e_pair(sm_up), e_pair(sm_dn)
+        evaluations += 2
+        tb_per_e = g * t_e * (1.0 - w * (1.0 - g))
+        gamma_per_tau = -g / cos_theta
+        j_sm = [tb_per_e * (e_up[k] - e_dn[k]) / (sm_up - sm_dn) for k in (0, 1)]
+        j_tau = [t_e * (e_hv[k] - w + (1.0 - e_hv[k]) * w * (1.0 - 2.0 * g))
+                 * gamma_per_tau for k in (0, 1)]
+        a11 = j_sm[0] * j_sm[0] + j_sm[1] * j_sm[1]
+        a12 = j_sm[0] * j_tau[0] + j_sm[1] * j_tau[1]
+        a22 = j_tau[0] * j_tau[0] + j_tau[1] * j_tau[1] + lam * lam
+        g_sm = j_sm[0] * res[0] + j_sm[1] * res[1]
+        g_tau = j_tau[0] * res[0] + j_tau[1] * res[1] + lam * res[2]
 
-        # Alternating descent alone crawls along the correlated (sm, tau)
-        # valley; a pattern move along the sweep displacement fixes that.
-        d_sm, d_tau = sm - sm_prev, tau - tau_prev
-        if d_sm != 0.0 or d_tau != 0.0:
-            t_lo, t_hi = _line_box_range(sm, tau, d_sm, d_tau,
-                                         SM_BOUNDS, TAU_BOUNDS)
-            steps = [sm_line_tol / abs(d_sm) if d_sm else math.inf,
-                     tau_line_tol / abs(d_tau) if d_tau else math.inf]
-            t_tol = min(steps)
-            if t_hi - t_lo > t_tol:
-                t_best, c_best, _, n_pat = golden_section(
-                    lambda t: f_full(sm + t * d_sm, tau + t * d_tau),
-                    t_lo, t_hi, t_tol)
-                evaluations += n_pat
-                if c_best < cost:
-                    sm = min(max(sm + t_best * d_sm, sm_lo), sm_hi)
-                    tau = min(max(tau + t_best * d_tau, tau_lo), tau_hi)
-                    cost = c_best
+        # Active set: a coordinate on a bound whose descent direction
+        # points out of the box stays where it is.
+        free_sm = not ((sm <= sm_lo and g_sm > 0.0) or (sm >= sm_hi and g_sm < 0.0))
+        free_tau = not ((tau <= tau_lo and g_tau > 0.0) or (tau >= tau_hi and g_tau < 0.0))
+        if not (free_sm or free_tau):
+            converged = True
+            break
 
-        stable = stable + 1 if (abs(sm - sm_prev) <= SM_TOL
-                                and abs(tau - tau_prev) <= TAU_TOL) else 0
-        if stable >= 2:
+        # Raise the (Marquardt-scaled) damping until the clipped trial
+        # point lowers the cost.
+        while True:
+            d11, d22 = a11 * (1.0 + mu), a22 * (1.0 + mu)
+            if free_sm and free_tau:
+                det = d11 * d22 - a12 * a12
+                step_sm = (a12 * g_tau - d22 * g_sm) / det
+                step_tau = (a12 * g_sm - d11 * g_tau) / det
+            elif free_sm:
+                step_sm, step_tau = -g_sm / d11, 0.0
+            else:
+                step_sm, step_tau = 0.0, -g_tau / d22
+            sm_t = min(max(sm + step_sm, sm_lo), sm_hi)
+            tau_t = min(max(tau + step_tau, tau_lo), tau_hi)
+            trial = state(sm_t, tau_t)
+            evaluations += 1
+            if trial[3] < cost or mu > _LM_MU_MAX:
+                break
+            mu *= _LM_MU_FACTOR
+        if not trial[3] < cost:
+            converged = True   # no damping gives descent
+            break
+
+        small = abs(sm_t - sm) <= SM_TOL / 100.0 and abs(tau_t - tau) <= TAU_TOL / 100.0
+        small_steps = small_steps + 1 if small else 0
+        sm, tau = sm_t, tau_t
+        e_hv, g, res, cost = trial
+        mu /= _LM_MU_FACTOR
+        if small_steps >= 2:
             converged = True
             break
 
@@ -377,9 +395,12 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
             target).
 
     Returns:
-        RetrievalResult. `converged` is False when the alternating
-        refinement ran out of sweeps without stabilizing; the best point
-        found is still reported.
+        RetrievalResult. For the dual-channel kinds `converged` is True
+        after two accepted steps in a row below SM_TOL/100 and
+        TAU_TOL/100, when no damped step lowers the cost any more, or on a
+        corner of the box that the gradient points out of; it is False
+        when LM_MAX_STEPS Jacobians did not get there. The best point
+        found is reported either way.
     """
     if not tb_obs.is_finite():
         raise DomainError(f"observed brightness temperatures must be finite, got {tb_obs}")

@@ -226,6 +226,48 @@ def test_rdca_limit_zero_weight_equals_dca():
     assert abs(res_r.tau - res_d.tau) <= rt.TAU_TOL
 
 
+def test_rdca_bare_soil_stops_on_tau_bound():
+    # RDCA's bare-soil roughness exceeds the generating one, so the fit
+    # pulls tau below zero; with tau_sca = 0 the solver must stop on the
+    # bound exactly
+    algo = preset("RDCA")
+    tb_h, tb_v = simulate_tb(0.25, 0.0, BARE.omega, BARE.h, BARE.clay_fraction,
+                             BARE.incidence_deg, 291.0)
+    result = rt.retrieve(TbPair(float(tb_h), float(tb_v)), algo, BARE, 291.0, tau_sca=0.0)
+    assert result.tau == 0.0
+    assert result.boundary_hit
+    assert result.converged
+
+
+@pytest.mark.parametrize("name,surface,cover", [
+    ("RDCA", GRASS, "grassland"), ("DCA0", BARE, "bare_soil"),
+    ("DCA1", BARE, "bare_soil"), ("DCA2", GRASS, "grassland"),
+])
+def test_dual_result_is_local_minimum(name, surface, cover):
+    # no point of a fine local grid around the reported optimum may
+    # undercut it, measured with the preset's own cost function
+    algo = preset(name, cover)
+    t_e = rt.CONSTANT_T_E if algo.t_e_source == rt.TempSource.CONSTANT else 290.0
+    rng = np.random.default_rng(1729)
+    for _ in range(50):
+        sm0, tau0 = rng.uniform(0.05, 0.6), rng.uniform(0.0, 0.5)
+        tau_sca = rng.uniform(0.0, 0.3)
+        base = synth_obs(sm0, tau0, algo, surface, t_e)
+        obs = TbPair(base.tb_h + rng.uniform(-4, 4), base.tb_v + rng.uniform(-4, 4))
+        result = rt.retrieve(obs, algo, surface, t_e, tau_sca=tau_sca)
+        assert result.converged
+
+        def cost(s, t):
+            if algo.kind == rt.AlgorithmKind.RDCA:
+                return rt.cost_rdca(s, t, obs, algo, surface, t_e, tau_sca)
+            return rt.cost_dca(s, t, obs, algo, surface, t_e)
+
+        sms = np.clip(np.linspace(result.sm - 1e-4, result.sm + 1e-4, 21), *rt.SM_BOUNDS)
+        taus = np.clip(np.linspace(result.tau - 1e-3, result.tau + 1e-3, 21), *rt.TAU_BOUNDS)
+        best = min(cost(float(s), float(t)) for s in sms for t in taus)
+        assert result.cost <= best + 1e-10, (name, sm0, tau0, result)
+
+
 def test_retrieve_input_validation():
     algo = preset("DCA1")
     with pytest.raises(DomainError, match="finite"):
