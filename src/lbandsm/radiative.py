@@ -71,8 +71,6 @@ def _topp_root_constants():
     c0, c1, c2, c3 = TOPP_COEFFS
     a, b = c2 / c3, c1 / c3
     p = b - a * a / 3.0
-    if not p > 0.0:
-        raise DomainError("Topp coefficients must give a strictly increasing cubic")
     q0 = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c0 / c3
     return (q0, 1.0 / c3, 1.5 / p * math.sqrt(3.0 / p), 2.0 * math.sqrt(p / 3.0),
             a / 3.0)
@@ -80,6 +78,13 @@ def _topp_root_constants():
 
 _TOPP_Q0, _TOPP_INV_C3, _TOPP_ASINH_SCALE, _TOPP_SINH_SCALE, _TOPP_SHIFT = \
     _topp_root_constants()
+
+
+def _topp_root(sm, sinh, asinh):
+    """Topp permittivity at moisture sm; sinh/asinh come from numpy for
+    arrays and from math for the scalar optimizer path."""
+    q = _TOPP_Q0 - sm * _TOPP_INV_C3
+    return -_TOPP_SINH_SCALE * sinh(asinh(_TOPP_ASINH_SCALE * q) / 3.0) - _TOPP_SHIFT
 
 
 class DielectricModel(str, Enum):
@@ -241,9 +246,7 @@ def topp_eps(sm):
     if np.any(sm > sm_max):
         raise DomainError(
             f"sm above {sm_max:.4f} is outside the invertible branch of the Topp cubic")
-    q = _TOPP_Q0 - sm * _TOPP_INV_C3
-    return -_TOPP_SINH_SCALE * np.sinh(np.arcsinh(_TOPP_ASINH_SCALE * q) / 3.0) \
-        - _TOPP_SHIFT
+    return _topp_root(sm, np.sinh, np.arcsinh)
 
 
 # ----------------------------------------------------------------------
@@ -347,9 +350,7 @@ def _mironov_mixing_params(clay_fraction, frequency_ghz):
 
 
 def _topp_eps_scalar(sm):
-    q = _TOPP_Q0 - sm * _TOPP_INV_C3
-    return -_TOPP_SINH_SCALE * math.sinh(math.asinh(_TOPP_ASINH_SCALE * q) / 3.0) \
-        - _TOPP_SHIFT
+    return _topp_root(sm, math.sinh, math.asinh)
 
 
 def emissivity_evaluator(clay_fraction, incidence_deg, h,

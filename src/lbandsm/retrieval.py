@@ -277,7 +277,6 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     tau_lo, tau_hi = TAU_BOUNDS
     regularized = algo.kind == AlgorithmKind.RDCA
     lam = algo.lam if regularized else 0.0
-    omega = algo.omega
     obs_h, obs_v = tb_obs.tb_h, tb_obs.tb_v
     cos_theta = math.cos(math.radians(surface.incidence_deg))
 
@@ -288,8 +287,8 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     e_h, e_v = soil_emissivity_pair(xs, surface.clay_fraction, surface.incidence_deg,
                                     algo.h, algo.dielectric, frequency_ghz)
     gamma = canopy_transmissivity(ts, surface.incidence_deg)
-    tb_h = tau_omega_tb(e_h[:, None], gamma[None, :], omega, t_e)
-    tb_v = tau_omega_tb(e_v[:, None], gamma[None, :], omega, t_e)
+    tb_h = tau_omega_tb(e_h[:, None], gamma[None, :], algo.omega, t_e)
+    tb_v = tau_omega_tb(e_v[:, None], gamma[None, :], algo.omega, t_e)
     costs = (tb_v - obs_v) ** 2 + (tb_h - obs_h) ** 2
     if regularized:
         costs = costs + lam ** 2 * (ts[None, :] - tau_sca) ** 2
@@ -301,6 +300,7 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     # r = (tb_h - obs_h, tb_v - obs_v, lam (tau - tau_sca)), cost |r|^2.
     e_pair = emissivity_evaluator(surface.clay_fraction, surface.incidence_deg,
                                   algo.h, algo.dielectric, frequency_ghz)
+    omega = algo.omega
     w = 1.0 - omega
 
     def state(sm_trial, tau_trial):
@@ -330,13 +330,13 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
         a11 = j_sm[0] * j_sm[0] + j_sm[1] * j_sm[1]
         a12 = j_sm[0] * j_tau[0] + j_sm[1] * j_tau[1]
         a22 = j_tau[0] * j_tau[0] + j_tau[1] * j_tau[1] + lam * lam
-        g_sm = j_sm[0] * res[0] + j_sm[1] * res[1]
-        g_tau = j_tau[0] * res[0] + j_tau[1] * res[1] + lam * res[2]
+        grad_sm = j_sm[0] * res[0] + j_sm[1] * res[1]
+        grad_tau = j_tau[0] * res[0] + j_tau[1] * res[1] + lam * res[2]
 
         # Active set: a coordinate on a bound whose descent direction
         # points out of the box stays where it is.
-        free_sm = not ((sm <= sm_lo and g_sm > 0.0) or (sm >= sm_hi and g_sm < 0.0))
-        free_tau = not ((tau <= tau_lo and g_tau > 0.0) or (tau >= tau_hi and g_tau < 0.0))
+        free_sm = not ((sm <= sm_lo and grad_sm > 0.0) or (sm >= sm_hi and grad_sm < 0.0))
+        free_tau = not ((tau <= tau_lo and grad_tau > 0.0) or (tau >= tau_hi and grad_tau < 0.0))
         if not (free_sm or free_tau):
             converged = True
             break
@@ -347,27 +347,26 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
             d11, d22 = a11 * (1.0 + mu), a22 * (1.0 + mu)
             if free_sm and free_tau:
                 det = d11 * d22 - a12 * a12
-                step_sm = (a12 * g_tau - d22 * g_sm) / det
-                step_tau = (a12 * g_sm - d11 * g_tau) / det
+                step_sm = (a12 * grad_tau - d22 * grad_sm) / det
+                step_tau = (a12 * grad_sm - d11 * grad_tau) / det
             elif free_sm:
-                step_sm, step_tau = -g_sm / d11, 0.0
+                step_sm, step_tau = -grad_sm / d11, 0.0
             else:
-                step_sm, step_tau = 0.0, -g_tau / d22
+                step_sm, step_tau = 0.0, -grad_tau / d22
             sm_t = min(max(sm + step_sm, sm_lo), sm_hi)
             tau_t = min(max(tau + step_tau, tau_lo), tau_hi)
-            trial = state(sm_t, tau_t)
+            e_t, g_t, res_t, cost_t = state(sm_t, tau_t)
             evaluations += 1
-            if trial[3] < cost or mu > _LM_MU_MAX:
+            if cost_t < cost or mu > _LM_MU_MAX:
                 break
             mu *= _LM_MU_FACTOR
-        if not trial[3] < cost:
+        if not cost_t < cost:
             converged = True   # no damping gives descent
             break
 
         small = abs(sm_t - sm) <= SM_TOL / 100.0 and abs(tau_t - tau) <= TAU_TOL / 100.0
         small_steps = small_steps + 1 if small else 0
-        sm, tau = sm_t, tau_t
-        e_hv, g, res, cost = trial
+        sm, tau, e_hv, g, res, cost = sm_t, tau_t, e_t, g_t, res_t, cost_t
         mu /= _LM_MU_FACTOR
         if small_steps >= 2:
             converged = True
