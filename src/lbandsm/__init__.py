@@ -15,11 +15,10 @@ from .radiative import (ComplexPermittivity, DielectricModel, SoilState,
                         fresnel_reflectivity, mironov_permittivity,
                         rough_emissivity, simulate_tb, topp_moisture,
                         topp_permittivity, vegetation_transmissivity)
-from .preprocess import (CalibrationParams, FilterThresholds,
-                         ObservationRecord, QualityFlag, RawSample,
-                         SessionSummary, Statistic, calibrate_voltage,
-                         filter_tb, load_session, min_threshold,
-                         representative, session_stats)
+from .preprocess import (CalibrationParams, FilterThresholds, QualityFlag,
+                         Session, SessionSummary, Statistic, filter_tb,
+                         load_session, min_threshold, representative,
+                         session_stats)
 from .ancillary import (LandCoverTau, NdviSeries, ReflectanceSample,
                         TauCoefficients, daily_ndvi_series,
                         interpolate_daily, load_tau_coefficients, ndvi,

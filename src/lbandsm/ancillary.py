@@ -28,6 +28,9 @@ class ReflectanceSample:
     nir: float
 
     def __post_init__(self):
+        if not (0.0 <= self.red <= 1.0 and 0.0 <= self.nir <= 1.0):
+            raise DomainError(
+                f"reflectances must be in [0, 1], got red {self.red}, nir {self.nir}")
         if self.red + self.nir <= 0.0:
             raise DomainError(
                 f"red + nir must be positive for a defined index, got {self.red}, {self.nir}")

@@ -35,10 +35,11 @@ from .config import CONFIG_ENV_VAR, load_campaign
 from .errors import ConfigError, DataError, DomainError
 from .geometry import footprint
 from .pipeline import run_pipeline
-from .preprocess import (CalibrationParams, FilterThresholds, ObservationRecord,
-                         RawSample, Statistic, TB_MAX_DEFAULT, calibrate_voltage,
-                         format_utc_timestamp, load_session, parse_utc_timestamp,
-                         representative, session_stats, write_session, filter_tb)
+from .preprocess import (CalibrationParams, FilterThresholds, Statistic,
+                         TB_HEADER, TB_MAX_DEFAULT, VOLTAGE_HEADER, filter_tb,
+                         format_utc_timestamp, parse_utc_timestamp,
+                         representative, session_from_rows, session_stats,
+                         write_session)
 from .radiative import L_BAND_GHZ, TbPair, simulate_tb
 from .retrieval import (CONSTANT_T_E, PRESET_NAMES, TAU_SCA_KINDS, TempSource,
                         load_preset, make_surface, retrieve)
@@ -66,7 +67,8 @@ def _open_output(path):
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _read_rows(fh, expected_header, what):
+def _body_rows(fh, expected_header, what):
+    """CSV reader over the rows after a header that must match."""
     reader = csv.reader(fh)
     try:
         header = tuple(col.strip() for col in next(reader))
@@ -75,8 +77,12 @@ def _read_rows(fh, expected_header, what):
     if header != expected_header:
         raise DataError(
             f"{what}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
+    return reader
+
+
+def _read_rows(fh, expected_header, what):
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(_body_rows(fh, expected_header, what), start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(expected_header):
@@ -86,15 +92,13 @@ def _read_rows(fh, expected_header, what):
     return rows
 
 
-def _records_from_tb_rows(rows, what):
-    records = []
-    for line_no, row in rows:
-        try:
-            records.append(ObservationRecord(
-                parse_utc_timestamp(row[0]), TbPair(float(row[1]), float(row[2]))))
-        except ValueError as exc:
-            raise DataError(f"{what}: line {line_no}: {exc}") from None
-    return records
+def _read_session(fh, expected_header, what, calibration=None):
+    """Session columns of a timestamped TB or voltage stream."""
+    rows = list(_body_rows(fh, expected_header, what))
+    try:
+        return session_from_rows(rows, calibration)
+    except DataError as exc:
+        raise DataError(f"{what}: {exc}") from None
 
 
 def _surface_from_args(args, parser):
@@ -145,16 +149,9 @@ def cmd_calibrate(args, _parser):
     cal = CalibrationParams(gain_h=args.gain_h, gain_v=args.gain_v,
                             offset_h=args.offset_h, offset_v=args.offset_v)
     with _open_input(args.input) as fh:
-        rows = _read_rows(fh, ("timestamp", "v_h", "v_v"), "calibrate")
-    records = []
-    for line_no, row in rows:
-        try:
-            sample = RawSample(parse_utc_timestamp(row[0]), float(row[1]), float(row[2]))
-        except ValueError as exc:
-            raise DataError(f"calibrate: line {line_no}: {exc}") from None
-        records.append(ObservationRecord(sample.timestamp, calibrate_voltage(sample, cal)))
+        session = _read_session(fh, VOLTAGE_HEADER, "calibrate", cal)
     out = _open_output(args.output)
-    write_session(out, records)
+    write_session(out, session)
     if out is not sys.stdout:
         out.close()
     return 0
@@ -164,31 +161,32 @@ def cmd_filter(args, _parser):
     thresholds = FilterThresholds(tb_max=args.tb_max, tb_min_h=args.tb_min_h,
                                   tb_min_v=args.tb_min_v)
     with _open_input(args.input) as fh:
-        rows = _read_rows(fh, ("timestamp", "tb_h", "tb_v"), "filter")
-    accepted, rejected = filter_tb(_records_from_tb_rows(rows, "filter"), thresholds)
+        session = _read_session(fh, TB_HEADER, "filter")
+    flags = filter_tb(session, thresholds)
+    rejected = flags != 0
     out = _open_output(args.output)
-    write_session(out, accepted)
+    write_session(out, session.select(~rejected))
     if out is not sys.stdout:
         out.close()
     if args.rejected:
         with open(args.rejected, "w", newline="", encoding="utf-8") as fh:
-            write_session(fh, rejected)
-    logger.info("filter: %d accepted, %d rejected", len(accepted), len(rejected))
+            write_session(fh, session.select(rejected), flags[rejected])
+    n_rejected = int(np.count_nonzero(rejected))
+    logger.info("filter: %d accepted, %d rejected", len(session) - n_rejected, n_rejected)
     return 0
 
 
 def cmd_represent(args, _parser):
     with _open_input(args.input) as fh:
-        rows = _read_rows(fh, ("timestamp", "tb_h", "tb_v"), "represent")
-    records = _records_from_tb_rows(rows, "represent")
-    if not records:
+        session = _read_session(fh, TB_HEADER, "represent")
+    if not len(session):
         raise DataError("no valid observations in session")
-    rep = representative(records, Statistic(args.statistic))
-    summary = session_stats(records)
+    rep = representative(session, Statistic(args.statistic))
+    summary = session_stats(session)
     out = _open_output(args.output)
     writer = csv.writer(out)
     writer.writerow(["tb_h", "tb_v", "n", "std_h", "std_v"])
-    writer.writerow([f"{rep.tb_h:.6f}", f"{rep.tb_v:.6f}", len(records),
+    writer.writerow([f"{rep.tb_h:.6f}", f"{rep.tb_v:.6f}", len(session),
                      f"{summary.stats_h.std:.6f}", f"{summary.stats_v.std:.6f}"])
     if out is not sys.stdout:
         out.close()

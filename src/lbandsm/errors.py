@@ -25,4 +25,6 @@ class DataError(Exception):
             if line is not None:
                 prefix += f"{line}:"
             prefix += " "
+        elif line is not None:
+            prefix = f"line {line}: "
         super().__init__(prefix + message)

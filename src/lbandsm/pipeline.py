@@ -33,7 +33,8 @@ from .ancillary import daily_ndvi_series, load_reflectance_csv, ndvi_to_tau
 from .errors import DataError, DomainError
 from .preprocess import (FilterThresholds, QualityFlag, TB_MAX_DEFAULT,
                          filter_tb, format_utc_timestamp, load_session,
-                         min_threshold, representative, session_stats)
+                         min_threshold, rejection_counts, representative,
+                         session_stats)
 from .radiative import ViewGeometry
 from .retrieval import CONSTANT_T_E, TAU_SCA_KINDS, TempSource, retrieve
 from .validation import (metrics, nearest_reference, load_reference_csv,
@@ -101,24 +102,24 @@ def _session_date(t_mid):
     return dt.datetime.fromtimestamp(t_mid, tz=dt.timezone.utc).date()
 
 
-def _median_timestamp(records):
-    stamps = sorted(r.timestamp for r in records)
-    mid = len(stamps) // 2
-    if len(stamps) % 2:
-        return stamps[mid]
-    return 0.5 * (stamps[mid - 1] + stamps[mid])
+def _median_timestamp(timestamp):
+    """Median of a strictly increasing timestamp column."""
+    mid = len(timestamp) // 2
+    if len(timestamp) % 2:
+        return float(timestamp[mid])
+    return 0.5 * (float(timestamp[mid - 1]) + float(timestamp[mid]))
 
 
 def _process_session(cfg, site, session_path, references, ndvi_series):
     session_id = Path(session_path).stem
     row = SessionRow(site=site.name, session_id=session_id, t_mid=0.0)
-    records = load_session(session_path, calibration=cfg.calibration,
+    session = load_session(session_path, calibration=cfg.calibration,
                            skip_leading=cfg.skip_leading)
-    if not records:
+    if not len(session):
         row.error = "empty session"
         return row, None
-    row.n_total = len(records)
-    row.t_mid = _median_timestamp(records)
+    row.n_total = len(session)
+    row.t_mid = _median_timestamp(session.timestamp)
 
     reference = nearest_reference(references, row.t_mid, cfg.align_window_s) \
         if references else None
@@ -132,15 +133,14 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
     row.tb_min_h, row.tb_min_v = min_threshold(site.surface, geometry, t_floor)
     thresholds = FilterThresholds(tb_max=TB_MAX_DEFAULT, tb_min_h=row.tb_min_h,
                                   tb_min_v=row.tb_min_v)
-    accepted, rejected = filter_tb(records, thresholds)
+    flags = filter_tb(session, thresholds)
+    accepted = session.select(flags == 0)
     row.n_accepted = len(accepted)
-    for rec in rejected:
-        for flag in rec.quality_flags:
-            row.flag_counts[flag] += 1
+    row.flag_counts = rejection_counts(flags)
     logger.info("site %s session %s: %d/%d accepted, rejections %s",
                 site.name, session_id, row.n_accepted, row.n_total,
                 {f.value: row.flag_counts.get(f, 0) for f in FLAG_ORDER})
-    if not accepted:
+    if not row.n_accepted:
         row.error = "no valid observations in session"
         return row, None
 
@@ -182,8 +182,9 @@ def _retrieve_session(cfg, site, session_row, rep, spec):
 
 def run_pipeline(cfg, output_dir=None):
     """Execute a campaign; returns a PipelineReport after writing all
-    artifacts. Malformed files are recorded as data errors and the
-    affected session skipped; everything else still runs.
+    artifacts. Malformed files, and sessions whose values fall outside a
+    model's domain, are recorded as data errors and the affected session
+    or site skipped; everything else still runs.
     """
     out_dir = Path(output_dir) if output_dir else cfg.output_dir
     sessions, retrievals, metrics_rows = [], [], []
@@ -196,8 +197,11 @@ def run_pipeline(cfg, output_dir=None):
                 if site.reference_path else []
             ndvi_series = None
             if site.reflectance_path is not None:
-                ndvi_series = daily_ndvi_series(
-                    load_reflectance_csv(site.reflectance_path))
+                samples = load_reflectance_csv(site.reflectance_path)
+                try:
+                    ndvi_series = daily_ndvi_series(samples)
+                except DomainError as exc:
+                    raise DataError(str(exc), path=site.reflectance_path) from None
         except (DataError, DomainError) as exc:
             data_errors.append(str(exc))
             logger.warning("skipping site %s: %s", site.name, exc)
@@ -211,6 +215,10 @@ def run_pipeline(cfg, output_dir=None):
             except DataError as exc:
                 data_errors.append(str(exc))
                 logger.warning("skipping malformed session: %s", exc)
+                continue
+            except DomainError as exc:
+                data_errors.append(f"{session_path}: {exc}")
+                logger.warning("skipping session %s: %s", session_path, exc)
                 continue
             sessions.append(row)
             if row.error:
@@ -357,11 +365,12 @@ def write_artifacts(report):
     _atomic_write(out / "plot_tb_series.csv", lines)
 
     lines = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi"]
+    # reversed, so a repeated (site, session) maps to its first row
+    session_rows = {(s.site, s.session_id): s for s in reversed(report.sessions)}
     for r in report.retrievals:
         if r.result is None:
             continue
-        match = next((s for s in report.sessions
-                      if s.site == r.site and s.session_id == r.session_id), None)
+        match = session_rows.get((r.site, r.session_id))
         ref = lo = hi = None
         if match is not None and match.sm_ref is not None:
             ref = match.sm_ref

@@ -3,20 +3,24 @@ brightness-temperature pair per measurement session.
 
 A session file holds a few thousand dual-polarization samples (either
 brightness temperatures or raw detector voltages plus a linear
-calibration). Records are kept only when all three quality predicates
-hold:
+calibration). A loaded session is a `Session` of numpy columns, one
+element per record. Records are kept only when all three quality
+predicates hold:
 
   * tb_h and tb_v at or below the 320 K ceiling,
   * tb_h and tb_v at or above the physical floor given by the forward
     model evaluated at saturation moisture (sm = 1),
   * tb_v strictly above tb_h.
 
-Rejected records carry flags naming exactly the violated predicates.
+`filter_tb` returns one flag bitmask per record, naming exactly the
+violated predicates; a record with no bit set is accepted.
 """
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field, replace
+import re
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,18 +38,16 @@ class QualityFlag(str, Enum):
     POL_ORDER_VIOLATED = "pol_order_violated"
 
 
+# bit of each flag in the masks that filter_tb returns
+FLAG_BITS = {QualityFlag.MAX_EXCEEDED: 1, QualityFlag.MIN_VIOLATED: 2,
+             QualityFlag.POL_ORDER_VIOLATED: 4}
+
+
 class Statistic(str, Enum):
     MEDIAN = "median"
     MEAN = "mean"
     P25 = "p25"
     P75 = "p75"
-
-
-@dataclass(frozen=True)
-class RawSample:
-    timestamp: float  # UTC epoch seconds
-    v_h: float
-    v_v: float
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,21 @@ class CalibrationParams:
             raise DomainError("calibration gains must be nonzero")
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    timestamp: float  # UTC epoch seconds
-    tb: TbPair
-    quality_flags: frozenset = field(default_factory=frozenset)
+@dataclass(frozen=True, eq=False)
+class Session:
+    """A session's records as aligned columns: UTC epoch seconds and the
+    brightness temperatures in kelvin, one element per record."""
+
+    timestamp: np.ndarray
+    tb_h: np.ndarray
+    tb_v: np.ndarray
+
+    def __len__(self):
+        return len(self.timestamp)
+
+    def select(self, index):
+        """The records at `index`: a boolean mask, index array or slice."""
+        return Session(self.timestamp[index], self.tb_h[index], self.tb_v[index])
 
 
 @dataclass(frozen=True)
@@ -98,12 +110,6 @@ class SessionSummary:
     n_accepted: int
 
 
-def calibrate_voltage(sample, cal):
-    """tb_p = gain_p * v_p + offset_p per channel."""
-    return TbPair(cal.gain_h * sample.v_h + cal.offset_h,
-                  cal.gain_v * sample.v_v + cal.offset_v)
-
-
 def min_threshold(surface, geometry, t_e, tau_nadir=0.0,
                   dielectric=DielectricModel.MIRONOV):
     """Physical floor (tb_min_h, tb_min_v): the forward model at
@@ -123,42 +129,41 @@ def min_threshold(surface, geometry, t_e, tau_nadir=0.0,
     return pair.tb_h, pair.tb_v
 
 
-def record_flags(record, thresholds):
-    """Flags for the quality predicates the record violates. Non-finite
+def filter_tb(session, thresholds):
+    """Quality-flag bitmask per record (see FLAG_BITS): each violated
+    predicate sets its flag's bit, and 0 means accepted. Non-finite
     values fail the ceiling comparison and are flagged there."""
-    tb_h, tb_v = record.tb.tb_h, record.tb.tb_v
-    flags = set()
-    if not (tb_h <= thresholds.tb_max and tb_v <= thresholds.tb_max):
-        flags.add(QualityFlag.MAX_EXCEEDED)
-    if not (tb_h >= thresholds.tb_min_h and tb_v >= thresholds.tb_min_v):
-        flags.add(QualityFlag.MIN_VIOLATED)
-    if not tb_v > tb_h:
-        flags.add(QualityFlag.POL_ORDER_VIOLATED)
-    return frozenset(flags)
+    tb_h, tb_v = session.tb_h, session.tb_v
+    flags = np.zeros(len(session), dtype=np.uint8)
+    flags[~((tb_h <= thresholds.tb_max) & (tb_v <= thresholds.tb_max))] |= \
+        FLAG_BITS[QualityFlag.MAX_EXCEEDED]
+    flags[~((tb_h >= thresholds.tb_min_h) & (tb_v >= thresholds.tb_min_v))] |= \
+        FLAG_BITS[QualityFlag.MIN_VIOLATED]
+    flags[~(tb_v > tb_h)] |= FLAG_BITS[QualityFlag.POL_ORDER_VIOLATED]
+    return flags
 
 
-def filter_tb(series, thresholds):
-    """Split records into (accepted, rejected); rejected records carry the
-    flags of every violated predicate. Empty input yields empty outputs.
-    """
-    accepted, rejected = [], []
-    for rec in series:
-        flags = record_flags(rec, thresholds)
-        if flags:
-            rejected.append(replace(rec, quality_flags=flags))
-        else:
-            accepted.append(replace(rec, quality_flags=frozenset()))
-    return accepted, rejected
+def flags_of(bits):
+    """The QualityFlags set in one record's bitmask."""
+    return frozenset(flag for flag, bit in FLAG_BITS.items() if bits & bit)
 
 
-def _channel_arrays(accepted):
-    if not accepted:
+def rejection_counts(flags):
+    """Number of records carrying each flag, for the flags that occur."""
+    counts = Counter()
+    for flag, bit in FLAG_BITS.items():
+        n = int(np.count_nonzero(flags & bit))
+        if n:
+            counts[flag] = n
+    return counts
+
+
+def _sorted_channels(accepted):
+    if not len(accepted):
         raise DomainError("no valid observations in session")
     # sorted so every statistic (the mean included) is bit-identical under
     # permutation of the input records
-    tb_h = np.sort(np.array([r.tb.tb_h for r in accepted], dtype=float))
-    tb_v = np.sort(np.array([r.tb.tb_v for r in accepted], dtype=float))
-    return tb_h, tb_v
+    return np.sort(accepted.tb_h), np.sort(accepted.tb_v)
 
 
 _STAT_FUNCS = {
@@ -169,12 +174,15 @@ _STAT_FUNCS = {
 }
 
 
-def representative(accepted, statistic=Statistic.MEDIAN):
-    """Per-channel representative value of a session; channels are reduced
-    independently. Median is the operational default."""
-    tb_h, tb_v = _channel_arrays(accepted)
+def _reduce(tb_h, tb_v, statistic):
     func = _STAT_FUNCS[Statistic(statistic)]
     return TbPair(float(func(tb_h)), float(func(tb_v)))
+
+
+def representative(accepted, statistic=Statistic.MEDIAN):
+    """Per-channel representative value of an accepted Session; channels
+    are reduced independently. Median is the operational default."""
+    return _reduce(*_sorted_channels(accepted), statistic)
 
 
 def session_stats(accepted, n_total=None):
@@ -183,7 +191,7 @@ def session_stats(accepted, n_total=None):
     Quartiles interpolate linearly between closest order statistics; std
     is the population form (divide by n).
     """
-    tb_h, tb_v = _channel_arrays(accepted)
+    tb_h, tb_v = _sorted_channels(accepted)
 
     def stats(x):
         p25, p50, p75 = np.percentile(x, [25, 50, 75])
@@ -191,7 +199,7 @@ def session_stats(accepted, n_total=None):
                             float(p25), float(p50), float(p75))
 
     return SessionSummary(
-        representative=representative(accepted, Statistic.MEDIAN),
+        representative=_reduce(tb_h, tb_v, Statistic.MEDIAN),
         stats_h=stats(tb_h),
         stats_v=stats(tb_v),
         n_total=len(accepted) if n_total is None else n_total,
@@ -206,6 +214,13 @@ def session_stats(accepted, n_total=None):
 TB_HEADER = ("timestamp", "tb_h", "tb_v")
 VOLTAGE_HEADER = ("timestamp", "v_h", "v_v")
 
+# A column of stamps in the form format_utc_timestamp writes, one per
+# line. Years 1700-2199 keep the microseconds since the epoch below
+# 2**53, where int64 microseconds / 1e6 rounds exactly as
+# datetime.timestamp() does.
+_STAMP = r"(?:1[7-9]|2[01])\d\d-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d{6})?Z"
+_CANONICAL_STAMPS = re.compile(rf"(?:{_STAMP}\n)*{_STAMP}", re.ASCII)
+
 
 def parse_utc_timestamp(text):
     """ISO-8601 -> UTC epoch seconds; naive stamps are taken as UTC."""
@@ -219,13 +234,83 @@ def parse_utc_timestamp(text):
     return stamp.timestamp()
 
 
+def parse_utc_timestamps(stamps):
+    """Array of parse_utc_timestamp over a sequence of stamps, equal to it
+    element for element. Canonical columns are parsed by numpy in one
+    call, any other form stamp by stamp. Raises ValueError when a stamp
+    does not parse."""
+    joined = "\n".join(stamps)
+    # the count fails when a quoted stamp holds a line break of its own
+    if _CANONICAL_STAMPS.fullmatch(joined) and joined.count("\n") == len(stamps) - 1:
+        micros = np.array(joined.replace("Z", "").split("\n"), dtype="datetime64[us]")
+        return micros.view(np.int64) / 1e6
+    return np.array([parse_utc_timestamp(s) for s in stamps], dtype=float)
+
+
 def format_utc_timestamp(epoch_s):
     stamp = dt.datetime.fromtimestamp(epoch_s, tz=dt.timezone.utc)
     return stamp.isoformat().replace("+00:00", "Z")
 
 
+def _is_blank(row):
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _raise_first_bad_line(rows, increasing, path):
+    """Raise the DataError of the first row, in file order, that the
+    columnar parse in session_from_rows rejects."""
+    last_ts = None
+    for line_no, row in enumerate(rows, start=2):
+        if _is_blank(row):
+            continue
+        if len(row) != 3:
+            raise DataError(f"expected 3 fields, got {len(row)}", path=path, line=line_no)
+        try:
+            ts = parse_utc_timestamp(row[0])
+            float(row[1]), float(row[2])
+        except ValueError as exc:
+            raise DataError(str(exc), path=path, line=line_no) from None
+        if increasing and last_ts is not None and ts <= last_ts:
+            raise DataError("timestamps must be strictly increasing",
+                            path=path, line=line_no)
+        last_ts = ts
+
+
+def session_from_rows(rows, calibration=None, increasing=False, path=None):
+    """Session of the CSV rows of (timestamp, a, b) text that follow a
+    header line, so rows[k] is line k + 2 of `path`; blank rows are
+    skipped. a and b are voltages when `calibration` is given, else
+    brightness temperatures.
+
+    The columns are parsed in bulk. When that fails, one pass over the
+    rows in order raises the DataError of the first bad line: a wrong
+    field count, a value or timestamp that does not parse, or, with
+    `increasing`, a timestamp not after the one before it.
+    """
+    data = rows
+    if set(map(len, rows)) != {3}:  # blank rows, or a wrong field count
+        data = [row for row in rows if not _is_blank(row)]
+    try:
+        if data and set(map(len, data)) != {3}:
+            raise ValueError("wrong field count")
+        stamps, a, b = zip(*data) if data else ((), (), ())
+        timestamp = parse_utc_timestamps(stamps)
+        if increasing and np.any(timestamp[1:] <= timestamp[:-1]):
+            raise ValueError("timestamps not strictly increasing")
+        a = np.fromiter(map(float, a), dtype=float, count=len(a))
+        b = np.fromiter(map(float, b), dtype=float, count=len(b))
+    except ValueError:
+        _raise_first_bad_line(rows, increasing, path)
+        raise
+    if calibration is None:
+        return Session(timestamp, a, b)
+    # tb_p = gain_p * v_p + offset_p per channel
+    return Session(timestamp, calibration.gain_h * a + calibration.offset_h,
+                   calibration.gain_v * b + calibration.offset_v)
+
+
 def load_session(path, calibration=None, skip_leading=0):
-    """Read one session CSV into ObservationRecords.
+    """Read one session CSV into a Session.
 
     Accepts either brightness-temperature files (timestamp,tb_h,tb_v) or
     raw-voltage files (timestamp,v_h,v_v); the latter require calibration
@@ -248,50 +333,31 @@ def load_session(path, calibration=None, skip_leading=0):
         else:
             raise DataError(f"unrecognized session header {','.join(header)!r}",
                             path=path, line=1)
+        rows = list(reader)
 
-        records = []
-        last_ts = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"expected 3 fields, got {len(row)}",
-                                path=path, line=line_no)
-            try:
-                ts = parse_utc_timestamp(row[0])
-                a, b = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise DataError(str(exc), path=path, line=line_no) from None
-            if last_ts is not None and ts <= last_ts:
-                raise DataError("timestamps must be strictly increasing",
-                                path=path, line=line_no)
-            last_ts = ts
-            if is_voltage:
-                tb = calibrate_voltage(RawSample(ts, a, b), calibration)
-            else:
-                tb = TbPair(a, b)
-            records.append(ObservationRecord(ts, tb))
-
+    session = session_from_rows(rows, calibration if is_voltage else None,
+                                increasing=True, path=path)
     if skip_leading:
-        records = records[skip_leading:]
-    return records
+        session = session.select(slice(skip_leading, None))
+    return session
 
 
-def write_session(path_or_fh, records):
-    """Write ObservationRecords back out in the TB session schema, with a
-    flags column when any record carries one."""
+def write_session(path_or_fh, session, flags=None):
+    """Write a Session out in the TB session schema, with a flags column
+    when `flags` (filter_tb's bitmasks of these records) has any set."""
     own = isinstance(path_or_fh, (str, bytes)) or hasattr(path_or_fh, "__fspath__")
     fh = open(path_or_fh, "w", newline="", encoding="utf-8") if own else path_or_fh
     try:
         writer = csv.writer(fh)
-        flagged = any(r.quality_flags for r in records)
+        flagged = flags is not None and bool(np.any(flags))
         header = list(TB_HEADER) + (["flags"] if flagged else [])
         writer.writerow(header)
-        for rec in records:
-            row = [format_utc_timestamp(rec.timestamp),
-                   f"{rec.tb.tb_h:.6f}", f"{rec.tb.tb_v:.6f}"]
+        for k, (ts, tb_h, tb_v) in enumerate(zip(session.timestamp.tolist(),
+                                                  session.tb_h.tolist(),
+                                                  session.tb_v.tolist())):
+            row = [format_utc_timestamp(ts), f"{tb_h:.6f}", f"{tb_v:.6f}"]
             if flagged:
-                row.append("|".join(sorted(f.value for f in rec.quality_flags)))
+                row.append("|".join(sorted(f.value for f in flags_of(flags[k]))))
             writer.writerow(row)
     finally:
         if own:

@@ -236,16 +236,22 @@ def topp_sm_of_eps(eps_real):
     return c0 + eps * (c1 + eps * (c2 + eps * c3))
 
 
+# moisture at the top of the Topp cubic's invertible branch
+TOPP_SM_MAX = float(topp_sm_of_eps(TOPP_EPS_RANGE[1]))
+
+
 def topp_eps(sm):
     """Real permittivity for a given moisture: the single real root of the
     Topp cubic, which is strictly increasing on eps in [1, 80]."""
     sm = np.asarray(sm, dtype=float)
-    if np.any(sm < 0.0) or np.any(sm > 1.0):
+    # fmin/fmax skip NaN, as elementwise comparisons do
+    lo = np.fmin.reduce(sm, axis=None, initial=np.inf)
+    hi = np.fmax.reduce(sm, axis=None, initial=-np.inf)
+    if lo < 0.0 or hi > 1.0:
         raise DomainError("sm must be in [0, 1]")
-    sm_max = float(topp_sm_of_eps(TOPP_EPS_RANGE[1]))
-    if np.any(sm > sm_max):
+    if hi > TOPP_SM_MAX:
         raise DomainError(
-            f"sm above {sm_max:.4f} is outside the invertible branch of the Topp cubic")
+            f"sm above {TOPP_SM_MAX:.4f} is outside the invertible branch of the Topp cubic")
     return _topp_root(sm, np.sinh, np.arcsinh)
 
 

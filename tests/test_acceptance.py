@@ -14,7 +14,7 @@ import pytest
 from lbandsm import pipeline, radiative as ra, retrieval as rt, synth
 from lbandsm.config import load_campaign
 from lbandsm.geometry import footprint
-from lbandsm.preprocess import FilterThresholds, ObservationRecord, QualityFlag, filter_tb
+from lbandsm.preprocess import FilterThresholds, QualityFlag, Session, filter_tb, flags_of
 from lbandsm.radiative import DielectricModel, TbPair, simulate_tb
 from lbandsm.validation import metrics
 
@@ -154,24 +154,24 @@ def test_criterion_5_filter_contract():
     thresholds = FilterThresholds(tb_max=320.0, tb_min_h=140.0, tb_min_v=170.0)
     tb_h = rng.uniform(100.0, 340.0, 10_000)
     tb_v = rng.uniform(100.0, 345.0, 10_000)
-    records = [ObservationRecord(float(i), TbPair(float(h), float(v)))
-               for i, (h, v) in enumerate(zip(tb_h, tb_v))]
-    accepted, rejected = filter_tb(records, thresholds)
-    assert len(accepted) + len(rejected) == 10_000
-    for rec in accepted:
-        assert rec.tb.tb_h <= 320.0 and rec.tb.tb_v <= 320.0
-        assert rec.tb.tb_h >= 140.0 and rec.tb.tb_v >= 170.0
-        assert rec.tb.tb_v > rec.tb.tb_h
-        assert not rec.quality_flags
-    for rec in rejected:
-        max_ok = rec.tb.tb_h <= 320.0 and rec.tb.tb_v <= 320.0
-        min_ok = rec.tb.tb_h >= 140.0 and rec.tb.tb_v >= 170.0
-        pol_ok = rec.tb.tb_v > rec.tb.tb_h
+    flags = filter_tb(Session(np.arange(10_000.0), tb_h, tb_v), thresholds)
+    assert len(flags) == 10_000
+    n_accepted = 0
+    for h, v, bits in zip(tb_h.tolist(), tb_v.tolist(), flags):
+        record_flags = flags_of(bits)
+        max_ok = h <= 320.0 and v <= 320.0
+        min_ok = h >= 140.0 and v >= 170.0
+        pol_ok = v > h
+        if bits == 0:
+            n_accepted += 1
+            assert max_ok and min_ok and pol_ok
+            assert not record_flags
+            continue
         assert not (max_ok and min_ok and pol_ok)
-        assert (QualityFlag.MAX_EXCEEDED in rec.quality_flags) == (not max_ok)
-        assert (QualityFlag.MIN_VIOLATED in rec.quality_flags) == (not min_ok)
-        assert (QualityFlag.POL_ORDER_VIOLATED in rec.quality_flags) == (not pol_ok)
-    print(f"  {len(accepted)} accepted / {len(rejected)} rejected, flags exact")
+        assert (QualityFlag.MAX_EXCEEDED in record_flags) == (not max_ok)
+        assert (QualityFlag.MIN_VIOLATED in record_flags) == (not min_ok)
+        assert (QualityFlag.POL_ORDER_VIOLATED in record_flags) == (not pol_ok)
+    print(f"  {n_accepted} accepted / {10_000 - n_accepted} rejected, flags exact")
 
 
 @criterion(6, "metrics identities on 1e3 random series: rmse^2 = bias^2 + "

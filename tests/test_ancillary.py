@@ -185,3 +185,11 @@ def test_load_reflectance_bad_value(tmp_path):
     path.write_text("date,red,nir\n2023-11-04,x,0.22\n")
     with pytest.raises(DataError, match="refl.csv:2"):
         anc.load_reflectance_csv(path)
+
+
+@pytest.mark.parametrize("red,nir", [("-0.3", "0.5"), ("0.08", "1.5"), ("nan", "0.22")])
+def test_load_reflectance_out_of_range_names_line(tmp_path, red, nir):
+    path = tmp_path / "refl.csv"
+    path.write_text(f"date,red,nir\n2023-11-04,0.08,0.22\n2023-11-11,{red},{nir}\n")
+    with pytest.raises(DataError, match=r"refl.csv:3: reflectances must be in \[0, 1\]"):
+        anc.load_reflectance_csv(path)

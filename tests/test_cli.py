@@ -223,3 +223,40 @@ def test_pipe_composability_matches_pipeline(synthetic_campaign, campaign_config
     assert f"{want.result.sm:.6f}" == got["sm"]
     assert f"{want.result.tau:.6f}" == got["tau"]
     assert got["converged"] == "true"
+
+
+def test_filter_splits_stream_and_flags_rejected(tmp_path, capsys, monkeypatch):
+    text = ("timestamp,tb_h,tb_v\n"
+            "2023-11-11T14:00:00Z,250.0,260.0\n"
+            "2023-11-11T14:00:00.069000Z,330.0,140.0\n"
+            "2023-11-11T14:00:00.138000Z,251.5,260.25\n"
+            "2023-11-11T14:00:00.207000Z,262.0,261.0\n")
+    rejected = tmp_path / "rejected.csv"
+    code, out = run_cli(["filter", "--tb-min-h", "150", "--tb-min-v", "160",
+                         "--rejected", str(rejected)],
+                        stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert out.splitlines() == ["timestamp,tb_h,tb_v",
+                                "2023-11-11T14:00:00Z,250.000000,260.000000",
+                                "2023-11-11T14:00:00.138000Z,251.500000,260.250000"]
+    assert rejected.read_text().splitlines() == [
+        "timestamp,tb_h,tb_v,flags",
+        "2023-11-11T14:00:00.069000Z,330.000000,140.000000,"
+        "max_exceeded|min_violated|pol_order_violated",
+        "2023-11-11T14:00:00.207000Z,262.000000,261.000000,pol_order_violated"]
+
+
+@pytest.mark.parametrize("command,header,bad_row,message", [
+    ("filter", "timestamp,tb_h,tb_v", "2023-11-11T14:00:01Z,x,260",
+     "error: filter: line 3: could not convert string to float: 'x'"),
+    ("represent", "timestamp,tb_h,tb_v", "2023-11-11T14:00:01Z,250",
+     "error: represent: line 3: expected 3 fields, got 2"),
+    ("calibrate", "timestamp,v_h,v_v", "NaT,2.5,2.6",
+     "error: calibrate: line 3: bad timestamp 'NaT'"),
+])
+def test_stream_commands_name_bad_line(command, header, bad_row, message,
+                                       capsys, monkeypatch):
+    text = f"{header}\n2023-11-11T14:00:00Z,2.5,2.6\n{bad_row}\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main([command]) == 1
+    assert capsys.readouterr().err.startswith(message)

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from lbandsm import pipeline, synth
+from lbandsm import pipeline, preprocess, synth
 from lbandsm.config import load_campaign
 
 
@@ -194,3 +194,148 @@ def test_empty_campaign_runs_with_warning(tmp_path):
     assert not report.sessions
     assert any("no session files" in w for w in report.warnings)
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+# ----------------------------------------------------------------------
+# Fault-injection corpus
+# ----------------------------------------------------------------------
+
+REPORT_FILES = ("sessions.csv", "rejections.csv", "retrievals.csv",
+                "plot_tb_series.csv", "plot_sm_series.csv", "metrics.csv")
+
+
+def _report_lines(out_dir):
+    """Report lines keyed by (file, site, session); metrics.csv rows are
+    keyed by (file, site, preset)."""
+    keyed = {}
+    for name in REPORT_FILES:
+        for line in (out_dir / name).read_text().splitlines()[1:]:
+            site, second = line.split(",")[:2]
+            keyed.setdefault((name, site, second), []).append(line)
+    return keyed
+
+
+def _rewrite(path, edit):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+
+
+def _set_field(lines, index, field, value):
+    fields = lines[index].split(",")
+    fields[field] = value
+    lines[index] = ",".join(fields)
+    return lines
+
+
+def test_fault_injection_corpus(tmp_path):
+    """One defect per session or site; the run completes, every data
+    error names its file (and line where one exists), and the rows of
+    untouched sessions are byte-equal to a clean run's."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=11, n_days=10, n_samples=30, voltage_site=None)
+    cfg_path = root / "campaign.cfg"
+    # no calibration block: voltage files get the identity default
+    config = [line for line in cfg_path.read_text().splitlines()
+              if not line.startswith("calibration.")]
+    for site, cover, clay, sessions, reference, reflectance in (
+            ("knot", "grassland", 0.13, "grass", "ref_grass.csv", "refl_knot.csv"),
+            ("ndvi", "grassland", 0.13, "grass", "ref_grass.csv", "refl_ndvi.csv"),
+            ("probe", "bare_soil", 0.2, "bare", "ref_probe.csv", None)):
+        config += [f"site.{site}.land_cover = {cover}",
+                   f"site.{site}.clay_fraction = {clay}",
+                   f"site.{site}.sessions = sessions/{sessions}_*.csv",
+                   f"site.{site}.reference = {reference}"]
+        if reflectance:
+            config.append(f"site.{site}.reflectance = {reflectance}")
+    cfg_path.write_text("\n".join(config) + "\n")
+    for copy, original in (("refl_knot.csv", "reflectance_grass.csv"),
+                           ("refl_ndvi.csv", "reflectance_grass.csv"),
+                           ("ref_probe.csv", "ref_bare.csv")):
+        (root / copy).write_text((root / original).read_text())
+
+    clean = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "clean")
+    assert clean.ok and not any(s.error for s in clean.sessions)
+    assert {s.site for s in clean.sessions} == {"bare", "grass", "knot", "ndvi", "probe"}
+
+    sessions = root / "sessions"
+    day = {k: f"bare_2023-11-{11 + k}" for k in range(10)}
+
+    def session_file(k):
+        return sessions / f"{day[k]}.csv"
+
+    # header-only file
+    _rewrite(session_file(1), lambda lines: lines[:1])
+    # NaN and inf values on records that are otherwise good
+    _rewrite(session_file(2), lambda lines: _set_field(
+        _set_field(lines, 2, 1, "nan"), 3, 2, "inf"))
+    # non-monotone time: data rows 10 and 11 swapped (file lines 11, 12)
+    _rewrite(session_file(3), lambda lines: lines[:10] + [lines[11], lines[10]] + lines[12:])
+    # wrong field count on file line 8
+    _rewrite(session_file(4), lambda lines: _set_field(lines, 7, 2, lines[7].split(",")[2] + ",1"))
+
+    # the same instants written with a +02:00 offset: per-row path, same row
+    def offset_stamps(lines):
+        out = lines[:1]
+        for line in lines[1:]:
+            stamp, rest = line.split(",", 1)
+            shifted = preprocess.format_utc_timestamp(
+                preprocess.parse_utc_timestamp(stamp) + 7200.0)
+            out.append(shifted.replace("Z", "+02:00") + "," + rest)
+        return out
+    _rewrite(session_file(5), offset_stamps)
+    # a stamp that does not parse on file line 6
+    _rewrite(session_file(6), lambda lines: _set_field(lines, 5, 0, "NaT"))
+
+    # a voltage file without a calibration block: read as kelvin, all rejected
+    def as_voltage(lines):
+        out = ["timestamp,v_h,v_v"]
+        for line in lines[1:]:
+            stamp, tb_h, tb_v = line.split(",")
+            out.append(f"{stamp},{float(tb_h) / 100.0:.8f},{float(tb_v) / 100.0:.8f}")
+        return out
+    _rewrite(session_file(7), as_voltage)
+    # a probe temperature that lifts the floor above the ceiling (day 8)
+    _rewrite(root / "ref_bare.csv", lambda lines: _set_field(lines, 9, -1, "1000"))
+    # site defects: a one-knot reflectance file, a knot whose NDVI leaves
+    # [-1, 1], a non-positive probe temperature
+    _rewrite(root / "refl_knot.csv", lambda lines: lines[:2])
+    _rewrite(root / "refl_ndvi.csv", lambda lines: _set_field(
+        _set_field(lines, 2, 1, "-0.3"), 2, 2, "0.5"))
+    _rewrite(root / "ref_probe.csv", lambda lines: _set_field(lines, 2, -1, "-5"))
+
+    report = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "bad")
+
+    errors = sorted(report.data_errors)
+    want = sorted([
+        f"{session_file(3)}:12: timestamps must be strictly increasing",
+        f"{session_file(4)}:8: expected 3 fields, got 4",
+        f"{session_file(6)}:6: bad timestamp 'NaT'",
+        f"{session_file(8)}: minimum thresholds must lie below tb_max",
+        f"{root / 'refl_knot.csv'}: need at least 2 samples to interpolate",
+        f"{root / 'refl_ndvi.csv'}:3: reflectances must be in [0, 1]",
+        f"{root / 'ref_probe.csv'}:3: ",
+    ])
+    assert len(errors) == len(want)
+    for error, prefix in zip(errors, want):
+        assert error.startswith(prefix), (error, prefix)
+    assert {s.site for s in report.sessions} == {"bare", "grass"}
+
+    rows = {s.session_id: s for s in report.sessions if s.site == "bare"}
+    assert sorted(rows) == sorted(day[k] for k in (0, 1, 2, 5, 7, 9))
+    assert rows[day[1]].error == "empty session"
+    assert rows[day[2]].n_accepted == 30 - 3 - 2
+    assert rows[day[2]].flag_counts[preprocess.QualityFlag.MAX_EXCEEDED] == 1 + 2
+    assert rows[day[7]].error == "no valid observations in session"
+    assert rows[day[7]].n_accepted == 0
+
+    before, after = _report_lines(tmp_path / "clean"), _report_lines(tmp_path / "bad")
+    untouched = [("bare", day[k]) for k in (0, 5, 9)] + \
+        [("grass", s.session_id) for s in clean.sessions if s.site == "grass"]
+    untouched += [("grass", preset) for preset in ("SCAV", "SCAH", "RDCA", "DCA0",
+                                                   "DCA1", "DCA2")]
+    compared = 0
+    for key, lines in before.items():
+        if key[1:] in untouched:
+            assert after.get(key) == lines, key
+            compared += len(lines)
+    assert compared > 100

@@ -1,6 +1,7 @@
 """Screening, representative statistics and session ingestion."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,11 +14,26 @@ from lbandsm.retrieval import make_surface
 import oracles
 
 
-def rec(tb_h, tb_v, ts=0.0):
-    return pp.ObservationRecord(ts, TbPair(tb_h, tb_v))
-
-
 THRESHOLDS = pp.FilterThresholds(tb_max=320.0, tb_min_h=150.0, tb_min_v=160.0)
+
+
+def columns(pairs):
+    """Session of (tb_h, tb_v) pairs stamped 0, 1, 2, ... seconds."""
+    tb_h = np.array([h for h, _ in pairs], dtype=float)
+    tb_v = np.array([v for _, v in pairs], dtype=float)
+    return pp.Session(np.arange(len(tb_h), dtype=float), tb_h, tb_v)
+
+
+def calibrated(cal, v_h, v_v):
+    """Brightness temperatures of one voltage row under `cal`."""
+    session = pp.session_from_rows(
+        [["2023-11-11T14:00:00Z", repr(v_h), repr(v_v)]], calibration=cal)
+    return TbPair(float(session.tb_h[0]), float(session.tb_v[0]))
+
+
+def flags_of_first(pairs):
+    """QualityFlags of the first record of `pairs` under THRESHOLDS."""
+    return pp.flags_of(pp.filter_tb(columns(pairs), THRESHOLDS)[0])
 
 
 # ----------------------------------------------------------------------
@@ -26,13 +42,13 @@ THRESHOLDS = pp.FilterThresholds(tb_max=320.0, tb_min_h=150.0, tb_min_v=160.0)
 
 def test_calibrate_identity():
     cal = pp.CalibrationParams(1.0, 1.0, 0.0, 0.0)
-    tb = pp.calibrate_voltage(pp.RawSample(0.0, 250.0, 260.0), cal)
+    tb = calibrated(cal, 250.0, 260.0)
     assert (tb.tb_h, tb.tb_v) == (250.0, 260.0)
 
 
 def test_calibrate_gain_offset():
     cal = pp.CalibrationParams(100.0, 100.0, 10.0, 10.0)
-    tb = pp.calibrate_voltage(pp.RawSample(0.0, 2.4, 2.5), cal)
+    tb = calibrated(cal, 2.4, 2.5)
     assert tb.tb_h == pytest.approx(250.0)
     assert tb.tb_v == pytest.approx(260.0)
 
@@ -41,9 +57,22 @@ def test_calibrate_default_offsets_pass_through():
     # gain-only conversion with offsets left at their zero defaults
     cal = pp.CalibrationParams(gain_h=120.0, gain_v=118.0)
     assert cal.offset_h == 0.0 and cal.offset_v == 0.0
-    tb = pp.calibrate_voltage(pp.RawSample(0.0, 2.0, 2.1), cal)
+    tb = calibrated(cal, 2.0, 2.1)
     assert tb.tb_h == pytest.approx(240.0)
     assert tb.tb_v == pytest.approx(247.8)
+
+
+def test_calibrate_matches_scalar_affine():
+    rng = np.random.default_rng(41)
+    cal = pp.CalibrationParams(101.3, 99.7, -3.25, 1.5)
+    volts = rng.uniform(0.5, 3.5, size=(200, 2))
+    rows = [[pp.format_utc_timestamp(1.7e9 + k), repr(a), repr(b)]
+            for k, (a, b) in enumerate(volts.tolist())]
+    session = pp.session_from_rows(rows, calibration=cal)
+    for (a, b), tb_h, tb_v in zip(volts.tolist(), session.tb_h.tolist(),
+                                  session.tb_v.tolist()):
+        assert tb_h == cal.gain_h * a + cal.offset_h
+        assert tb_v == cal.gain_v * b + cal.offset_v
 
 
 def test_calibrate_zero_gain_rejected():
@@ -78,52 +107,55 @@ def test_min_threshold_tightens_with_canopy():
 # ----------------------------------------------------------------------
 
 def test_filter_rejects_above_ceiling():
-    accepted, rejected = pp.filter_tb([rec(250.0, 321.0)], THRESHOLDS)
-    assert not accepted
-    assert rejected[0].quality_flags == {pp.QualityFlag.MAX_EXCEEDED}
+    flags = pp.filter_tb(columns([(250.0, 321.0)]), THRESHOLDS)
+    assert flags[0] != 0
+    assert pp.flags_of(flags[0]) == {pp.QualityFlag.MAX_EXCEEDED}
 
 
 def test_filter_rejects_inverted_polarization():
-    accepted, rejected = pp.filter_tb([rec(260.0, 255.0)], THRESHOLDS)
-    assert not accepted
-    assert rejected[0].quality_flags == {pp.QualityFlag.POL_ORDER_VIOLATED}
+    flags = pp.filter_tb(columns([(260.0, 255.0)]), THRESHOLDS)
+    assert flags[0] != 0
+    assert pp.flags_of(flags[0]) == {pp.QualityFlag.POL_ORDER_VIOLATED}
 
 
 def test_filter_accepts_in_range():
-    accepted, rejected = pp.filter_tb([rec(220.0, 250.0)], THRESHOLDS)
-    assert not rejected
-    assert accepted[0].quality_flags == frozenset()
+    flags = pp.filter_tb(columns([(220.0, 250.0)]), THRESHOLDS)
+    assert flags[0] == 0
+    assert pp.flags_of(flags[0]) == frozenset()
 
 
 def test_filter_rejects_below_floor():
-    accepted, rejected = pp.filter_tb([rec(100.0, 140.0)], THRESHOLDS)
-    assert rejected[0].quality_flags == {pp.QualityFlag.MIN_VIOLATED}
+    assert flags_of_first([(100.0, 140.0)]) == {pp.QualityFlag.MIN_VIOLATED}
 
 
 def test_filter_multiple_flags():
-    _, rejected = pp.filter_tb([rec(330.0, 140.0)], THRESHOLDS)
-    assert rejected[0].quality_flags == {pp.QualityFlag.MAX_EXCEEDED,
-                                         pp.QualityFlag.MIN_VIOLATED,
-                                         pp.QualityFlag.POL_ORDER_VIOLATED}
+    assert flags_of_first([(330.0, 140.0)]) == {pp.QualityFlag.MAX_EXCEEDED,
+                                                pp.QualityFlag.MIN_VIOLATED,
+                                                pp.QualityFlag.POL_ORDER_VIOLATED}
 
 
 def test_filter_empty_input():
-    assert pp.filter_tb([], THRESHOLDS) == ([], [])
+    flags = pp.filter_tb(columns([]), THRESHOLDS)
+    assert flags.shape == (0,)
+    assert pp.rejection_counts(flags) == {}
 
 
 def test_filter_nan_is_rejected_with_flag():
-    _, rejected = pp.filter_tb([rec(float("nan"), 250.0)], THRESHOLDS)
-    assert rejected and rejected[0].quality_flags
+    flags = pp.filter_tb(columns([(float("nan"), 250.0)]), THRESHOLDS)
+    assert flags[0] != 0
+    assert pp.QualityFlag.MAX_EXCEEDED in pp.flags_of(flags[0])
 
 
 def test_filter_idempotent_on_accepted():
     rng = np.random.default_rng(3)
-    records = [rec(h, h + d, ts=float(i)) for i, (h, d) in enumerate(
-        zip(rng.uniform(100, 340, 500), rng.uniform(-5, 40, 500)))]
-    accepted, _ = pp.filter_tb(records, THRESHOLDS)
-    again, rejected = pp.filter_tb(accepted, THRESHOLDS)
-    assert again == accepted
-    assert rejected == []
+    tb_h = rng.uniform(100, 340, 500)
+    session = pp.Session(np.arange(500.0), tb_h, tb_h + rng.uniform(-5, 40, 500))
+    accepted = session.select(pp.filter_tb(session, THRESHOLDS) == 0)
+    again = pp.filter_tb(accepted, THRESHOLDS)
+    assert not again.any()
+    kept = accepted.select(again == 0)
+    for name in ("timestamp", "tb_h", "tb_v"):
+        assert np.array_equal(getattr(kept, name), getattr(accepted, name))
 
 
 def test_filter_flags_match_predicates():
@@ -131,18 +163,26 @@ def test_filter_flags_match_predicates():
     for _ in range(2000):
         tb_h = rng.uniform(100.0, 340.0)
         tb_v = rng.uniform(100.0, 345.0)
-        record = rec(tb_h, tb_v)
-        accepted, rejected = pp.filter_tb([record], THRESHOLDS)
+        bits = pp.filter_tb(columns([(tb_h, tb_v)]), THRESHOLDS)[0]
         max_ok = tb_h <= 320.0 and tb_v <= 320.0
         min_ok = tb_h >= 150.0 and tb_v >= 160.0
         pol_ok = tb_v > tb_h
         if max_ok and min_ok and pol_ok:
-            assert accepted and not rejected
+            assert bits == 0
         else:
-            flags = rejected[0].quality_flags
+            flags = pp.flags_of(bits)
             assert (pp.QualityFlag.MAX_EXCEEDED in flags) == (not max_ok)
             assert (pp.QualityFlag.MIN_VIOLATED in flags) == (not min_ok)
             assert (pp.QualityFlag.POL_ORDER_VIOLATED in flags) == (not pol_ok)
+
+
+def test_rejection_counts_match_per_record_flags():
+    rng = np.random.default_rng(7)
+    session = columns(list(zip(rng.uniform(100, 340, 3000), rng.uniform(100, 345, 3000))))
+    flags = pp.filter_tb(session, THRESHOLDS)
+    want = Counter(f for bits in flags for f in pp.flags_of(bits))
+    assert pp.rejection_counts(flags) == want
+    assert all(n > 0 for n in pp.rejection_counts(flags).values())
 
 
 def test_thresholds_must_leave_room():
@@ -155,22 +195,21 @@ def test_thresholds_must_leave_room():
 # ----------------------------------------------------------------------
 
 def test_representative_median_odd():
-    records = [rec(240.0, v) for v in (250.0, 252.0, 254.0)]
-    assert pp.representative(records).tb_v == 252.0
+    session = columns([(240.0, v) for v in (250.0, 252.0, 254.0)])
+    assert pp.representative(session).tb_v == 252.0
 
 
 def test_representative_median_even_averages_middle_pair():
-    records = [rec(240.0, 250.0), rec(241.0, 252.0)]
-    assert pp.representative(records).tb_v == 251.0
-    assert pp.representative(records).tb_h == 240.5
+    session = columns([(240.0, 250.0), (241.0, 252.0)])
+    assert pp.representative(session).tb_v == 251.0
+    assert pp.representative(session).tb_h == 240.5
 
 
 def test_representative_median_matches_sort_oracle():
     rng = np.random.default_rng(17)
     values_h = rng.uniform(150, 300, 1000)
     values_v = rng.uniform(160, 310, 1000)
-    records = [rec(h, v, ts=float(i)) for i, (h, v) in enumerate(zip(values_h, values_v))]
-    got = pp.representative(records)
+    got = pp.representative(columns(list(zip(values_h, values_v))))
     assert got.tb_h == pytest.approx(oracles.sort_median(values_h), abs=1e-12)
     assert got.tb_v == pytest.approx(oracles.sort_median(values_v), abs=1e-12)
 
@@ -180,39 +219,44 @@ def test_representative_quartiles_match_oracle(statistic, q):
     rng = np.random.default_rng(23)
     values_h = rng.uniform(150, 300, 501)
     values_v = values_h + rng.uniform(1, 40, 501)
-    records = [rec(h, v, ts=float(i)) for i, (h, v) in enumerate(zip(values_h, values_v))]
-    got = pp.representative(records, statistic)
+    got = pp.representative(columns(list(zip(values_h, values_v))), statistic)
     assert got.tb_h == pytest.approx(oracles.sort_percentile(values_h, q), abs=1e-9)
     assert got.tb_v == pytest.approx(oracles.sort_percentile(values_v, q), abs=1e-9)
 
 
 def test_representative_order_independent():
     rng = np.random.default_rng(29)
-    records = [rec(h, h + 10, ts=float(i))
-               for i, h in enumerate(rng.uniform(150, 300, 101))]
-    shuffled = list(records)
-    rng.shuffle(shuffled)
+    session = columns([(h, h + 10) for h in rng.uniform(150, 300, 101)])
+    order = list(range(len(session)))
+    rng.shuffle(order)
+    shuffled = session.select(np.array(order))
     for statistic in pp.Statistic:
-        assert pp.representative(records, statistic) == \
+        assert pp.representative(session, statistic) == \
             pp.representative(shuffled, statistic)
+
+
+def test_session_stats_order_independent():
+    rng = np.random.default_rng(37)
+    session = columns(list(zip(rng.uniform(150, 300, 4000), rng.uniform(160, 310, 4000))))
+    shuffled = session.select(rng.permutation(len(session)))
+    # SessionSummary compares every float exactly
+    assert pp.session_stats(shuffled) == pp.session_stats(session)
 
 
 def test_representative_empty_errors():
     with pytest.raises(DomainError, match="no valid observations"):
-        pp.representative([])
+        pp.representative(columns([]))
 
 
 def test_session_stats_constant_series():
-    records = [rec(260.0, 270.0, ts=float(i)) for i in range(10)]
-    summary = pp.session_stats(records)
+    summary = pp.session_stats(columns([(260.0, 270.0)] * 10))
     assert summary.stats_h.std == 0.0
     assert summary.stats_h.p25 == summary.stats_h.p50 == summary.stats_h.p75 == 260.0
     assert summary.n_accepted == 10
 
 
 def test_session_stats_population_std():
-    records = [rec(v, v + 5, ts=float(i)) for i, v in enumerate((258.0, 260.0, 262.0))]
-    summary = pp.session_stats(records)
+    summary = pp.session_stats(columns([(v, v + 5) for v in (258.0, 260.0, 262.0)]))
     assert summary.stats_h.mean == pytest.approx(260.0)
     assert summary.stats_h.std == pytest.approx(math.sqrt(8.0 / 3.0), rel=1e-12)
 
@@ -220,8 +264,7 @@ def test_session_stats_population_std():
 def test_session_stats_quartiles_match_oracle():
     rng = np.random.default_rng(31)
     values = rng.uniform(150, 320, 500)
-    records = [rec(v, v + 3, ts=float(i)) for i, v in enumerate(values)]
-    summary = pp.session_stats(records)
+    summary = pp.session_stats(columns([(v, v + 3) for v in values]))
     assert summary.stats_h.p25 == pytest.approx(oracles.sort_percentile(values, 25), abs=1e-9)
     assert summary.stats_h.p50 == pytest.approx(oracles.sort_median(values), abs=1e-9)
     assert summary.stats_h.p75 == pytest.approx(oracles.sort_percentile(values, 75), abs=1e-9)
@@ -245,10 +288,10 @@ def test_load_session_tb(tmp_path):
                   "timestamp,tb_h,tb_v\n"
                   "2023-11-11T14:00:00Z,250.1,260.2\n"
                   "2023-11-11T14:00:01Z,250.3,260.4\n")
-    records = pp.load_session(path)
-    assert len(records) == 2
-    assert records[0].tb.tb_h == 250.1
-    assert records[1].timestamp - records[0].timestamp == pytest.approx(1.0)
+    session = pp.load_session(path)
+    assert len(session) == 2
+    assert session.tb_h[0] == 250.1
+    assert session.timestamp[1] - session.timestamp[0] == pytest.approx(1.0)
 
 
 def test_load_session_voltage_requires_calibration(tmp_path):
@@ -256,9 +299,9 @@ def test_load_session_voltage_requires_calibration(tmp_path):
                   "timestamp,v_h,v_v\n2023-11-11T14:00:00Z,2.5,2.6\n")
     with pytest.raises(DataError, match="calibration"):
         pp.load_session(path)
-    records = pp.load_session(path, calibration=pp.CalibrationParams(100.0, 100.0))
-    assert records[0].tb.tb_h == pytest.approx(250.0)
-    assert records[0].tb.tb_v == pytest.approx(260.0)
+    session = pp.load_session(path, calibration=pp.CalibrationParams(100.0, 100.0))
+    assert session.tb_h[0] == pytest.approx(250.0)
+    assert session.tb_v[0] == pytest.approx(260.0)
 
 
 def test_load_session_rejects_unknown_header(tmp_path):
@@ -292,9 +335,10 @@ def test_load_session_empty_file(tmp_path):
 def test_load_session_skip_leading(tmp_path):
     rows = "\n".join(f"2023-11-11T14:00:{i:02d}Z,25{i},26{i}" for i in range(5))
     path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + rows + "\n")
-    records = pp.load_session(path, skip_leading=2)
-    assert len(records) == 3
-    assert records[0].tb.tb_h == 252.0
+    session = pp.load_session(path, skip_leading=2)
+    assert len(session) == 3
+    assert session.tb_h[0] == 252.0
+    assert session.timestamp[0] == pp.parse_utc_timestamp("2023-11-11T14:00:02Z")
 
 
 def test_timestamp_round_trip():
@@ -302,3 +346,101 @@ def test_timestamp_round_trip():
     assert pp.format_utc_timestamp(ts) == "2023-11-25T14:03:07.138000Z"
     assert pp.parse_utc_timestamp("2023-11-25T14:03:07+00:00") == \
         pp.parse_utc_timestamp("2023-11-25T14:03:07Z")
+
+
+# ----------------------------------------------------------------------
+# Bulk ingest against the per-row parse
+# ----------------------------------------------------------------------
+
+def test_bulk_timestamps_equal_per_row_parse():
+    rng = np.random.default_rng(43)
+    # whole seconds (no fraction written) and microsecond stamps, from
+    # 1700 to 2199 and densely around the present
+    epochs = np.concatenate([
+        np.round(rng.uniform(-8.5e9, 7.25e9, 500)),
+        np.round(rng.uniform(-8.5e9, 7.25e9, 500) * 1e6) / 1e6,
+        np.round(1.7e9 + rng.uniform(0.0, 1e6, 1000) * 1e6) / 1e6,
+    ])
+    stamps = [pp.format_utc_timestamp(float(e)) for e in epochs]
+    assert any("." in s for s in stamps) and any("." not in s for s in stamps)
+    assert pp._CANONICAL_STAMPS.fullmatch("\n".join(stamps))   # the bulk path
+    got = pp.parse_utc_timestamps(stamps)
+    assert got.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
+
+
+NON_CANONICAL = {
+    "offset": "2023-11-11T16:00:0{k}+02:00",
+    "naive": "2023-11-11T14:00:0{k}",
+    "millis": "2023-11-11T14:00:0{k}.138Z",
+    "tenths": "2023-11-11T14:00:0{k}.5Z",
+    "seven_digits": "2023-11-11T14:00:0{k}.1234567Z",
+    "minutes": "2023-11-11T14:0{k}Z",
+    "basic": "20231111T14000{k}Z",
+    "date_only": "2023-11-1{day}",
+    "space": "2023-11-11 14:00:0{k}Z",
+}
+
+
+@pytest.mark.parametrize("form", sorted(NON_CANONICAL))
+def test_non_canonical_stamps_take_per_row_result(tmp_path, form):
+    # one non-canonical stamp among canonical ones sends the column down
+    # the per-stamp path
+    stamps = [f"2023-11-11T13:59:5{k}Z" for k in range(3)] + \
+        [NON_CANONICAL[form].format(k=k, day=k + 2) for k in range(3)]
+    rows = "".join(f"{s},{250 + k}.5,{260 + k}.25\n" for k, s in enumerate(stamps))
+    path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + rows)
+    assert not pp._CANONICAL_STAMPS.fullmatch("\n".join(stamps))
+    session = pp.load_session(path)
+    assert session.timestamp.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
+    assert session.tb_h.tolist() == [250.5 + k for k in range(6)]
+
+
+@pytest.mark.parametrize("stamp", ["NaT", "", "2023-11-11T14:00:03+0x:00",
+                                   "2023-11-11T14:00:03z",
+                                   "2023-02-29T14:00:03Z", "2023-11-11T24:00:03Z",
+                                   "2023-11-11T14:00:60Z", "0000-11-11T14:00:03Z"])
+def test_bad_stamp_named_like_per_row_parse(tmp_path, stamp):
+    rows = ["2023-11-11T14:00:00Z,250,260", "2023-11-11T14:00:01Z,250,260",
+            f"{stamp},250,260", "2023-11-11T14:00:05Z,250,260"]
+    path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as per_row:
+        pp.parse_utc_timestamp(stamp)
+    with pytest.raises(DataError) as exc:
+        pp.load_session(path)
+    assert str(exc.value) == f"{path}:4: {per_row.value}"
+
+
+@pytest.mark.parametrize("lines,want", [
+    # (data lines from line 2 on, first bad line and message)
+    (["2023-11-11T14:00:00Z,250,260", "2023-11-11T14:00:01Z,x,260",
+      "2023-11-11T14:00:00Z,250,260"], (3, "could not convert string to float: 'x'")),
+    (["2023-11-11T14:00:01Z,250,260", "2023-11-11T14:00:00Z,250,260",
+      "2023-11-11T14:00:02Z,x,260"], (3, "timestamps must be strictly increasing")),
+    (["2023-11-11T14:00:00Z,250,260", "2023-11-11T14:00:01Z,250",
+      "bad,250,260"], (3, "expected 3 fields, got 2")),
+    (["2023-11-11T14:00:00Z,250,260", "", "   ", "2023-11-11T14:00:00Z,250,260",
+      "2023-11-11T14:00:01Z,250"], (5, "timestamps must be strictly increasing")),
+    (["2023-11-11T14:00:00Z,250,260", '"2023-11-11T14:00:01Z\n2023-11-11T14:00:02Z",250,260'],
+     (3, "bad timestamp")),
+])
+def test_first_bad_line_in_file_order(tmp_path, lines, want):
+    path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + "\n".join(lines) + "\n")
+    with pytest.raises(DataError) as exc:
+        pp.load_session(path)
+    line, message = want
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"{path}:{line}: {message}")
+
+
+def test_blank_lines_skipped(tmp_path):
+    path = _write(tmp_path, "s.csv",
+                  "timestamp,tb_h,tb_v\n\n2023-11-11T14:00:00Z,250,260\n  \n"
+                  "2023-11-11T14:00:01Z,251,261\n\n")
+    session = pp.load_session(path)
+    assert session.tb_h.tolist() == [250.0, 251.0]
+
+
+def test_load_session_header_only(tmp_path):
+    session = pp.load_session(_write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n"))
+    assert len(session) == 0
+    assert session.timestamp.dtype == session.tb_h.dtype == np.float64

@@ -137,6 +137,18 @@ def test_topp_outside_invertible_branch():
         ra.topp_moisture(0.5)
 
 
+def test_topp_eps_domain_checks():
+    with pytest.raises(DomainError, match=r"^sm must be in \[0, 1\]$"):
+        ra.topp_eps(np.array([0.2, -0.1]))
+    with pytest.raises(DomainError, match=r"^sm must be in \[0, 1\]$"):
+        ra.topp_eps(np.array([np.nan, 1.5]))   # NaN does not hide the bad value
+    with pytest.raises(DomainError, match="sm above 0.9646 is outside the invertible branch"):
+        ra.topp_eps(np.array([0.2, 0.99]))
+    assert ra.topp_eps(np.array([])).shape == (0,)
+    assert np.isnan(ra.topp_eps(np.array([np.nan, 0.3]))[0])
+    assert float(ra.topp_eps(ra.TOPP_SM_MAX)) == pytest.approx(80.0, abs=1e-9)
+
+
 # ----------------------------------------------------------------------
 # Fresnel, roughness, canopy
 # ----------------------------------------------------------------------
