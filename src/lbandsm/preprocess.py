@@ -3,17 +3,15 @@ brightness-temperature pair per measurement session.
 
 A session file holds a few thousand dual-polarization samples (either
 brightness temperatures or raw detector voltages plus a linear
-calibration). A loaded session is a `Session` of numpy columns, one
-element per record. Records are kept only when all three quality
-predicates hold:
+calibration), loaded as a `Session` of numpy columns. Records are kept
+only when all three quality predicates hold:
 
   * tb_h and tb_v at or below the 320 K ceiling,
   * tb_h and tb_v at or above the physical floor given by the forward
     model evaluated at saturation moisture (sm = 1),
   * tb_v strictly above tb_h.
 
-`filter_tb` returns one flag bitmask per record, naming exactly the
-violated predicates; a record with no bit set is accepted.
+Each record's flag bitmask names exactly the violated predicates.
 """
 
 import csv
@@ -39,8 +37,7 @@ class QualityFlag(str, Enum):
 
 
 # bit of each flag in the masks that filter_tb returns
-FLAG_BITS = {QualityFlag.MAX_EXCEEDED: 1, QualityFlag.MIN_VIOLATED: 2,
-             QualityFlag.POL_ORDER_VIOLATED: 4}
+FLAG_BITS = {flag: 1 << k for k, flag in enumerate(QualityFlag)}
 
 
 class Statistic(str, Enum):
@@ -150,12 +147,8 @@ def flags_of(bits):
 
 def rejection_counts(flags):
     """Number of records carrying each flag, for the flags that occur."""
-    counts = Counter()
-    for flag, bit in FLAG_BITS.items():
-        n = int(np.count_nonzero(flags & bit))
-        if n:
-            counts[flag] = n
-    return counts
+    return +Counter({flag: int(np.count_nonzero(flags & bit))   # + drops zeros
+                     for flag, bit in FLAG_BITS.items()})
 
 
 def _sorted_channels(accepted):
