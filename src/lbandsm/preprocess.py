@@ -167,15 +167,12 @@ _STAT_FUNCS = {
 }
 
 
-def _reduce(tb_h, tb_v, statistic):
-    func = _STAT_FUNCS[Statistic(statistic)]
-    return TbPair(float(func(tb_h)), float(func(tb_v)))
-
-
 def representative(accepted, statistic=Statistic.MEDIAN):
     """Per-channel representative value of an accepted Session; channels
     are reduced independently. Median is the operational default."""
-    return _reduce(*_sorted_channels(accepted), statistic)
+    tb_h, tb_v = _sorted_channels(accepted)
+    func = _STAT_FUNCS[Statistic(statistic)]
+    return TbPair(float(func(tb_h)), float(func(tb_v)))
 
 
 def session_stats(accepted, n_total=None):
@@ -192,7 +189,7 @@ def session_stats(accepted, n_total=None):
                             float(p25), float(p50), float(p75))
 
     return SessionSummary(
-        representative=_reduce(tb_h, tb_v, Statistic.MEDIAN),
+        representative=TbPair(float(np.median(tb_h)), float(np.median(tb_v))),
         stats_h=stats(tb_h),
         stats_v=stats(tb_v),
         n_total=len(accepted) if n_total is None else n_total,
