@@ -14,10 +14,11 @@ package and can be replaced wholesale by a user table.
 
 import csv
 import datetime as dt
+import io
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError, DomainError, read_text
 from .kvconfig import parse_kv_text, read_kv_file
 
 
@@ -161,25 +162,24 @@ REFLECTANCE_HEADER = ("date", "red", "nir")
 def load_reflectance_csv(path):
     """Read `date,red,nir` rows into ReflectanceSamples."""
     samples = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = tuple(col.strip() for col in next(reader))
+    except StopIteration:
+        raise DataError("empty reflectance file", path=path) from None
+    if header != REFLECTANCE_HEADER:
+        raise DataError(f"expected header {','.join(REFLECTANCE_HEADER)!r}",
+                        path=path, line=1)
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise DataError(f"expected 3 fields, got {len(row)}", path=path, line=line_no)
         try:
-            header = tuple(col.strip() for col in next(reader))
-        except StopIteration:
-            raise DataError("empty reflectance file", path=path) from None
-        if header != REFLECTANCE_HEADER:
-            raise DataError(f"expected header {','.join(REFLECTANCE_HEADER)!r}",
-                            path=path, line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"expected 3 fields, got {len(row)}", path=path, line=line_no)
-            try:
-                samples.append(ReflectanceSample(
-                    dt.date.fromisoformat(row[0].strip()), float(row[1]), float(row[2])))
-            except (ValueError, DomainError) as exc:
-                raise DataError(str(exc), path=path, line=line_no) from None
+            samples.append(ReflectanceSample(
+                dt.date.fromisoformat(row[0].strip()), float(row[1]), float(row[2])))
+        except (ValueError, DomainError) as exc:
+            raise DataError(str(exc), path=path, line=line_no) from None
     return samples
 
 

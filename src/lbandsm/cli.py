@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import logging
 import os
 import sys
@@ -38,8 +39,8 @@ from .pipeline import run_pipeline
 from .preprocess import (CalibrationParams, FilterThresholds, Statistic,
                          TB_HEADER, TB_MAX_DEFAULT, VOLTAGE_HEADER, filter_tb,
                          format_utc_timestamp, parse_utc_timestamp,
-                         representative, session_from_rows, session_stats,
-                         write_session)
+                         representative, session_from_text, session_stats,
+                         split_header, write_session)
 from .radiative import L_BAND_GHZ, TbPair, simulate_tb
 from .retrieval import (CONSTANT_T_E, PRESET_NAMES, TAU_SCA_KINDS, TempSource,
                         load_preset, make_surface, retrieve)
@@ -67,22 +68,21 @@ def _open_output(path):
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _body_rows(fh, expected_header, what):
-    """CSV reader over the rows after a header that must match."""
-    reader = csv.reader(fh)
-    try:
-        header = tuple(col.strip() for col in next(reader))
-    except StopIteration:
-        raise DataError(f"empty {what} input") from None
+def _body(fh, expected_header, what):
+    """The CSV text after a header that must match."""
+    header, body = split_header(fh.read())
+    if header is None:
+        raise DataError(f"empty {what} input")
     if header != expected_header:
         raise DataError(
             f"{what}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
-    return reader
+    return body
 
 
 def _read_rows(fh, expected_header, what):
     rows = []
-    for line_no, row in enumerate(_body_rows(fh, expected_header, what), start=2):
+    reader = csv.reader(io.StringIO(_body(fh, expected_header, what), newline=""))
+    for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(expected_header):
@@ -94,9 +94,9 @@ def _read_rows(fh, expected_header, what):
 
 def _read_session(fh, expected_header, what, calibration=None):
     """Session columns of a timestamped TB or voltage stream."""
-    rows = list(_body_rows(fh, expected_header, what))
+    body = _body(fh, expected_header, what)
     try:
-        return session_from_rows(rows, calibration)
+        return session_from_text(body, calibration)
     except DataError as exc:
         raise DataError(f"{what}: {exc}") from None
 

@@ -12,8 +12,8 @@ time so batch runs fail fast.
     align_window_s = 1800
     tau_coefficients = tau_coeffs.cfg        # optional, packaged defaults otherwise
 
-    calibration.gain_h = 1.0                 # optional block, identity by default
-    calibration.offset_h = 0.0
+    calibration.gain_h = 1.0                 # needed by voltage sessions only;
+    calibration.offset_h = 0.0               # unset keys are 1 (gain) and 0 (offset)
 
     site.grass.land_cover = grassland
     site.grass.clay_fraction = 0.13
@@ -57,7 +57,7 @@ class CampaignConfig:
     output_dir: Path
     presets: tuple            # PresetSpec, in selection order
     sites: tuple              # SiteConfig
-    calibration: CalibrationParams
+    calibration: CalibrationParams   # None without a calibration.* key
     tau_table: TauCoefficients
     frequency_ghz: float = L_BAND_GHZ
     statistic: Statistic = Statistic.MEDIAN
@@ -120,7 +120,7 @@ def load_campaign(path) -> CampaignConfig:
         gain_v=cal_kv.get_float("gain_v", 1.0),
         offset_h=cal_kv.get_float("offset_h", 0.0),
         offset_v=cal_kv.get_float("offset_v", 0.0),
-    )
+    ) if cal_kv.keys() else None
 
     needs_tau = any(spec.kind in TAU_SCA_KINDS for spec in presets)
     sites = []

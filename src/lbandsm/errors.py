@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the read of a data
+file that reports undecodable bytes as one of them."""
+
+from pathlib import Path
 
 
 class DomainError(ValueError):
@@ -28,3 +31,14 @@ class DataError(Exception):
         elif line is not None:
             prefix = f"line {line}: "
         super().__init__(prefix + message)
+
+
+def read_text(path):
+    """The UTF-8 text of a data file. A byte sequence that is not UTF-8 is
+    a DataError naming the file and the line it is on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(str(exc), path=path,
+                        line=data[:exc.start].count(b"\n") + 1) from None

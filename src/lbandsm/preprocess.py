@@ -3,8 +3,12 @@ brightness-temperature pair per measurement session.
 
 A session file holds a few thousand dual-polarization samples (either
 brightness temperatures or raw detector voltages plus a linear
-calibration), loaded as a `Session` of numpy columns. Records are kept
-only when all three quality predicates hold:
+calibration), loaded as a `Session` of numpy columns. A body of
+canonical UTC stamps and plain numbers, the form this package writes,
+is tokenized in C by np.loadtxt and its stamps decoded as bytes; any
+other body is read by csv.reader and parsed field by field, which gives
+the same columns or names the first bad line. Records are kept only
+when all three quality predicates hold:
 
   * tb_h and tb_v at or below the 320 K ceiling,
   * tb_h and tb_v at or above the physical floor given by the forward
@@ -16,14 +20,15 @@ Each record's flag bitmask names exactly the violated predicates.
 
 import csv
 import datetime as dt
-import re
+import io
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, read_text
 from .radiative import (DielectricModel, SoilState, SurfaceRoughness, TbPair,
                         VegetationState, forward_tb)
 
@@ -76,6 +81,13 @@ class Session:
     def select(self, index):
         """The records at `index`: a boolean mask, index array or slice."""
         return Session(self.timestamp[index], self.tb_h[index], self.tb_v[index])
+
+    @cached_property
+    def sorted_channels(self):
+        """(tb_h, tb_v), each sorted ascending once for every reduction of
+        this Session, so that each statistic (the mean included) is
+        bit-identical under permutation of the records."""
+        return np.sort(self.tb_h), np.sort(self.tb_v)
 
 
 @dataclass(frozen=True)
@@ -154,9 +166,7 @@ def rejection_counts(flags):
 def _sorted_channels(accepted):
     if not len(accepted):
         raise DomainError("no valid observations in session")
-    # sorted so every statistic (the mean included) is bit-identical under
-    # permutation of the input records
-    return np.sort(accepted.tb_h), np.sort(accepted.tb_v)
+    return accepted.sorted_channels
 
 
 _STAT_FUNCS = {
@@ -204,12 +214,29 @@ def session_stats(accepted, n_total=None):
 TB_HEADER = ("timestamp", "tb_h", "tb_v")
 VOLTAGE_HEADER = ("timestamp", "v_h", "v_v")
 
-# A column of stamps in the form format_utc_timestamp writes, one per
-# line. Years 1700-2199 keep the microseconds since the epoch below
-# 2**53, where int64 microseconds / 1e6 rounds exactly as
-# datetime.timestamp() does.
-_STAMP = r"(?:1[7-9]|2[01])\d\d-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d{6})?Z"
-_CANONICAL_STAMPS = re.compile(rf"(?:{_STAMP}\n)*{_STAMP}", re.ASCII)
+# A session body as np.loadtxt tokenizes it: the stamp bytes and the two
+# values of each line. A canonical stamp, the form format_utc_timestamp
+# writes, is YYYY-MM-DDTHH:MM:SSZ (20 bytes) or YYYY-MM-DDTHH:MM:SS.ffffffZ
+# (27); the column holds one byte more, so that a longer stamp shows
+# instead of being cut to fit.
+_BODY_DTYPE = np.dtype([("stamp", "S28"), ("a", "f8"), ("b", "f8")])
+_SEPARATORS = ([4, 7, 10, 13, 16], np.frombuffer(b"--T::", np.uint8))
+_UNEVEN = "\0\x1c\x1d\x1e\x1f"    # characters loadtxt and float() read differently
+
+
+def _place_values(*fields):
+    """(28, len(fields)) matrix whose column j holds the place value of
+    each stamp byte listed in fields[j], so that the stamp digits times
+    the matrix give each field's number."""
+    places = np.zeros((_BODY_DTYPE["stamp"].itemsize, len(fields)))
+    for j, at in enumerate(fields):
+        places[at, j] = 10.0 ** np.arange(len(at) - 1, -1, -1)
+    return places
+
+
+# YYYYMMDD, hour, minute, second, microsecond
+_STAMP_FIELDS = _place_values([0, 1, 2, 3, 5, 6, 8, 9], [11, 12], [14, 15], [17, 18],
+                              [20, 21, 22, 23, 24, 25])
 
 
 def parse_utc_timestamp(text):
@@ -224,22 +251,64 @@ def parse_utc_timestamp(text):
     return stamp.timestamp()
 
 
-def parse_utc_timestamps(stamps):
-    """Array of parse_utc_timestamp over a sequence of stamps, equal to it
-    element for element. Canonical columns are parsed by numpy in one
-    call, any other form stamp by stamp. Raises ValueError when a stamp
-    does not parse."""
-    joined = "\n".join(stamps)
-    # the count fails when a quoted stamp holds a line break of its own
-    if _CANONICAL_STAMPS.fullmatch(joined) and joined.count("\n") == len(stamps) - 1:
-        micros = np.array(joined.replace("Z", "").split("\n"), dtype="datetime64[us]")
-        return micros.view(np.int64) / 1e6
-    return np.array([parse_utc_timestamp(s) for s in stamps], dtype=float)
-
-
 def format_utc_timestamp(epoch_s):
     stamp = dt.datetime.fromtimestamp(epoch_s, tz=dt.timezone.utc)
     return stamp.isoformat().replace("+00:00", "Z")
+
+
+def _canonical_micros(stamps):
+    """int64 microseconds since the epoch of a column of canonical stamps
+    (bytes, as in _BODY_DTYPE, holding no NUL) from the years 1700-2199,
+    or None when any stamp is not one or names no calendar day. Those
+    years keep the microseconds below 2**53, where micros / 1e6 rounds
+    exactly as parse_utc_timestamp does."""
+    raw = stamps.view(np.uint8).reshape(len(stamps), -1)
+    digit = raw - np.uint8(ord("0"))    # wraps, so a non-digit reads above 9
+    # a stamp ends at its first NUL, so these fix its width
+    whole = (raw[:, 19] == ord("Z")) & (raw[:, 20] == 0)
+    fraction = (raw[:, 19] == ord(".")) & (raw[:, 26] == ord("Z")) & (raw[:, 27] == 0)
+    at, separators = _SEPARATORS
+    # with every other byte fixed, the digit count leaves no room for a
+    # non-digit where a digit belongs
+    if not ((whole | fraction).all() and (raw[:, at] == separators).all()
+            and np.count_nonzero(digit <= 9) == 14 * len(raw) + 6 * np.count_nonzero(fraction)):
+        return None
+    # exact: every field is an integer far below 2**53
+    date, hour, minute, second, micro = (digit @ _STAMP_FIELDS).astype(np.int64).T
+    if np.any((date < 1700_00_00) | (date >= 2200_00_00) | (hour > 23)
+              | (minute > 59) | (second > 59)):
+        return None
+    # the calendar check and day number of each distinct date
+    _, first, inverse = np.unique(date, return_index=True, return_inverse=True)
+    try:
+        days = stamps[first].astype("S10").astype("datetime64[D]").view(np.int64)
+    except ValueError:      # no such day, as 2023-02-29
+        return None
+    seconds = days[inverse] * 86400 + hour * 3600 + minute * 60 + second
+    return seconds * 1_000_000 + np.where(fraction, micro, 0)
+
+
+def _bulk_columns(body, increasing):
+    """(timestamp, a, b) of a session body whose lines are all canonical
+    stamp,value,value, parsed in bulk; None when any line is not, or,
+    with `increasing`, when time does not strictly increase."""
+    # loadtxt warns on an empty body, reads only ASCII digits where float()
+    # reads any, drops the NULs that end a bytes field and, unlike float(),
+    # strips the separators \x1c-\x1f around a value
+    if not body.strip() or not body.isascii() or any(c in body for c in _UNEVEN):
+        return None
+    try:
+        records = np.loadtxt(io.StringIO(body), dtype=_BODY_DTYPE, delimiter=",",
+                             comments=None, ndmin=1)
+    except ValueError:
+        return None
+    micros = _canonical_micros(np.ascontiguousarray(records["stamp"]))
+    if micros is None:
+        return None
+    timestamp = micros / 1e6
+    if increasing and np.any(timestamp[1:] <= timestamp[:-1]):
+        return None
+    return timestamp, np.ascontiguousarray(records["a"]), np.ascontiguousarray(records["b"])
 
 
 def _is_blank(row):
@@ -266,16 +335,25 @@ def _raise_first_bad_line(rows, increasing, path):
         last_ts = ts
 
 
+def _session(timestamp, a, b, calibration):
+    if calibration is None:
+        return Session(timestamp, a, b)
+    # tb_p = gain_p * v_p + offset_p per channel
+    return Session(timestamp, calibration.gain_h * a + calibration.offset_h,
+                   calibration.gain_v * b + calibration.offset_v)
+
+
 def session_from_rows(rows, calibration=None, increasing=False, path=None):
     """Session of the CSV rows of (timestamp, a, b) text that follow a
     header line, so rows[k] is line k + 2 of `path`; blank rows are
     skipped. a and b are voltages when `calibration` is given, else
     brightness temperatures.
 
-    The columns are parsed in bulk. When that fails, one pass over the
-    rows in order raises the DataError of the first bad line: a wrong
-    field count, a value or timestamp that does not parse, or, with
-    `increasing`, a timestamp not after the one before it.
+    Each field is parsed by parse_utc_timestamp or float(). When one
+    fails, a pass over the rows in order raises the DataError of the
+    first bad line: a wrong field count, a value or timestamp that does
+    not parse, or, with `increasing`, a timestamp not after the one
+    before it.
     """
     data = rows
     if set(map(len, rows)) != {3}:  # blank rows, or a wrong field count
@@ -284,7 +362,7 @@ def session_from_rows(rows, calibration=None, increasing=False, path=None):
         if data and set(map(len, data)) != {3}:
             raise ValueError("wrong field count")
         stamps, a, b = zip(*data) if data else ((), (), ())
-        timestamp = parse_utc_timestamps(stamps)
+        timestamp = np.array([parse_utc_timestamp(s) for s in stamps], dtype=float)
         if increasing and np.any(timestamp[1:] <= timestamp[:-1]):
             raise ValueError("timestamps not strictly increasing")
         a = np.fromiter(map(float, a), dtype=float, count=len(a))
@@ -292,11 +370,42 @@ def session_from_rows(rows, calibration=None, increasing=False, path=None):
     except ValueError:
         _raise_first_bad_line(rows, increasing, path)
         raise
-    if calibration is None:
-        return Session(timestamp, a, b)
-    # tb_p = gain_p * v_p + offset_p per channel
-    return Session(timestamp, calibration.gain_h * a + calibration.offset_h,
-                   calibration.gain_v * b + calibration.offset_v)
+    return _session(timestamp, a, b, calibration)
+
+
+def session_from_text(body, calibration=None, increasing=False, path=None):
+    """Session of the CSV text that follows a header line, whose first
+    line is line 2 of `path`; the values are voltages when `calibration`
+    is given, else brightness temperatures.
+
+    A body of canonical stamps and plain numbers is parsed in bulk.
+    Anything else (other stamp forms, quoted fields, blank lines of
+    spaces, Unicode digits, a bad or missing field, or, with `increasing`,
+    time that does not strictly increase) goes to session_from_rows over
+    csv.reader rows, which returns the same columns or raises the
+    DataError of the first bad line.
+    """
+    columns = _bulk_columns(body, increasing)
+    if columns is None:
+        rows = list(csv.reader(io.StringIO(body, newline="")))
+        return session_from_rows(rows, calibration, increasing, path)
+    return _session(*columns, calibration)
+
+
+def split_header(text):
+    """(header, body) of CSV text: the stripped fields of its first record
+    and the text after that record; header is None when there is no
+    record."""
+    size = 1024
+    while True:     # read from a prefix that holds the record, not a copy of all
+        buf = io.StringIO(text[:size], newline="")
+        header = next(csv.reader(buf), None)
+        if buf.tell() < size or size >= len(text):
+            break
+        size *= 16
+    if header is None:
+        return None, ""
+    return tuple(col.strip() for col in header), text[buf.tell():]
 
 
 def load_session(path, calibration=None, skip_leading=0):
@@ -307,26 +416,18 @@ def load_session(path, calibration=None, skip_leading=0):
     parameters. `skip_leading` drops warm-up samples from the front.
     Timestamps must be strictly increasing.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(col.strip() for col in next(reader))
-        except StopIteration:
-            raise DataError("empty session file", path=path) from None
-        if header == TB_HEADER:
-            is_voltage = False
-        elif header == VOLTAGE_HEADER:
-            if calibration is None:
-                raise DataError("voltage session requires calibration parameters",
-                                path=path, line=1)
-            is_voltage = True
-        else:
-            raise DataError(f"unrecognized session header {','.join(header)!r}",
-                            path=path, line=1)
-        rows = list(reader)
-
-    session = session_from_rows(rows, calibration if is_voltage else None,
-                                increasing=True, path=path)
+    header, body = split_header(read_text(path))
+    if header is None:
+        raise DataError("empty session file", path=path)
+    if header == TB_HEADER:
+        calibration = None
+    elif header != VOLTAGE_HEADER:
+        raise DataError(f"unrecognized session header {','.join(header)!r}",
+                        path=path, line=1)
+    elif calibration is None:
+        raise DataError("voltage session requires calibration parameters",
+                        path=path, line=1)
+    session = session_from_text(body, calibration, increasing=True, path=path)
     if skip_leading:
         session = session.select(slice(skip_leading, None))
     return session

@@ -139,3 +139,12 @@ def test_site_needs_clay(tmp_path):
                          "presets = DCA0\nsite.a.land_cover = bare_soil\n")
     with pytest.raises(ConfigError, match="clay_fraction"):
         load_campaign(path)
+
+
+def test_calibration_only_when_configured(tmp_path):
+    path = _write_config(tmp_path, "presets = DCA0\n" + MINIMAL_SITE)
+    assert load_campaign(path).calibration is None
+    path = _write_config(tmp_path, "presets = DCA0\ncalibration.gain_h = 2.0\n" + MINIMAL_SITE)
+    calibration = load_campaign(path).calibration
+    assert (calibration.gain_h, calibration.gain_v, calibration.offset_h,
+            calibration.offset_v) == (2.0, 1.0, 0.0, 0.0)

@@ -234,7 +234,7 @@ def test_fault_injection_corpus(tmp_path):
     root = tmp_path / "camp"
     synth.generate_campaign(root, seed=11, n_days=10, n_samples=30, voltage_site=None)
     cfg_path = root / "campaign.cfg"
-    # no calibration block: voltage files get the identity default
+    # no calibration block, so a voltage file is a data error
     config = [line for line in cfg_path.read_text().splitlines()
               if not line.startswith("calibration.")]
     for site, cover, clay, sessions, reference, reflectance in (
@@ -286,7 +286,7 @@ def test_fault_injection_corpus(tmp_path):
     # a stamp that does not parse on file line 6
     _rewrite(session_file(6), lambda lines: _set_field(lines, 5, 0, "NaT"))
 
-    # a voltage file without a calibration block: read as kelvin, all rejected
+    # a voltage file without a calibration block
     def as_voltage(lines):
         out = ["timestamp,v_h,v_v"]
         for line in lines[1:]:
@@ -310,6 +310,7 @@ def test_fault_injection_corpus(tmp_path):
         f"{session_file(3)}:12: timestamps must be strictly increasing",
         f"{session_file(4)}:8: expected 3 fields, got 4",
         f"{session_file(6)}:6: bad timestamp 'NaT'",
+        f"{session_file(7)}:1: voltage session requires calibration parameters",
         f"{session_file(8)}: minimum thresholds must lie below tb_max",
         f"{root / 'refl_knot.csv'}: need at least 2 samples to interpolate",
         f"{root / 'refl_ndvi.csv'}:3: reflectances must be in [0, 1]",
@@ -321,12 +322,10 @@ def test_fault_injection_corpus(tmp_path):
     assert {s.site for s in report.sessions} == {"bare", "grass"}
 
     rows = {s.session_id: s for s in report.sessions if s.site == "bare"}
-    assert sorted(rows) == sorted(day[k] for k in (0, 1, 2, 5, 7, 9))
+    assert sorted(rows) == sorted(day[k] for k in (0, 1, 2, 5, 9))
     assert rows[day[1]].error == "empty session"
     assert rows[day[2]].n_accepted == 30 - 3 - 2
     assert rows[day[2]].flag_counts[preprocess.QualityFlag.MAX_EXCEEDED] == 1 + 2
-    assert rows[day[7]].error == "no valid observations in session"
-    assert rows[day[7]].n_accepted == 0
 
     before, after = _report_lines(tmp_path / "clean"), _report_lines(tmp_path / "bad")
     untouched = [("bare", day[k]) for k in (0, 5, 9)] + \
@@ -339,3 +338,27 @@ def test_fault_injection_corpus(tmp_path):
             assert after.get(key) == lines, key
             compared += len(lines)
     assert compared > 100
+
+
+@pytest.mark.parametrize("target", ["session", "reference", "reflectance"])
+def test_non_utf8_byte_is_data_error(tmp_path, target):
+    """A byte that is not UTF-8 skips only the session or site of its
+    file, as a data error naming the file and line."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=11, n_days=2, n_samples=30)
+    path = {"session": root / "sessions" / "grass_2023-11-12.csv",
+            "reference": root / "ref_grass.csv",
+            "reflectance": root / "reflectance_grass.csv"}[target]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b",", b",\xe9", 1)
+    path.write_bytes(b"\n".join(lines))
+
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "out")
+    assert len(report.data_errors) == 1
+    assert report.data_errors[0].startswith(
+        f"{path}:3: 'utf-8' codec can't decode byte 0xe9")
+    want = {"bare_2023-11-11", "bare_2023-11-12"}
+    if target == "session":
+        want.add("grass_2023-11-11")
+    assert {s.session_id for s in report.sessions} == want

@@ -1,13 +1,15 @@
 """Screening, representative statistics and session ingestion."""
 
+import csv
+import io
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from lbandsm import preprocess as pp
-from lbandsm.errors import DataError, DomainError
+from lbandsm import preprocess as pp, synth
+from lbandsm.errors import DataError, DomainError, read_text
 from lbandsm.radiative import TbPair, ViewGeometry
 from lbandsm.retrieval import make_surface
 
@@ -243,6 +245,26 @@ def test_session_stats_order_independent():
     assert pp.session_stats(shuffled) == pp.session_stats(session)
 
 
+def test_reductions_sort_each_channel_once(monkeypatch):
+    rng = np.random.default_rng(41)
+    session = columns(list(zip(rng.uniform(150, 300, 500), rng.uniform(160, 310, 500))))
+    fresh = session.select(slice(None))
+    sorts = []
+
+    def counting_sort(a, *args, **kwargs):
+        sorts.append(len(a))
+        return np_sort(a, *args, **kwargs)
+
+    np_sort = np.sort
+    monkeypatch.setattr(np, "sort", counting_sort)
+    summary = pp.session_stats(session)
+    reps = [pp.representative(session, statistic) for statistic in pp.Statistic]
+    assert sorts == [500, 500]
+    monkeypatch.undo()
+    assert summary == pp.session_stats(fresh)
+    assert reps == [pp.representative(fresh, statistic) for statistic in pp.Statistic]
+
+
 def test_representative_empty_errors():
     with pytest.raises(DomainError, match="no valid observations"):
         pp.representative(columns([]))
@@ -363,9 +385,9 @@ def test_bulk_timestamps_equal_per_row_parse():
     ])
     stamps = [pp.format_utc_timestamp(float(e)) for e in epochs]
     assert any("." in s for s in stamps) and any("." not in s for s in stamps)
-    assert pp._CANONICAL_STAMPS.fullmatch("\n".join(stamps))   # the bulk path
-    got = pp.parse_utc_timestamps(stamps)
-    assert got.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
+    body = "".join(f"{s},250,260\n" for s in stamps)
+    timestamp, _, _ = pp._bulk_columns(body, increasing=False)   # the bulk path
+    assert timestamp.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
 
 
 NON_CANONICAL = {
@@ -389,7 +411,7 @@ def test_non_canonical_stamps_take_per_row_result(tmp_path, form):
         [NON_CANONICAL[form].format(k=k, day=k + 2) for k in range(3)]
     rows = "".join(f"{s},{250 + k}.5,{260 + k}.25\n" for k, s in enumerate(stamps))
     path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + rows)
-    assert not pp._CANONICAL_STAMPS.fullmatch("\n".join(stamps))
+    assert pp._bulk_columns(rows, increasing=True) is None
     session = pp.load_session(path)
     assert session.timestamp.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
     assert session.tb_h.tolist() == [250.5 + k for k in range(6)]
@@ -444,3 +466,128 @@ def test_load_session_header_only(tmp_path):
     session = pp.load_session(_write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n"))
     assert len(session) == 0
     assert session.timestamp.dtype == session.tb_h.dtype == np.float64
+
+
+# ----------------------------------------------------------------------
+# Bulk parse against the per-field parse of csv.reader rows
+# ----------------------------------------------------------------------
+
+def _body(*stamps, values=None, end="\n"):
+    """Session body of one line per stamp, with distinct values unless
+    `values` gives the (a, b) text of every line."""
+    values = values or [(f"{250 + k}.5", f"{260 + k}.25") for k in range(len(stamps))]
+    return "".join(f"{s},{a},{b}{end}" for s, (a, b) in zip(stamps, values))
+
+
+def _result(parse, body, calibration=None):
+    """A parse of `body` as comparable bits: each column's dtype and
+    bytes, or the DataError text."""
+    try:
+        session = parse(body, calibration, increasing=True, path="s.csv")
+    except DataError as exc:
+        return str(exc)
+    return [(col.dtype, col.tobytes()) for col in
+            (session.timestamp, session.tb_h, session.tb_v)]
+
+
+def _per_field(body, calibration=None, increasing=True, path=None):
+    """session_from_rows over csv.reader rows: the parse of every input
+    that the bulk path does not take."""
+    rows = list(csv.reader(io.StringIO(body, newline="")))
+    return pp.session_from_rows(rows, calibration, increasing, path)
+
+
+S = ["2023-11-11T14:00:00Z", "2023-11-11T14:00:00.069000Z", "2023-11-11T14:00:01Z"]
+BULK = {
+    "lf": _body(*S),
+    "crlf": _body(*S, end="\r\n"),
+    "mixed_endings": _body(S[0], end="\r\n") + _body(*S[1:]),
+    "no_trailing_newline": _body(*S)[:-1],
+    "blank_lines": "\n" + _body(S[0]) + "\n\r\n" + _body(*S[1:]) + "\n",
+    "widths_20_27": _body("2023-11-11T14:00:00.999999Z", "2023-11-11T14:00:01Z",
+                          "2023-11-11T14:00:01.000001Z"),
+    "year_1700": _body("1700-01-01T00:00:00Z", "1700-01-01T00:00:00.000001Z"),
+    "year_2199": _body("2199-12-31T23:59:58.999999Z", "2199-12-31T23:59:59.999999Z"),
+    "leap_day": _body("2024-02-28T23:59:59Z", "2024-02-29T00:00:00Z", "2024-03-01T00:00:00Z"),
+    "nan_inf": _body(*S, values=[("nan", "inf"), ("-inf", "NaN"), ("-nan", "Infinity")]),
+    "exponents": _body(*S, values=[("2.5e2", "+2.6E+2"), ("1e999", ".5"), ("-0", "7.")]),
+}
+PER_FIELD = {
+    "whitespace_lines": _body(S[0]) + "   \n\t\n" + _body(*S[1:]),
+    "cr_endings": _body(*S, end="\r"),
+    "over_wide_fraction": _body("2023-11-11T14:00:00.1234567Z"),
+    "over_wide_offset": _body("2023-11-11T14:00:00.123456+00:00"),
+    "padded_stamp": _body(" 2023-11-11T14:00:00Z"),
+    "year_1699": _body("1699-12-31T23:59:59Z", "1700-01-01T00:00:00Z"),
+    "year_2200": _body("2199-12-31T23:59:59Z", "2200-01-01T00:00:00Z"),
+    "non_leap_day": _body("2023-02-28T23:59:59Z", "2023-02-29T00:00:00Z"),
+    "hour_24": _body("2023-11-11T23:59:59Z", "2023-11-11T24:00:00Z"),
+    "second_60": _body("2023-11-11T23:59:59Z", "2023-11-11T23:59:60Z"),
+    "quoted": _body(*S[:2], values=[('"250"', "260"), ("251", '"260.5"')]).replace(
+        S[0], f'"{S[0]}"'),
+    "underscore": _body(*S, values=[("1_0", "2_6_0")] * 3),
+    "unicode_digits": _body(*S, values=[("\u0662\u0665\u0660", "\uff12\uff16\uff10")] * 3),
+    "unicode_space": _body(*S, values=[("\u00a0250", "260\u3000")] * 3),
+    "separator_x1c": _body(*S, values=[("250\x1c", "260")] * 3),
+    "nul": _body(S[0]).replace("Z", "Z\0"),
+    "bad_value": _body(*S, values=[("250", "260"), ("x", "260"), ("250", "")]),
+    "missing_field": _body(*S[:2]) + S[2] + ",250\n",
+    "extra_field": _body(*S) + "2023-11-11T14:00:02Z,250,260,1\n",
+    "not_increasing": _body(S[0], S[2], S[1]),
+    "repeated_stamp": _body(S[0], S[0]),
+    "header_only": "",
+    "blank_only": "\n\r\n\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK))
+def test_bulk_parse_bit_equal_to_per_field(name):
+    body = BULK[name]
+    assert pp._bulk_columns(body, increasing=True) is not None
+    assert _result(pp.session_from_text, body) == _result(_per_field, body)
+
+
+@pytest.mark.parametrize("name", sorted(PER_FIELD))
+def test_per_field_parse_where_bulk_declines(name):
+    body = PER_FIELD[name]
+    assert pp._bulk_columns(body, increasing=True) is None
+    assert _result(pp.session_from_text, body) == _result(_per_field, body)
+
+
+def test_bulk_parse_calibrates_like_per_field():
+    cal = pp.CalibrationParams(gain_h=100.0, gain_v=99.5, offset_h=0.25, offset_v=-1.0)
+    body = _body(*S, values=[("2.51234567", "2.61234567")] * 3)
+    assert pp._bulk_columns(body, increasing=True) is not None
+    assert _result(pp.session_from_text, body, cal) == _result(_per_field, body, cal)
+
+
+def test_bulk_parse_errors_name_the_first_bad_line(tmp_path):
+    # a canonical file whose one bad value sends it down the per-field path
+    stamps = [pp.format_utc_timestamp(1.7e9 + 0.069 * k) for k in range(200)]
+    values = [("250.5", "260.25")] * 200
+    values[150] = ("250.5", "2x0")
+    path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + _body(*stamps, values=values))
+    with pytest.raises(DataError) as exc:
+        pp.load_session(path)
+    assert str(exc.value) == f"{path}:152: could not convert string to float: '2x0'"
+
+
+def test_synth_sessions_take_the_bulk_path(tmp_path):
+    synth.generate_campaign(tmp_path, seed=3, n_days=3, n_samples=120)
+    paths = sorted((tmp_path / "sessions").glob("*.csv"))
+    assert len(paths) == 6      # TB and voltage files, with outliers
+    for path in paths:
+        _, body = pp.split_header(read_text(path))
+        assert pp._bulk_columns(body, increasing=True) is not None, path
+        assert _result(pp.session_from_text, body) == _result(_per_field, body)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "timestamp,tb_h,tb_v", "timestamp,tb_h,tb_v\r\nrest\r\n",
+    "a,b\rc,d\r", '"a\nb", c \nrest\n', '"' + "x" * 5000 + '\n",y\nrest'])
+def test_split_header_matches_csv_reader(text):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    fields = next(reader, None)
+    header, body = pp.split_header(text)
+    assert header == (None if fields is None else tuple(f.strip() for f in fields))
+    assert list(csv.reader(io.StringIO(body, newline=""))) == list(reader)
