@@ -1,8 +1,6 @@
 """Exception types shared across the package, and the read of a data
 file that reports undecodable bytes as one of them."""
 
-from pathlib import Path
-
 
 class DomainError(ValueError):
     """An input value is outside the physically meaningful range."""
@@ -36,7 +34,8 @@ class DataError(Exception):
 def read_text(path):
     """The UTF-8 text of a data file. A byte sequence that is not UTF-8 is
     a DataError naming the file and the line it is on."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

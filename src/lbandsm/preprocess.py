@@ -224,6 +224,22 @@ _SEPARATORS = ([4, 7, 10, 13, 16], np.frombuffer(b"--T::", np.uint8))
 _UNEVEN = "\0\x1c\x1d\x1e\x1f"    # characters loadtxt and float() read differently
 
 
+def _place_values(*fields):
+    """(28, len(fields)) matrix whose column j holds the place value of
+    each stamp byte listed in fields[j], so that the stamp digits times
+    the matrix give each field's number."""
+    places = np.zeros((_BODY_DTYPE["stamp"].itemsize, len(fields)))
+    for j, at in enumerate(fields):
+        places[at, j] = 10.0 ** np.arange(len(at) - 1, -1, -1)
+    return places
+
+
+# YYYYMMDD, hour, minute, second, microsecond
+_STAMP_FIELDS = _place_values([0, 1, 2, 3, 5, 6, 8, 9], [11, 12], [14, 15], [17, 18],
+                              [20, 21, 22, 23, 24, 25])
+_FIELD_LIMITS = np.array([2200_00_00, 24, 60, 60])      # upper bounds, exclusive
+
+
 def parse_utc_timestamp(text):
     """ISO-8601 -> UTC epoch seconds; naive stamps are taken as UTC."""
     raw = text.strip()
@@ -239,15 +255,6 @@ def parse_utc_timestamp(text):
 def format_utc_timestamp(epoch_s):
     stamp = dt.datetime.fromtimestamp(epoch_s, tz=dt.timezone.utc)
     return stamp.isoformat().replace("+00:00", "Z")
-
-
-def _number(digit, at):
-    """The number written by the stamp digits at byte positions `at`; a
-    column of int64 built without a temporary as wide as the stamps."""
-    value = np.zeros(len(digit), dtype=np.int64)
-    for k in at:
-        value = value * 10 + digit[:, k]
-    return value
 
 
 def _canonical_micros(stamps):
@@ -267,11 +274,13 @@ def _canonical_micros(stamps):
     if not ((whole | fraction).all() and (raw[:, at] == separators).all()
             and np.count_nonzero(digit <= 9) == 14 * len(raw) + 6 * np.count_nonzero(fraction)):
         return None
-    date = _number(digit, [0, 1, 2, 3, 5, 6, 8, 9])     # YYYYMMDD
-    hour, minute, second = (_number(digit, [k, k + 1]) for k in (11, 14, 17))
-    if np.any((date < 1700_00_00) | (date >= 2200_00_00) | (hour > 23)
-              | (minute > 59) | (second > 59)):
+    # exact: every field is an integer far below 2**53; blocks of rows
+    # keep the float copy of the digits small
+    fields = np.concatenate([digit[k:k + 1024] @ _STAMP_FIELDS
+                             for k in range(0, len(digit), 1024)]).astype(np.int64)
+    if (fields[:, :4] >= _FIELD_LIMITS).any() or (fields[:, 0] < 1700_00_00).any():
         return None
+    date, hour, minute, second, micro = fields.T
     # the calendar check and day number of each distinct date
     _, first, inverse = np.unique(date, return_index=True, return_inverse=True)
     try:
@@ -279,7 +288,7 @@ def _canonical_micros(stamps):
     except ValueError:      # no such day, as 2023-02-29
         return None
     seconds = days[inverse] * 86400 + hour * 3600 + minute * 60 + second
-    return seconds * 1_000_000 + np.where(fraction, _number(digit, range(20, 26)), 0)
+    return seconds * 1_000_000 + np.where(fraction, micro, 0)
 
 
 def _bulk_columns(body, increasing):
@@ -300,7 +309,7 @@ def _bulk_columns(body, increasing):
     if micros is None:
         return None
     timestamp = micros / 1e6
-    if increasing and np.any(timestamp[1:] <= timestamp[:-1]):
+    if increasing and (timestamp[1:] <= timestamp[:-1]).any():
         return None
     return timestamp, np.ascontiguousarray(records["a"]), np.ascontiguousarray(records["b"])
 
