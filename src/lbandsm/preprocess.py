@@ -224,20 +224,8 @@ _SEPARATORS = ([4, 7, 10, 13, 16], np.frombuffer(b"--T::", np.uint8))
 _UNEVEN = "\0\x1c\x1d\x1e\x1f"    # characters loadtxt and float() read differently
 
 
-def _place_values(*fields):
-    """(28, len(fields)) matrix whose column j holds the place value of
-    each stamp byte listed in fields[j], so that the stamp digits times
-    the matrix give each field's number."""
-    places = np.zeros((_BODY_DTYPE["stamp"].itemsize, len(fields)))
-    for j, at in enumerate(fields):
-        places[at, j] = 10.0 ** np.arange(len(at) - 1, -1, -1)
-    return places
-
-
-# YYYYMMDD, hour, minute, second, microsecond
-_STAMP_FIELDS = _place_values([0, 1, 2, 3, 5, 6, 8, 9], [11, 12], [14, 15], [17, 18],
-                              [20, 21, 22, 23, 24, 25])
-_FIELD_LIMITS = np.array([2200_00_00, 24, 60, 60])      # upper bounds, exclusive
+# first byte of each two-digit group of a stamp: YY YY MM DD hh mm ss ff ff ff
+_PAIRS = np.array([0, 2, 5, 8, 11, 14, 17, 20, 22, 24])
 
 
 def parse_utc_timestamp(text):
@@ -274,20 +262,24 @@ def _canonical_micros(stamps):
     if not ((whole | fraction).all() and (raw[:, at] == separators).all()
             and np.count_nonzero(digit <= 9) == 14 * len(raw) + 6 * np.count_nonzero(fraction)):
         return None
-    # exact: every field is an integer far below 2**53; blocks of rows
-    # keep the float copy of the digits small
-    fields = np.concatenate([digit[k:k + 1024] @ _STAMP_FIELDS
-                             for k in range(0, len(digit), 1024)]).astype(np.int64)
-    if (fields[:, :4] >= _FIELD_LIMITS).any() or (fields[:, 0] < 1700_00_00).any():
+    # 00-99 where both bytes are digits; only the fraction of a whole
+    # stamp, never used, can wrap
+    pair = (digit[:, _PAIRS] * np.uint8(10) + digit[:, _PAIRS + 1]).astype(np.int64)
+    date = ((pair[:, 0] * 100 + pair[:, 1]) * 100 + pair[:, 2]) * 100 + pair[:, 3]  # YYYYMMDD
+    hour, minute, second = pair[:, 4], pair[:, 5], pair[:, 6]
+    if ((date < 1700_00_00) | (date >= 2200_00_00) | (hour > 23) | (minute > 59)
+            | (second > 59)).any():
         return None
-    date, hour, minute, second, micro = fields.T
-    # the calendar check and day number of each distinct date
-    _, first, inverse = np.unique(date, return_index=True, return_inverse=True)
+    # the calendar check and day number of each run of one date: each
+    # distinct date once when time increases
+    first = np.flatnonzero(np.concatenate(([True], date[1:] != date[:-1])))
     try:
         days = stamps[first].astype("S10").astype("datetime64[D]").view(np.int64)
     except ValueError:      # no such day, as 2023-02-29
         return None
-    seconds = days[inverse] * 86400 + hour * 3600 + minute * 60 + second
+    day = np.repeat(days, np.diff(np.append(first, len(date))))
+    seconds = day * 86400 + hour * 3600 + minute * 60 + second
+    micro = (pair[:, 7] * 100 + pair[:, 8]) * 100 + pair[:, 9]
     return seconds * 1_000_000 + np.where(fraction, micro, 0)
 
 

@@ -554,6 +554,16 @@ def test_per_field_parse_where_bulk_declines(name):
     assert _result(pp.session_from_text, body) == _result(_per_field, body)
 
 
+def test_bulk_parse_of_unordered_dates():
+    # without the increase check a date may come back after another
+    body = _body("2023-11-12T00:00:01Z", "2023-11-11T23:59:59.500000Z",
+                 "2023-11-12T00:00:00Z", "1999-12-31T23:59:59Z")
+    timestamp, _, _ = pp._bulk_columns(body, increasing=False)
+    want = _per_field(body, increasing=False)
+    assert timestamp.tobytes() == want.timestamp.tobytes()
+    assert pp._bulk_columns(body, increasing=True) is None
+
+
 def test_bulk_parse_calibrates_like_per_field():
     cal = pp.CalibrationParams(gain_h=100.0, gain_v=99.5, offset_h=0.25, offset_v=-1.0)
     body = _body(*S, values=[("2.51234567", "2.61234567")] * 3)
