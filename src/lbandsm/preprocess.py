@@ -221,11 +221,9 @@ VOLTAGE_HEADER = ("timestamp", "v_h", "v_v")
 # instead of being cut to fit.
 _BODY_DTYPE = np.dtype([("stamp", "S28"), ("a", "f8"), ("b", "f8")])
 _SEPARATORS = ([4, 7, 10, 13, 16], np.frombuffer(b"--T::", np.uint8))
-_UNEVEN = "\0\x1c\x1d\x1e\x1f"    # characters loadtxt and float() read differently
-
-
 # first byte of each two-digit group of a stamp: YY YY MM DD hh mm ss ff ff ff
 _PAIRS = np.array([0, 2, 5, 8, 11, 14, 17, 20, 22, 24])
+_UNEVEN = "\0\x1c\x1d\x1e\x1f"    # characters loadtxt and float() read differently
 
 
 def parse_utc_timestamp(text):
