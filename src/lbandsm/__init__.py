@@ -9,12 +9,7 @@ reference probes.
 
 from .errors import ConfigError, DataError, DomainError
 from .geometry import FootprintEllipse, footprint
-from .radiative import (ComplexPermittivity, DielectricModel, SoilState,
-                        SurfaceRoughness, TbPair, VegetationState,
-                        effective_temperature, forward_tb,
-                        fresnel_reflectivity, mironov_permittivity,
-                        rough_emissivity, simulate_tb, topp_moisture,
-                        topp_permittivity, vegetation_transmissivity)
+from .radiative import DielectricModel, TbPair, simulate_tb
 from .preprocess import (CalibrationParams, FilterThresholds, QualityFlag,
                          Session, SessionSummary, Statistic, filter_tb,
                          load_session, min_threshold, representative,
@@ -25,9 +20,8 @@ from .ancillary import (LandCoverTau, NdviSeries, ReflectanceSample,
                         ndvi_to_tau)
 from .retrieval import (AlgorithmConfig, AlgorithmKind, PresetSpec,
                         RetrievalResult, SurfaceConfig, TauSource,
-                        TempSource, cost_dca, cost_rdca, cost_sca,
-                        golden_section, load_preset, make_surface, retrieve)
-from .validation import (MetricsReport, ReferenceRecord, align_pairs,
-                         metrics, spatial_average)
+                        TempSource, load_preset, make_surface, retrieve)
+from .validation import (MetricsReport, ReferenceRecord, metrics,
+                         spatial_average)
 
 __version__ = "0.1.0"

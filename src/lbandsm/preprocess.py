@@ -29,8 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, DomainError, read_text
-from .radiative import (DielectricModel, SoilState, SurfaceRoughness, TbPair,
-                        VegetationState, forward_tb)
+from .radiative import DielectricModel, TbPair, simulate_tb
 
 TB_MAX_DEFAULT = 320.0  # K, ceiling applied to both polarizations
 
@@ -127,15 +126,14 @@ def min_threshold(surface, geometry, t_e, tau_nadir=0.0,
     tau_nadir defaults to 0, the most permissive (lowest) floor; pass the
     site's current canopy opacity to tighten it.
     """
-    pair = forward_tb(
-        SoilState(sm=1.0, clay_fraction=surface.clay_fraction, temperature_k=t_e),
-        VegetationState(tau_nadir=tau_nadir, omega=surface.omega),
-        SurfaceRoughness(surface.h),
-        geometry,
-        t_e,
-        dielectric,
-    )
-    return pair.tb_h, pair.tb_v
+    if not t_e > 0.0:
+        raise DomainError(f"t_e must be positive, got {t_e}")
+    if not tau_nadir >= 0.0:
+        raise DomainError(f"tau_nadir must be >= 0, got {tau_nadir}")
+    tb_h, tb_v = simulate_tb(1.0, tau_nadir, surface.omega, surface.h,
+                             surface.clay_fraction, geometry.incidence_deg, t_e,
+                             dielectric, geometry.frequency_ghz)
+    return float(tb_h), float(tb_v)
 
 
 def filter_tb(session, thresholds):

@@ -14,9 +14,10 @@ rough-soil emissivity at polarization p, omega the effective scattering
 albedo and t_e the effective soil temperature. Atmospheric, cosmic and
 galactic terms are out of scope.
 
-All kernel functions accept scalars or numpy arrays and broadcast
-elementwise; the dataclass wrappers validate their inputs and work on
-scalars only.
+The soil part of the chain, sm -> (e_h, e_v), is written once and takes
+its math functions as parameters: numpy's for arrays
+(soil_emissivity_pair, which checks its inputs) and cmath/math/builtins
+for the optimizer's scalar calls (emissivity_evaluator).
 """
 
 import cmath
@@ -92,63 +93,6 @@ class DielectricModel(str, Enum):
     TOPP = "topp"
 
 
-# ----------------------------------------------------------------------
-# Domain types
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComplexPermittivity:
-    """Relative permittivity eps' + i*eps'' of the soil-water-air mixture."""
-
-    real: float
-    imag: float
-
-    def __post_init__(self):
-        if not self.real >= 1.0:
-            raise DomainError(f"permittivity real part must be >= 1, got {self.real}")
-        if not self.imag >= 0.0:
-            raise DomainError(f"permittivity imaginary part must be >= 0, got {self.imag}")
-
-    def as_complex(self):
-        return complex(self.real, self.imag)
-
-
-@dataclass(frozen=True)
-class SoilState:
-    sm: float                # volumetric soil moisture, m3/m3
-    clay_fraction: float     # mass fraction in [0, 1]
-    temperature_k: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.sm <= 1.0:
-            raise DomainError(f"sm must be in [0, 1], got {self.sm}")
-        if not 0.0 <= self.clay_fraction <= 1.0:
-            raise DomainError(f"clay_fraction must be in [0, 1], got {self.clay_fraction}")
-        if not self.temperature_k > 0.0:
-            raise DomainError(f"temperature_k must be positive, got {self.temperature_k}")
-
-
-@dataclass(frozen=True)
-class VegetationState:
-    tau_nadir: float         # nadir optical depth, >= 0
-    omega: float = 0.0       # effective scattering albedo, [0, 1)
-
-    def __post_init__(self):
-        if not self.tau_nadir >= 0.0:
-            raise DomainError(f"tau_nadir must be >= 0, got {self.tau_nadir}")
-        if not 0.0 <= self.omega < 1.0:
-            raise DomainError(f"omega must be in [0, 1), got {self.omega}")
-
-
-@dataclass(frozen=True)
-class SurfaceRoughness:
-    h: float                 # dimensionless roughness parameter, >= 0
-
-    def __post_init__(self):
-        if not self.h >= 0.0:
-            raise DomainError(f"roughness h must be >= 0, got {self.h}")
-
-
 @dataclass(frozen=True)
 class ViewGeometry:
     incidence_deg: float
@@ -187,153 +131,15 @@ def _debye_refraction(eps0, tau_s, sigma, freq_hz):
     return np.sqrt((mag + eps_r) / 2.0), np.sqrt((mag - eps_r) / 2.0)
 
 
-def mironov_eps(sm, clay_fraction, frequency_ghz=L_BAND_GHZ):
-    """Moist-soil permittivity from the clay-parameterized spectroscopic
-    model; refractive mixing of dry soil, bound water and free water.
-
-    Returns (eps_real, eps_imag) elementwise over the inputs.
-    """
-    sm = np.asarray(sm, dtype=float)
-    clay = np.asarray(clay_fraction, dtype=float)
-    if np.any(sm < 0.0) or np.any(sm > 1.0):
-        raise DomainError("sm must be in [0, 1]")
-    if np.any(clay < 0.0) or np.any(clay > 1.0):
-        raise DomainError("clay_fraction must be in [0, 1]")
-    lo, hi = MIRONOV_FREQ_RANGE_GHZ
-    if not lo <= frequency_ghz <= hi:
-        raise DomainError(f"frequency_ghz {frequency_ghz} outside supported range {lo}-{hi}")
-    freq_hz = frequency_ghz * 1e9
-    co = MIRONOV_COEFFS
-
-    n_dry = co["n_dry"][0] + co["n_dry"][1] * clay + co["n_dry"][2] * clay**2
-    k_dry = co["k_dry"][0] + co["k_dry"][1] * clay
-    mvt = co["mvt"][0] + co["mvt"][1] * clay
-
-    n_b, k_b = _debye_refraction(
-        co["eps0_bound"][0] + co["eps0_bound"][1] * clay + co["eps0_bound"][2] * clay**2,
-        co["tau_bound"][0] + co["tau_bound"][1] * clay,
-        co["sigma_bound"][0] + co["sigma_bound"][1] * clay,
-        freq_hz,
-    )
-    n_u, k_u = _debye_refraction(
-        co["eps0_free"],
-        co["tau_free"],
-        co["sigma_free"][0] + co["sigma_free"][1] * clay,
-        freq_hz,
-    )
-
-    m_bound = np.minimum(sm, mvt)
-    m_free = np.maximum(sm - mvt, 0.0)
-    n_soil = n_dry + (n_b - 1.0) * m_bound + (n_u - 1.0) * m_free
-    k_soil = k_dry + k_b * m_bound + k_u * m_free
-    return n_soil**2 - k_soil**2, 2.0 * n_soil * k_soil
-
-
-def topp_sm_of_eps(eps_real):
-    """Raw (unclamped) Topp cubic evaluated at a real permittivity."""
-    c0, c1, c2, c3 = TOPP_COEFFS
-    eps = np.asarray(eps_real, dtype=float)
-    return c0 + eps * (c1 + eps * (c2 + eps * c3))
-
-
-# moisture at the top of the Topp cubic's invertible branch
-TOPP_SM_MAX = float(topp_sm_of_eps(TOPP_EPS_RANGE[1]))
-
-
-def topp_eps(sm):
-    """Real permittivity for a given moisture: the single real root of the
-    Topp cubic, which is strictly increasing on eps in [1, 80]."""
-    sm = np.asarray(sm, dtype=float)
-    # fmin/fmax skip NaN, as elementwise comparisons do
-    lo = np.fmin.reduce(sm, axis=None, initial=np.inf)
-    hi = np.fmax.reduce(sm, axis=None, initial=-np.inf)
-    if lo < 0.0 or hi > 1.0:
-        raise DomainError("sm must be in [0, 1]")
-    if hi > TOPP_SM_MAX:
-        raise DomainError(
-            f"sm above {TOPP_SM_MAX:.4f} is outside the invertible branch of the Topp cubic")
-    return _topp_root(sm, np.sinh, np.arcsinh)
-
-
-# ----------------------------------------------------------------------
-# Surface and canopy kernels
-# ----------------------------------------------------------------------
-
-def fresnel_power(eps_real, eps_imag, incidence_deg):
-    """Smooth half-space power reflectivities.
-
-        r_h = |(cos th - sqrt(eps - sin^2 th)) / (cos th + sqrt(eps - sin^2 th))|^2
-        r_v = |(eps cos th - sqrt(eps - sin^2 th)) / (eps cos th + sqrt(eps - sin^2 th))|^2
-
-    The principal complex square root keeps Im(sqrt) >= 0 for lossy media,
-    i.e. the transmitted wave decays into the soil.
-    """
-    eps = np.asarray(eps_real, dtype=float) + 1j * np.asarray(eps_imag, dtype=float)
-    theta = math.radians(incidence_deg)
-    cos_t = math.cos(theta)
-    sin2 = math.sin(theta) ** 2
-    root = np.sqrt(eps - sin2)
-    r_h = np.abs((cos_t - root) / (cos_t + root)) ** 2
-    r_v = np.abs((eps * cos_t - root) / (eps * cos_t + root)) ** 2
-    return r_h, r_v
-
-
-def rough_reflectivity(r_smooth, h, incidence_deg):
-    """Exponential roughness damping r_rough = r_smooth * exp(-h cos^2 th),
-    no cross-polarization mixing."""
-    theta = math.radians(incidence_deg)
-    return np.asarray(r_smooth, dtype=float) * math.exp(-h * math.cos(theta) ** 2)
-
-
-def canopy_transmissivity(tau_nadir, incidence_deg):
-    """Slant-path canopy transmissivity gamma = exp(-tau / cos th)."""
-    theta = math.radians(incidence_deg)
-    return np.exp(-np.asarray(tau_nadir, dtype=float) / math.cos(theta))
-
-
-def tau_omega_tb(e_p, gamma, omega, t_e):
-    """Zeroth-order vegetation-over-soil emission for one polarization.
-
-    Pure arithmetic; works unchanged for floats and broadcastable arrays.
-    """
-    veg = (1.0 - omega) * (1.0 - gamma) * t_e
-    return gamma * e_p * t_e + veg + gamma * (1.0 - e_p) * veg
-
-
-def soil_emissivity_pair(sm, clay_fraction, incidence_deg, h,
-                         dielectric=DielectricModel.MIRONOV,
-                         frequency_ghz=L_BAND_GHZ):
-    """Rough-soil emissivities (e_h, e_v), elementwise in sm."""
-    if dielectric == DielectricModel.MIRONOV:
-        eps_r, eps_i = mironov_eps(sm, clay_fraction, frequency_ghz)
-    elif dielectric == DielectricModel.TOPP:
-        eps_r, eps_i = topp_eps(sm), 0.0
-    else:
-        raise DomainError(f"unknown dielectric model {dielectric!r}")
-    r_h, r_v = fresnel_power(eps_r, eps_i, incidence_deg)
-    e_h = 1.0 - rough_reflectivity(r_h, h, incidence_deg)
-    e_v = 1.0 - rough_reflectivity(r_v, h, incidence_deg)
-    return e_h, e_v
-
-
-def simulate_tb(sm, tau_nadir, omega, h, clay_fraction, incidence_deg, t_e,
-                dielectric=DielectricModel.MIRONOV, frequency_ghz=L_BAND_GHZ):
-    """Vectorized emission chain; returns (tb_h, tb_v) elementwise in sm
-    and tau_nadir (mutually broadcastable)."""
-    e_h, e_v = soil_emissivity_pair(sm, clay_fraction, incidence_deg, h,
-                                    dielectric, frequency_ghz)
-    gamma = canopy_transmissivity(tau_nadir, incidence_deg)
-    return tau_omega_tb(e_h, gamma, omega, t_e), tau_omega_tb(e_v, gamma, omega, t_e)
-
-
-# ----------------------------------------------------------------------
-# Fast scalar path for optimizer inner loops
-# ----------------------------------------------------------------------
-
 @functools.lru_cache(maxsize=64)
 def _mironov_mixing_params(clay_fraction, frequency_ghz):
     """Clay/frequency-dependent constants of the spectroscopic model as
     plain floats: (n_dry, k_dry, mvt, n_bound, k_bound, n_free, k_free)."""
+    if not 0.0 <= clay_fraction <= 1.0:
+        raise DomainError("clay_fraction must be in [0, 1]")
+    lo, hi = MIRONOV_FREQ_RANGE_GHZ
+    if not lo <= frequency_ghz <= hi:
+        raise DomainError(f"frequency_ghz {frequency_ghz} outside supported range {lo}-{hi}")
     clay = np.float64(clay_fraction)
     co = MIRONOV_COEFFS
     n_dry = co["n_dry"][0] + co["n_dry"][1] * clay + co["n_dry"][2] * clay**2
@@ -355,36 +161,117 @@ def _mironov_mixing_params(clay_fraction, frequency_ghz):
             float(n_b), float(k_b), float(n_u), float(k_u))
 
 
-def _topp_eps_scalar(sm):
-    return _topp_root(sm, math.sinh, math.asinh)
+def _mironov_mix(sm, params, minimum, maximum):
+    """Refractive mixing of dry soil, bound water and free water at
+    moisture sm; returns (eps_real, eps_imag)."""
+    n_dry, k_dry, mvt, n_b, k_b, n_u, k_u = params
+    m_bound = minimum(sm, mvt)
+    m_free = maximum(sm - mvt, 0.0)
+    n = n_dry + (n_b - 1.0) * m_bound + (n_u - 1.0) * m_free
+    k = k_dry + k_b * m_bound + k_u * m_free
+    return n * n - k * k, 2.0 * n * k
 
 
-def emissivity_evaluator(clay_fraction, incidence_deg, h,
-                         dielectric=DielectricModel.MIRONOV,
-                         frequency_ghz=L_BAND_GHZ):
-    """Scalar-specialized closure sm -> (e_h, e_v) for optimizer inner
-    loops; numerically identical to soil_emissivity_pair but without
-    array dispatch."""
+def topp_sm_of_eps(eps_real):
+    """Raw (unclamped) Topp cubic evaluated at a real permittivity."""
+    c0, c1, c2, c3 = TOPP_COEFFS
+    eps = np.asarray(eps_real, dtype=float)
+    return c0 + eps * (c1 + eps * (c2 + eps * c3))
+
+
+# moisture at the top of the Topp cubic's invertible branch
+TOPP_SM_MAX = float(topp_sm_of_eps(TOPP_EPS_RANGE[1]))
+
+
+def _checked_sm(sm, dielectric):
+    """sm as a float array after the range checks of a dielectric model."""
+    sm = np.asarray(sm, dtype=float)
+    # fmin/fmax skip NaN, as elementwise comparisons do
+    lo = np.fmin.reduce(sm, axis=None, initial=np.inf)
+    hi = np.fmax.reduce(sm, axis=None, initial=-np.inf)
+    if lo < 0.0 or hi > 1.0:
+        raise DomainError("sm must be in [0, 1]")
+    if dielectric == DielectricModel.TOPP and hi > TOPP_SM_MAX:
+        raise DomainError(
+            f"sm above {TOPP_SM_MAX:.4f} is outside the invertible branch of the Topp cubic")
+    return sm
+
+
+def mironov_eps(sm, clay_fraction, frequency_ghz=L_BAND_GHZ):
+    """Moist-soil permittivity from the clay-parameterized spectroscopic
+    model. Returns (eps_real, eps_imag) elementwise in sm."""
+    return _mironov_mix(_checked_sm(sm, DielectricModel.MIRONOV),
+                        _mironov_mixing_params(clay_fraction, frequency_ghz),
+                        np.minimum, np.maximum)
+
+
+def topp_eps(sm):
+    """Real permittivity for a given moisture: the single real root of the
+    Topp cubic, which is strictly increasing on eps in [1, 80]."""
+    return _topp_root(_checked_sm(sm, DielectricModel.TOPP), np.sinh, np.arcsinh)
+
+
+# ----------------------------------------------------------------------
+# Surface and canopy kernels
+# ----------------------------------------------------------------------
+
+def _fresnel(eps, cos_t, sin2, sqrt):
+    root = sqrt(eps - sin2)
+    return (abs((cos_t - root) / (cos_t + root)) ** 2,
+            abs((eps * cos_t - root) / (eps * cos_t + root)) ** 2)
+
+
+def fresnel_power(eps_real, eps_imag, incidence_deg):
+    """Smooth half-space power reflectivities.
+
+        r_h = |(cos th - sqrt(eps - sin^2 th)) / (cos th + sqrt(eps - sin^2 th))|^2
+        r_v = |(eps cos th - sqrt(eps - sin^2 th)) / (eps cos th + sqrt(eps - sin^2 th))|^2
+
+    The principal complex square root keeps Im(sqrt) >= 0 for lossy media,
+    i.e. the transmitted wave decays into the soil.
+    """
+    eps = np.asarray(eps_real, dtype=float) + 1j * np.asarray(eps_imag, dtype=float)
+    theta = math.radians(incidence_deg)
+    return _fresnel(eps, math.cos(theta), math.sin(theta) ** 2, np.sqrt)
+
+
+def canopy_transmissivity(tau_nadir, incidence_deg):
+    """Slant-path canopy transmissivity gamma = exp(-tau / cos th)."""
+    theta = math.radians(incidence_deg)
+    return np.exp(-np.asarray(tau_nadir, dtype=float) / math.cos(theta))
+
+
+def tau_omega_tb(e_p, gamma, omega, t_e):
+    """Zeroth-order vegetation-over-soil emission for one polarization.
+
+    Pure arithmetic; works unchanged for floats and broadcastable arrays.
+    """
+    veg = (1.0 - omega) * (1.0 - gamma) * t_e
+    return gamma * e_p * t_e + veg + gamma * (1.0 - e_p) * veg
+
+
+# (sqrt, minimum, maximum, sinh, asinh, complex) of the emission kernel
+_ARRAY_MATH = (np.sqrt, np.minimum, np.maximum, np.sinh, np.arcsinh,
+               lambda real, imag: real + 1j * imag)
+_SCALAR_MATH = (cmath.sqrt, min, max, math.sinh, math.asinh, complex)
+
+
+def _emissivity_kernel(clay_fraction, incidence_deg, h, dielectric, frequency_ghz,
+                       math_fns):
+    """The chain sm -> eps -> smooth (r_h, r_v) -> rough (e_h, e_v) as one
+    function of sm, with the exponential roughness damping
+    r_rough = r_smooth exp(-h cos^2 th) and no cross-polarization mixing."""
+    sqrt, minimum, maximum, sinh, asinh, to_complex = math_fns
     if dielectric == DielectricModel.MIRONOV:
-        lo, hi = MIRONOV_FREQ_RANGE_GHZ
-        if not lo <= frequency_ghz <= hi:
-            raise DomainError(
-                f"frequency_ghz {frequency_ghz} outside supported range {lo}-{hi}")
-        n_dry, k_dry, mvt, n_b, k_b, n_u, k_u = _mironov_mixing_params(
-            clay_fraction, frequency_ghz)
+        params = _mironov_mixing_params(clay_fraction, frequency_ghz)
 
         def eps_of_sm(sm):
-            m_bound = sm if sm < mvt else mvt
-            m_free = sm - mvt if sm > mvt else 0.0
-            n = n_dry + (n_b - 1.0) * m_bound + (n_u - 1.0) * m_free
-            k = k_dry + k_b * m_bound + k_u * m_free
-            return n * n - k * k, 2.0 * n * k
+            return _mironov_mix(sm, params, minimum, maximum)
     elif dielectric == DielectricModel.TOPP:
         def eps_of_sm(sm):
-            return _topp_eps_scalar(sm), 0.0
+            return _topp_root(sm, sinh, asinh), 0.0
     else:
         raise DomainError(f"unknown dielectric model {dielectric!r}")
-
     theta = math.radians(incidence_deg)
     cos_t = math.cos(theta)
     sin2 = math.sin(theta) ** 2
@@ -392,93 +279,36 @@ def emissivity_evaluator(clay_fraction, incidence_deg, h,
 
     def e_pair(sm):
         eps_r, eps_i = eps_of_sm(sm)
-        eps = complex(eps_r, eps_i)
-        root = cmath.sqrt(eps - sin2)
-        r_h = abs((cos_t - root) / (cos_t + root)) ** 2
-        r_v = abs((eps * cos_t - root) / (eps * cos_t + root)) ** 2
+        r_h, r_v = _fresnel(to_complex(eps_r, eps_i), cos_t, sin2, sqrt)
         return 1.0 - r_h * att, 1.0 - r_v * att
 
     return e_pair
 
 
-# ----------------------------------------------------------------------
-# Validated scalar API
-# ----------------------------------------------------------------------
-
-def mironov_permittivity(sm, clay_fraction, frequency_ghz=L_BAND_GHZ):
-    eps_r, eps_i = mironov_eps(sm, clay_fraction, frequency_ghz)
-    return ComplexPermittivity(float(eps_r), float(eps_i))
-
-
-def topp_permittivity(sm):
-    """Real-valued permittivity from inverting the Topp relation."""
-    return ComplexPermittivity(float(topp_eps(sm)), 0.0)
+def soil_emissivity_pair(sm, clay_fraction, incidence_deg, h,
+                         dielectric=DielectricModel.MIRONOV,
+                         frequency_ghz=L_BAND_GHZ):
+    """Rough-soil emissivities (e_h, e_v), elementwise in sm."""
+    e_pair = _emissivity_kernel(clay_fraction, incidence_deg, h, dielectric,
+                                frequency_ghz, _ARRAY_MATH)
+    return e_pair(_checked_sm(sm, dielectric))
 
 
-def topp_moisture(eps_real):
-    """Moisture from the Topp cubic, clamped to [0, 1].
-
-    Returns (sm, clamped); clamped is True when the raw polynomial value
-    fell outside the physical range.
-    """
-    if not eps_real >= 1.0:
-        raise DomainError(f"eps_real must be >= 1, got {eps_real}")
-    raw = float(topp_sm_of_eps(eps_real))
-    clamped = raw < 0.0 or raw > 1.0
-    return min(max(raw, 0.0), 1.0), clamped
+def emissivity_evaluator(clay_fraction, incidence_deg, h,
+                         dielectric=DielectricModel.MIRONOV,
+                         frequency_ghz=L_BAND_GHZ):
+    """Closure sm -> (e_h, e_v) on Python floats for optimizer inner
+    loops: the kernel of soil_emissivity_pair without array dispatch or
+    the sm range checks."""
+    return _emissivity_kernel(clay_fraction, incidence_deg, h, dielectric,
+                              frequency_ghz, _SCALAR_MATH)
 
 
-def fresnel_reflectivity(eps, geometry):
-    """Smooth-surface power reflectivities (r_h, r_v) for a half-space of
-    permittivity `eps` viewed at `geometry.incidence_deg`."""
-    r_h, r_v = fresnel_power(eps.real, eps.imag, geometry.incidence_deg)
-    return float(r_h), float(r_v)
-
-
-def rough_emissivity(r_smooth_p, roughness, geometry):
-    """Single-polarization rough-soil emissivity 1 - r_smooth*exp(-h cos^2 th)."""
-    if not 0.0 <= r_smooth_p <= 1.0:
-        raise DomainError(f"r_smooth_p must be in [0, 1], got {r_smooth_p}")
-    return 1.0 - float(rough_reflectivity(r_smooth_p, roughness.h, geometry.incidence_deg))
-
-
-def vegetation_transmissivity(veg, geometry):
-    return float(canopy_transmissivity(veg.tau_nadir, geometry.incidence_deg))
-
-
-def effective_temperature(t_surface, t_depth, weight=1.0):
-    """Weighted blend of surface and depth soil temperatures.
-
-    weight=1 reproduces the surface probe reading unchanged, the
-    operational choice when only one sensing depth is trusted.
-    """
-    if not (t_surface > 0.0 and t_depth > 0.0):
-        raise DomainError("temperatures must be positive")
-    if not 0.0 <= weight <= 1.0:
-        raise DomainError(f"weight must be in [0, 1], got {weight}")
-    return weight * t_surface + (1.0 - weight) * t_depth
-
-
-def forward_tb(soil, veg, roughness, geometry, t_e,
-               dielectric=DielectricModel.MIRONOV):
-    """Simulated brightness-temperature pair for one surface state.
-
-    Args:
-        soil: SoilState (sm, clay fraction; its temperature field is not
-            read here, t_e is passed explicitly).
-        veg: VegetationState (nadir optical depth, scattering albedo).
-        roughness: SurfaceRoughness.
-        geometry: ViewGeometry.
-        t_e: effective soil temperature, K.
-        dielectric: DielectricModel choice.
-
-    Returns:
-        TbPair with tb_h, tb_v in kelvin; both bounded by (1 - omega)*t_e
-        mixing limits and never exceed t_e.
-    """
-    if not t_e > 0.0:
-        raise DomainError(f"t_e must be positive, got {t_e}")
-    tb_h, tb_v = simulate_tb(
-        soil.sm, veg.tau_nadir, veg.omega, roughness.h, soil.clay_fraction,
-        geometry.incidence_deg, t_e, dielectric, geometry.frequency_ghz)
-    return TbPair(float(tb_h), float(tb_v))
+def simulate_tb(sm, tau_nadir, omega, h, clay_fraction, incidence_deg, t_e,
+                dielectric=DielectricModel.MIRONOV, frequency_ghz=L_BAND_GHZ):
+    """Vectorized emission chain; returns (tb_h, tb_v) elementwise in sm
+    and tau_nadir (mutually broadcastable)."""
+    e_h, e_v = soil_emissivity_pair(sm, clay_fraction, incidence_deg, h,
+                                    dielectric, frequency_ghz)
+    gamma = canopy_transmissivity(tau_nadir, incidence_deg)
+    return tau_omega_tb(e_h, gamma, omega, t_e), tau_omega_tb(e_v, gamma, omega, t_e)

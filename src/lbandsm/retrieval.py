@@ -173,32 +173,33 @@ class RetrievalResult:
 
 
 # ----------------------------------------------------------------------
-# Cost functions
+# Residual
 # ----------------------------------------------------------------------
 
-def cost_sca(sm, tb_obs_p, polarization, tau, algo, surface, t_e,
-             frequency_ghz=L_BAND_GHZ):
-    """Squared residual of the selected polarization at trial moisture."""
-    tb_h, tb_v = simulate_tb(sm, tau, algo.omega, algo.h, surface.clay_fraction,
-                             surface.incidence_deg, t_e, algo.dielectric,
-                             frequency_ghz)
-    sim = tb_h if polarization == "H" else tb_v
-    return float((sim - tb_obs_p) ** 2)
+_CHANNEL_WEIGHTS = {AlgorithmKind.SCAV: (0.0, 1.0), AlgorithmKind.SCAH: (1.0, 0.0)}
 
 
-def cost_dca(sm, tau, tb_obs, algo, surface, t_e, frequency_ghz=L_BAND_GHZ):
-    """Sum of squared residuals over both polarizations."""
-    tb_h, tb_v = simulate_tb(sm, tau, algo.omega, algo.h, surface.clay_fraction,
-                             surface.incidence_deg, t_e, algo.dielectric,
-                             frequency_ghz)
-    return float((tb_v - tb_obs.tb_v) ** 2 + (tb_h - tb_obs.tb_h) ** 2)
+def residual_weights(algo):
+    """(w_h, w_v, lam) of a kind's residual: both channels for the
+    dual-channel kinds, one for the single-channel kinds, and the opacity
+    pull lam for RDCA only."""
+    w_h, w_v = _CHANNEL_WEIGHTS.get(algo.kind, (1.0, 1.0))
+    return w_h, w_v, algo.lam if algo.kind == AlgorithmKind.RDCA else 0.0
 
 
-def cost_rdca(sm, tau, tb_obs, algo, surface, t_e, tau_sca,
-              frequency_ghz=L_BAND_GHZ):
-    """Dual-channel cost plus the opacity regularizer lam^2 (tau - tau_sca)^2."""
-    return cost_dca(sm, tau, tb_obs, algo, surface, t_e, frequency_ghz) \
-        + algo.lam ** 2 * (tau - tau_sca) ** 2
+def residual(tb_h, tb_v, tau, tb_obs, weights, tau_sca=None):
+    """Residual vector (w_h (tb_h - obs_h), w_v (tb_v - obs_v),
+    lam (tau - tau_sca)) of simulated brightness temperatures at opacity
+    tau, elementwise over broadcastable arrays or on floats. Every kind
+    minimizes its squared norm."""
+    w_h, w_v, lam = weights
+    return (w_h * (tb_h - tb_obs.tb_h), w_v * (tb_v - tb_obs.tb_v),
+            lam * (tau - tau_sca) if lam else 0.0)
+
+
+def squared_norm(res):
+    """Cost of a residual vector, in squared kelvin."""
+    return res[0] * res[0] + res[1] * res[1] + res[2] * res[2]
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +276,8 @@ def _retrieve_single(tb_obs, algo, surface, t_e, tau, frequency_ghz):
 def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     sm_lo, sm_hi = SM_BOUNDS
     tau_lo, tau_hi = TAU_BOUNDS
-    regularized = algo.kind == AlgorithmKind.RDCA
-    lam = algo.lam if regularized else 0.0
-    obs_h, obs_v = tb_obs.tb_h, tb_obs.tb_v
+    weights = residual_weights(algo)
+    w_h, w_v, lam = weights
     cos_theta = math.cos(math.radians(surface.incidence_deg))
 
     # Coarse seed over the full rectangle; sm varies along rows so the
@@ -286,18 +286,15 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     ts = np.linspace(tau_lo, tau_hi, SEED_GRID_N)
     e_h, e_v = soil_emissivity_pair(xs, surface.clay_fraction, surface.incidence_deg,
                                     algo.h, algo.dielectric, frequency_ghz)
-    gamma = canopy_transmissivity(ts, surface.incidence_deg)
-    tb_h = tau_omega_tb(e_h[:, None], gamma[None, :], algo.omega, t_e)
-    tb_v = tau_omega_tb(e_v[:, None], gamma[None, :], algo.omega, t_e)
-    costs = (tb_v - obs_v) ** 2 + (tb_h - obs_h) ** 2
-    if regularized:
-        costs = costs + lam ** 2 * (ts[None, :] - tau_sca) ** 2
+    gamma = canopy_transmissivity(ts, surface.incidence_deg)[None, :]
+    costs = squared_norm(residual(tau_omega_tb(e_h[:, None], gamma, algo.omega, t_e),
+                                  tau_omega_tb(e_v[:, None], gamma, algo.omega, t_e),
+                                  ts[None, :], tb_obs, weights, tau_sca))
     i, j = np.unravel_index(int(np.argmin(costs)), costs.shape)
     sm, tau = float(xs[i]), float(ts[j])
     evaluations = SEED_GRID_N * SEED_GRID_N
 
-    # Box-projected Levenberg-Marquardt on the residual vector
-    # r = (tb_h - obs_h, tb_v - obs_v, lam (tau - tau_sca)), cost |r|^2.
+    # Box-projected Levenberg-Marquardt on the same residual vector.
     e_pair = emissivity_evaluator(surface.clay_fraction, surface.incidence_deg,
                                   algo.h, algo.dielectric, frequency_ghz)
     omega = algo.omega
@@ -306,10 +303,10 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     def state(sm_trial, tau_trial):
         e_hv = e_pair(sm_trial)
         g = math.exp(-tau_trial / cos_theta)
-        res = (tau_omega_tb(e_hv[0], g, omega, t_e) - obs_h,
-               tau_omega_tb(e_hv[1], g, omega, t_e) - obs_v,
-               lam * (tau_trial - tau_sca) if regularized else 0.0)
-        return e_hv, g, res, res[0] * res[0] + res[1] * res[1] + res[2] * res[2]
+        res = residual(tau_omega_tb(e_hv[0], g, omega, t_e),
+                       tau_omega_tb(e_hv[1], g, omega, t_e), tau_trial, tb_obs,
+                       weights, tau_sca)
+        return e_hv, g, res, squared_norm(res)
 
     e_hv, g, res, cost = state(sm, tau)
     evaluations += 1
@@ -324,9 +321,10 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
         evaluations += 2
         tb_per_e = g * t_e * (1.0 - w * (1.0 - g))
         gamma_per_tau = -g / cos_theta
-        j_sm = [tb_per_e * (e_up[k] - e_dn[k]) / (sm_up - sm_dn) for k in (0, 1)]
-        j_tau = [t_e * (e_hv[k] - w + (1.0 - e_hv[k]) * w * (1.0 - 2.0 * g))
-                 * gamma_per_tau for k in (0, 1)]
+        j_sm = [w_k * tb_per_e * (e_up[k] - e_dn[k]) / (sm_up - sm_dn)
+                for k, w_k in ((0, w_h), (1, w_v))]
+        j_tau = [w_k * t_e * (e_hv[k] - w + (1.0 - e_hv[k]) * w * (1.0 - 2.0 * g))
+                 * gamma_per_tau for k, w_k in ((0, w_h), (1, w_v))]
         a11 = j_sm[0] * j_sm[0] + j_sm[1] * j_sm[1]
         a12 = j_sm[0] * j_tau[0] + j_sm[1] * j_tau[1]
         a22 = j_tau[0] * j_tau[0] + j_tau[1] * j_tau[1] + lam * lam

@@ -99,34 +99,6 @@ def metrics(obs, ref):
     return MetricsReport(bias=bias, rmse=rmse, ubrmse=ubrmse, r=r, n=n, r_flag=r_flag)
 
 
-def align_pairs(obs_series, ref_series, window_s=ALIGN_WINDOW_S):
-    """Pair (timestamp, value) observations with their nearest reference
-    within `window_s` seconds.
-
-    Each reference entry is used at most once. Returns (pairs, n_dropped)
-    where pairs is a list of (obs_value, ref_value) sorted by observation
-    time and n_dropped counts unmatched observations.
-    """
-    refs = sorted(ref_series, key=lambda item: item[0])
-    used = [False] * len(refs)
-    pairs = []
-    dropped = 0
-    for ts, value in sorted(obs_series, key=lambda item: item[0]):
-        best, best_dt = None, window_s
-        for idx, (rts, _) in enumerate(refs):
-            if used[idx]:
-                continue
-            delta = abs(rts - ts)
-            if delta <= best_dt:
-                best, best_dt = idx, delta
-        if best is None:
-            dropped += 1
-            continue
-        used[best] = True
-        pairs.append((value, refs[best][1]))
-    return pairs, dropped
-
-
 def nearest_reference(records, timestamp, window_s=ALIGN_WINDOW_S):
     """Reference record closest in time to `timestamp`, or None when the
     closest one is outside the window."""

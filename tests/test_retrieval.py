@@ -1,4 +1,4 @@
-"""Inversion algorithms: cost functions, optimizer, presets."""
+"""Inversion algorithms: residual, optimizer, presets."""
 
 import dataclasses
 
@@ -26,33 +26,44 @@ def synth_obs(sm, tau, algo, surface, t_e):
     return TbPair(float(tb_h), float(tb_v))
 
 
+def cost(sm, tau, obs, algo, surface, t_e, tau_sca=None, weights=None):
+    """Squared norm of the residual at (sm, tau), with the preset's own
+    weights unless others are given."""
+    tb_h, tb_v = simulate_tb(sm, tau, algo.omega, algo.h, surface.clay_fraction,
+                             surface.incidence_deg, t_e, algo.dielectric)
+    res = rt.residual(tb_h, tb_v, tau, obs, weights or rt.residual_weights(algo), tau_sca)
+    return float(rt.squared_norm(res))
+
+
+DCA_WEIGHTS = (1.0, 1.0, 0.0)
+
+
 # ----------------------------------------------------------------------
-# Cost functions
+# Residual
 # ----------------------------------------------------------------------
 
 def test_sca_cost_zero_at_generating_moisture():
     algo = preset("SCAV", "grassland")
     obs = synth_obs(0.28, 0.06, algo, GRASS, 290.0)
-    cost = rt.cost_sca(0.28, obs.tb_v, "V", 0.06, algo, GRASS, 290.0)
-    assert cost == pytest.approx(0.0, abs=1e-18)
+    assert cost(0.28, 0.06, obs, algo, GRASS, 290.0, tau_sca=0.06) == \
+        pytest.approx(0.0, abs=1e-18)
 
 
 def test_sca_cost_nonnegative_and_increasing_away():
     algo = preset("SCAH", "grassland")
     obs = synth_obs(0.30, 0.06, algo, GRASS, 290.0)
     sweep = np.linspace(0.01, 0.70, 140)
-    costs = [rt.cost_sca(s, obs.tb_h, "H", 0.06, algo, GRASS, 290.0) for s in sweep]
+    costs = [cost(s, 0.06, obs, algo, GRASS, 290.0) for s in sweep]
     assert all(c >= 0.0 for c in costs)
-    center = rt.cost_sca(0.30, obs.tb_h, "H", 0.06, algo, GRASS, 290.0)
-    assert rt.cost_sca(0.20, obs.tb_h, "H", 0.06, algo, GRASS, 290.0) > center
-    assert rt.cost_sca(0.40, obs.tb_h, "H", 0.06, algo, GRASS, 290.0) > center
+    center = cost(0.30, 0.06, obs, algo, GRASS, 290.0)
+    assert cost(0.20, 0.06, obs, algo, GRASS, 290.0) > center
+    assert cost(0.40, 0.06, obs, algo, GRASS, 290.0) > center
 
 
 def test_dca_cost_zero_at_generating_state():
     algo = preset("DCA1")
     obs = synth_obs(0.24, 0.13, algo, BARE, 292.15)
-    assert rt.cost_dca(0.24, 0.13, obs, algo, BARE, 292.15) == \
-        pytest.approx(0.0, abs=1e-18)
+    assert cost(0.24, 0.13, obs, algo, BARE, 292.15) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_dca_cost_sums_channel_squares():
@@ -60,8 +71,8 @@ def test_dca_cost_sums_channel_squares():
     obs = synth_obs(0.24, 0.13, algo, BARE, 292.15)
     bumped_h = TbPair(obs.tb_h + 2.0, obs.tb_v)
     bumped_v = TbPair(obs.tb_h, obs.tb_v + 2.0)
-    c_h = rt.cost_dca(0.24, 0.13, bumped_h, algo, BARE, 292.15)
-    c_v = rt.cost_dca(0.24, 0.13, bumped_v, algo, BARE, 292.15)
+    c_h = cost(0.24, 0.13, bumped_h, algo, BARE, 292.15)
+    c_v = cost(0.24, 0.13, bumped_v, algo, BARE, 292.15)
     assert c_h == pytest.approx(4.0, abs=1e-12)
     assert c_v == pytest.approx(4.0, abs=1e-12)
 
@@ -71,7 +82,7 @@ def test_dca_grid_minimum_locates_generating_state():
     sm0, tau0 = 0.31, 0.17
     obs = synth_obs(sm0, tau0, algo, BARE, 292.15)
     sm_star, tau_star, _ = oracles.grid_min_2d(
-        lambda s, t: rt.cost_dca(s, t, obs, algo, BARE, 292.15),
+        lambda s, t: cost(s, t, obs, algo, BARE, 292.15),
         0.01, 0.70, 0.0, 3.0, 200, 200)
     # the discrete argmin can sit a couple of cells off along the
     # correlated (sm, tau) valley
@@ -83,16 +94,16 @@ def test_rdca_cost_reduces_to_dca_at_target_opacity():
     algo = preset("RDCA", "grassland")
     obs = synth_obs(0.22, 0.08, algo, GRASS, 290.0)
     for sm in (0.1, 0.3, 0.5):
-        assert rt.cost_rdca(sm, 0.08, obs, algo, GRASS, 290.0, tau_sca=0.08) == \
-            pytest.approx(rt.cost_dca(sm, 0.08, obs, algo, GRASS, 290.0), abs=1e-18)
+        assert cost(sm, 0.08, obs, algo, GRASS, 290.0, tau_sca=0.08) == pytest.approx(
+            cost(sm, 0.08, obs, algo, GRASS, 290.0, weights=DCA_WEIGHTS), abs=1e-18)
 
 
 def test_rdca_zero_weight_degenerates_to_dca():
     algo = dataclasses.replace(preset("RDCA", "grassland"), lam=0.0)
     obs = synth_obs(0.22, 0.08, algo, GRASS, 290.0)
     for sm, tau in [(0.1, 0.0), (0.3, 0.6), (0.6, 2.0)]:
-        assert rt.cost_rdca(sm, tau, obs, algo, GRASS, 290.0, tau_sca=0.5) == \
-            rt.cost_dca(sm, tau, obs, algo, GRASS, 290.0)
+        assert cost(sm, tau, obs, algo, GRASS, 290.0, tau_sca=0.5) == \
+            cost(sm, tau, obs, algo, GRASS, 290.0, weights=DCA_WEIGHTS)
 
 
 def test_rdca_grid_minimum_with_matching_target():
@@ -100,7 +111,7 @@ def test_rdca_grid_minimum_with_matching_target():
     sm0 = 0.27
     obs = synth_obs(sm0, 0.1, algo, GRASS, 290.0)
     sm_star, tau_star, _ = oracles.grid_min_2d(
-        lambda s, t: rt.cost_rdca(s, t, obs, algo, GRASS, 290.0, tau_sca=0.1),
+        lambda s, t: cost(s, t, obs, algo, GRASS, 290.0, tau_sca=0.1),
         0.01, 0.70, 0.0, 3.0, 200, 200)
     # regularization decorrelates tau, so the argmin sits tight
     assert abs(sm_star - sm0) <= 2 * 0.69 / 199
@@ -201,7 +212,7 @@ def test_optimizer_dominates_grid_oracle_sample():
         obs = TbPair(base.tb_h + rng.uniform(-4, 4), base.tb_v + rng.uniform(-4, 4))
         result = rt.retrieve(obs, algo, BARE, 292.15)
         _, _, best = oracles.grid_min_2d(
-            lambda s, t: rt.cost_dca(s, t, obs, algo, BARE, 292.15),
+            lambda s, t: cost(s, t, obs, algo, BARE, 292.15),
             0.01, 0.70, 0.0, 3.0, 60, 60)
         assert result.cost <= best + 1e-8
 
@@ -257,14 +268,10 @@ def test_dual_result_is_local_minimum(name, surface, cover):
         result = rt.retrieve(obs, algo, surface, t_e, tau_sca=tau_sca)
         assert result.converged
 
-        def cost(s, t):
-            if algo.kind == rt.AlgorithmKind.RDCA:
-                return rt.cost_rdca(s, t, obs, algo, surface, t_e, tau_sca)
-            return rt.cost_dca(s, t, obs, algo, surface, t_e)
-
         sms = np.clip(np.linspace(result.sm - 1e-4, result.sm + 1e-4, 21), *rt.SM_BOUNDS)
         taus = np.clip(np.linspace(result.tau - 1e-3, result.tau + 1e-3, 21), *rt.TAU_BOUNDS)
-        best = min(cost(float(s), float(t)) for s in sms for t in taus)
+        best = min(cost(float(s), float(t), obs, algo, surface, t_e, tau_sca)
+                   for s in sms for t in taus)
         assert result.cost <= best + 1e-10, (name, sm0, tau0, result)
 
 

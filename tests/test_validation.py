@@ -123,23 +123,8 @@ def test_metrics_input_validation():
 
 
 # ----------------------------------------------------------------------
-# Pair alignment
+# Reference alignment
 # ----------------------------------------------------------------------
-
-def test_align_pairs_nearest_within_window():
-    obs = [(100.0, 0.2), (200.0, 0.3), (5000.0, 0.4)]
-    ref = [(95.0, 0.21), (210.0, 0.29)]
-    pairs, dropped = va.align_pairs(obs, ref, window_s=60.0)
-    assert pairs == [(0.2, 0.21), (0.3, 0.29)]
-    assert dropped == 1
-
-
-def test_align_pairs_each_reference_used_once():
-    obs = [(100.0, 0.2), (101.0, 0.3)]
-    ref = [(100.5, 0.25)]
-    pairs, dropped = va.align_pairs(obs, ref, window_s=10.0)
-    assert len(pairs) == 1 and dropped == 1
-
 
 def test_nearest_reference_window():
     records = [va.ReferenceRecord(t, (0.2,), 290.0) for t in (0.0, 1000.0)]
