@@ -1,24 +1,25 @@
 """Soil-moisture inversion of dual-polarization brightness temperatures.
 
-Three inversion families share the same forward model:
+Three inversion families minimize the squared norm of one residual
+vector of the same forward model,
 
-  * SCA: one polarization, canopy opacity fixed from the optical-index
-    chain, cost F(sm) = (tb_sim - tb_obs)^2;
-  * DCA: both polarizations, (sm, tau) retrieved jointly,
-    F(sm, tau) = (tbv_sim - tbv_obs)^2 + (tbh_sim - tbh_obs)^2;
-  * RDCA: DCA plus a quadratic pull of the retrieved opacity toward the
-    optical estimate, + lambda^2 * (tau - tau_sca)^2 with lambda = 20.
+    r = (w_h (tbh_sim - tbh_obs), w_v (tbv_sim - tbv_obs), lambda (tau - tau_sca)):
+
+  * SCA: one polarization, (w_h, w_v) = (1, 0) for SCAH and (0, 1) for
+    SCAV, canopy opacity held at tau_sca from the optical-index chain;
+  * DCA: both polarizations, (sm, tau) retrieved jointly, lambda = 0;
+  * RDCA: DCA plus a pull of the retrieved opacity toward the optical
+    estimate, lambda = 20.
 
 Minimization is deterministic over sm in [0.01, 0.70] and tau in [0, 3].
-A coarse grid seeds the refinement: golden-section search for the
-single-channel kinds, and for the dual-channel kinds a box-projected
-Levenberg-Marquardt solve on the residual vector (tb_h - obs_h,
-tb_v - obs_v, plus lambda (tau - tau_sca) for RDCA). Its Jacobian takes
-d/dtau analytically through gamma = exp(-tau / cos theta) and d/dsm by a
-central difference of the soil emissivities. A coordinate on a bound
-whose gradient points out of the box is held fixed, and a trial point,
-clipped to the box, is kept only if it lowers the cost, so the cost never
-rises above the grid seed's.
+A coarse grid (64 x 64, or 64 x 1 at tau_sca for SCA) seeds a
+box-projected Levenberg-Marquardt solve on r, which steps sm alone when
+tau is fixed. Its Jacobian takes d/dtau analytically through
+gamma = exp(-tau / cos theta) and d/dsm by a central difference of the
+soil emissivities. A coordinate on a bound whose gradient points out of
+the box is held fixed, and a trial point, clipped to the box, is kept
+only if it lowers the cost, so the cost never rises above the grid
+seed's.
 
 Six named presets cover the operational algorithm configurations (SCAV,
 SCAH, RDCA, DCA0, DCA1, DCA2); they ship as key-value files under
@@ -56,8 +57,6 @@ _LM_MU_FACTOR = 10.0
 _LM_MU_MAX = 1e8
 RDCA_LAMBDA = 20.0
 CONSTANT_T_E = 292.15     # K, fixed effective temperature for the DCA0/DCA1 setups
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class AlgorithmKind(str, Enum):
@@ -206,84 +205,49 @@ def squared_norm(res):
 # Minimization
 # ----------------------------------------------------------------------
 
-def golden_section(f, lo, hi, tol):
-    """Golden-section minimization of f on [lo, hi] down to a bracket of
-    width `tol`.
-
-    Deterministic: ties shrink toward the lower end, so plateaus resolve
-    to the smallest argument. Returns (x, f(x), final_width, n_evals)
-    with x the midpoint of the final bracket.
-    """
-    a, b = float(lo), float(hi)
-    if not b > a:
-        raise DomainError(f"bad bracket [{lo}, {hi}]")
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        evals += 1
-    x = 0.5 * (a + b)
-    return x, f(x), b - a, evals + 1
-
-
 def _near(x, bound, tol):
     return abs(x - bound) <= tol
 
 
-def _retrieve_single(tb_obs, algo, surface, t_e, tau, frequency_ghz):
-    tb_obs_p = tb_obs.tb_h if algo.polarization == "H" else tb_obs.tb_v
-    sm_lo, sm_hi = SM_BOUNDS
+def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ):
+    """Invert one observed TbPair under an algorithm configuration.
 
-    xs = np.linspace(sm_lo, sm_hi, SEED_GRID_N)
-    e_h, e_v = soil_emissivity_pair(xs, surface.clay_fraction, surface.incidence_deg,
-                                    algo.h, algo.dielectric, frequency_ghz)
-    gamma = float(canopy_transmissivity(tau, surface.incidence_deg))
-    sim = tau_omega_tb(e_h if algo.polarization == "H" else e_v,
-                       gamma, algo.omega, t_e)
-    costs = (sim - tb_obs_p) ** 2
-    seed = int(np.argmin(costs))  # first minimum, i.e. smallest sm on ties
-    evaluations = SEED_GRID_N
+    Args:
+        tb_obs: observed TbPair (finite).
+        algo: AlgorithmConfig, typically from a resolved preset.
+        t_e: effective soil temperature in K, already resolved from the
+            preset's temperature source.
+        tau_sca: opacity from the optical chain; required for the
+            single-channel kinds (fixed opacity) and RDCA (regularizer
+            target).
 
-    e_pair = emissivity_evaluator(surface.clay_fraction, surface.incidence_deg,
-                                  algo.h, algo.dielectric, frequency_ghz)
-    want_h = algo.polarization == "H"
-
-    def f(sm):
-        e_p = e_pair(sm)[0 if want_h else 1]
-        return (tau_omega_tb(e_p, gamma, algo.omega, t_e) - tb_obs_p) ** 2
-
-    lo = xs[max(seed - 1, 0)]
-    hi = xs[min(seed + 1, SEED_GRID_N - 1)]
-    sm, fx, width, n_evals = golden_section(f, lo, hi, SM_TOL)
-    evaluations += n_evals
-    return RetrievalResult(
-        sm=sm, tau=None, cost=fx,
-        converged=width <= SM_TOL,
-        boundary_hit=_near(sm, sm_lo, SM_TOL) or _near(sm, sm_hi, SM_TOL),
-        evaluations=evaluations,
-    )
-
-
-def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
+    Returns:
+        RetrievalResult, with tau None for the single-channel kinds,
+        whose opacity stays at tau_sca. `converged` is True after two
+        accepted steps in a row below SM_TOL/100 and TAU_TOL/100, when
+        no damped step lowers the cost any more, or on a corner of the
+        box that the gradient points out of; it is False when
+        LM_MAX_STEPS Jacobians did not get there. The best point found
+        is reported either way.
+    """
+    if not tb_obs.is_finite():
+        raise DomainError(f"observed brightness temperatures must be finite, got {tb_obs}")
+    if not t_e > 0.0:
+        raise DomainError(f"t_e must be positive, got {t_e}")
+    if algo.kind in TAU_SCA_KINDS and tau_sca is None:
+        raise DomainError(f"{algo.kind.value} requires tau_sca")
     sm_lo, sm_hi = SM_BOUNDS
     tau_lo, tau_hi = TAU_BOUNDS
     weights = residual_weights(algo)
     w_h, w_v, lam = weights
+    fit_tau = algo.kind in DUAL_KINDS
     cos_theta = math.cos(math.radians(surface.incidence_deg))
 
-    # Coarse seed over the full rectangle; sm varies along rows so the
-    # first flat minimum has the smallest sm, then the smallest tau.
+    # Coarse seed over the full rectangle, or the sm line at tau_sca for
+    # the single-channel kinds; sm varies along rows so the first flat
+    # minimum has the smallest sm, then the smallest tau.
     xs = np.linspace(sm_lo, sm_hi, SEED_GRID_N)
-    ts = np.linspace(tau_lo, tau_hi, SEED_GRID_N)
+    ts = np.linspace(tau_lo, tau_hi, SEED_GRID_N) if fit_tau else np.array([tau_sca])
     e_h, e_v = soil_emissivity_pair(xs, surface.clay_fraction, surface.incidence_deg,
                                     algo.h, algo.dielectric, frequency_ghz)
     gamma = canopy_transmissivity(ts, surface.incidence_deg)[None, :]
@@ -292,7 +256,7 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
                                   ts[None, :], tb_obs, weights, tau_sca))
     i, j = np.unravel_index(int(np.argmin(costs)), costs.shape)
     sm, tau = float(xs[i]), float(ts[j])
-    evaluations = SEED_GRID_N * SEED_GRID_N
+    evaluations = costs.size
 
     # Box-projected Levenberg-Marquardt on the same residual vector.
     e_pair = emissivity_evaluator(surface.clay_fraction, surface.incidence_deg,
@@ -334,7 +298,8 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
         # Active set: a coordinate on a bound whose descent direction
         # points out of the box stays where it is.
         free_sm = not ((sm <= sm_lo and grad_sm > 0.0) or (sm >= sm_hi and grad_sm < 0.0))
-        free_tau = not ((tau <= tau_lo and grad_tau > 0.0) or (tau >= tau_hi and grad_tau < 0.0))
+        free_tau = fit_tau and not ((tau <= tau_lo and grad_tau > 0.0)
+                                    or (tau >= tau_hi and grad_tau < 0.0))
         if not (free_sm or free_tau):
             converged = True
             break
@@ -371,43 +336,13 @@ def _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
             break
 
     return RetrievalResult(
-        sm=sm, tau=tau, cost=cost,
+        sm=sm, tau=tau if fit_tau else None, cost=cost,
         converged=converged,
         boundary_hit=(_near(sm, sm_lo, SM_TOL) or _near(sm, sm_hi, SM_TOL)
-                      or _near(tau, tau_lo, TAU_TOL) or _near(tau, tau_hi, TAU_TOL)),
+                      or fit_tau and (_near(tau, tau_lo, TAU_TOL)
+                                      or _near(tau, tau_hi, TAU_TOL))),
         evaluations=evaluations,
     )
-
-
-def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ):
-    """Invert one observed TbPair under an algorithm configuration.
-
-    Args:
-        tb_obs: observed TbPair (finite).
-        algo: AlgorithmConfig, typically from a resolved preset.
-        t_e: effective soil temperature in K, already resolved from the
-            preset's temperature source.
-        tau_sca: opacity from the optical chain; required for the
-            single-channel kinds (fixed opacity) and RDCA (regularizer
-            target).
-
-    Returns:
-        RetrievalResult. For the dual-channel kinds `converged` is True
-        after two accepted steps in a row below SM_TOL/100 and
-        TAU_TOL/100, when no damped step lowers the cost any more, or on a
-        corner of the box that the gradient points out of; it is False
-        when LM_MAX_STEPS Jacobians did not get there. The best point
-        found is reported either way.
-    """
-    if not tb_obs.is_finite():
-        raise DomainError(f"observed brightness temperatures must be finite, got {tb_obs}")
-    if not t_e > 0.0:
-        raise DomainError(f"t_e must be positive, got {t_e}")
-    if algo.kind in TAU_SCA_KINDS and tau_sca is None:
-        raise DomainError(f"{algo.kind.value} requires tau_sca")
-    if algo.kind in SCA_KINDS:
-        return _retrieve_single(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz)
-    return _retrieve_dual(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz)
 
 
 # ----------------------------------------------------------------------

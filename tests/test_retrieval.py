@@ -119,32 +119,6 @@ def test_rdca_grid_minimum_with_matching_target():
 
 
 # ----------------------------------------------------------------------
-# Golden-section minimizer
-# ----------------------------------------------------------------------
-
-def test_golden_section_quadratic():
-    x, fx, width, evals = rt.golden_section(lambda x: (x - 1.3) ** 2, 0.0, 4.0, 1e-7)
-    assert x == pytest.approx(1.3, abs=1e-6)
-    assert width <= 1e-7
-    assert evals > 10
-
-
-def test_golden_section_plateau_resolves_low():
-    x, _, _, _ = rt.golden_section(lambda x: 0.0, 0.0, 1.0, 1e-6)
-    assert x < 0.01  # ties shrink toward the lower end
-
-
-def test_golden_section_boundary_minimum():
-    x, _, _, _ = rt.golden_section(lambda x: x, 0.0, 1.0, 1e-8)
-    assert x == pytest.approx(0.0, abs=1e-7)
-
-
-def test_golden_section_bad_bracket():
-    with pytest.raises(DomainError):
-        rt.golden_section(lambda x: x, 1.0, 1.0, 1e-6)
-
-
-# ----------------------------------------------------------------------
 # Retrieval
 # ----------------------------------------------------------------------
 
@@ -253,10 +227,12 @@ def test_rdca_bare_soil_stops_on_tau_bound():
 @pytest.mark.parametrize("name,surface,cover", [
     ("RDCA", GRASS, "grassland"), ("DCA0", BARE, "bare_soil"),
     ("DCA1", BARE, "bare_soil"), ("DCA2", GRASS, "grassland"),
+    ("SCAV", GRASS, "grassland"), ("SCAH", BARE, "bare_soil"),
 ])
 def test_dual_result_is_local_minimum(name, surface, cover):
     # no point of a fine local grid around the reported optimum may
-    # undercut it, measured with the preset's own cost function
+    # undercut it, measured with the preset's own cost function; the
+    # single-channel kinds hold tau at tau_sca, so their grid is 1-D
     algo = preset(name, cover)
     t_e = rt.CONSTANT_T_E if algo.t_e_source == rt.TempSource.CONSTANT else 290.0
     rng = np.random.default_rng(1729)
@@ -269,7 +245,8 @@ def test_dual_result_is_local_minimum(name, surface, cover):
         assert result.converged
 
         sms = np.clip(np.linspace(result.sm - 1e-4, result.sm + 1e-4, 21), *rt.SM_BOUNDS)
-        taus = np.clip(np.linspace(result.tau - 1e-3, result.tau + 1e-3, 21), *rt.TAU_BOUNDS)
+        taus = [tau_sca] if result.tau is None else \
+            np.clip(np.linspace(result.tau - 1e-3, result.tau + 1e-3, 21), *rt.TAU_BOUNDS)
         best = min(cost(float(s), float(t), obs, algo, surface, t_e, tau_sca)
                    for s in sms for t in taus)
         assert result.cost <= best + 1e-10, (name, sm0, tau0, result)
