@@ -33,7 +33,7 @@ from . import __version__
 from .ancillary import (daily_ndvi_series, load_reflectance_csv,
                         load_tau_coefficients, ndvi_to_tau)
 from .config import CONFIG_ENV_VAR, load_campaign
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError, DomainError, decode_text, read_text
 from .geometry import footprint
 from .pipeline import run_pipeline
 from .preprocess import (CalibrationParams, FilterThresholds, Statistic,
@@ -50,11 +50,14 @@ from .validation import metrics
 logger = logging.getLogger(__name__)
 
 
-def _open_input(path):
+def _read_input(path):
+    """The UTF-8 text of an --input file, or of stdin for '-'."""
     if path in (None, "-"):
-        return sys.stdin
+        # a text stream without a byte buffer has been decoded already
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        return data if isinstance(data, str) else decode_text(data, "<stdin>")
     try:
-        return open(path, newline="", encoding="utf-8")
+        return read_text(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
 
@@ -68,9 +71,9 @@ def _open_output(path):
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _body(fh, expected_header, what):
-    """The CSV text after a header that must match."""
-    header, body = split_header(fh.read())
+def _body(path, expected_header, what):
+    """The CSV text of an input after a header that must match."""
+    header, body = split_header(_read_input(path))
     if header is None:
         raise DataError(f"empty {what} input")
     if header != expected_header:
@@ -79,9 +82,9 @@ def _body(fh, expected_header, what):
     return body
 
 
-def _read_rows(fh, expected_header, what):
+def _read_rows(path, expected_header, what):
     rows = []
-    reader = csv.reader(io.StringIO(_body(fh, expected_header, what), newline=""))
+    reader = csv.reader(io.StringIO(_body(path, expected_header, what), newline=""))
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -92,9 +95,9 @@ def _read_rows(fh, expected_header, what):
     return rows
 
 
-def _read_session(fh, expected_header, what, calibration=None):
+def _read_session(path, expected_header, what, calibration=None):
     """Session columns of a timestamped TB or voltage stream."""
-    body = _body(fh, expected_header, what)
+    body = _body(path, expected_header, what)
     try:
         return session_from_text(body, calibration)
     except DataError as exc:
@@ -148,8 +151,7 @@ def cmd_run(args, parser):
 def cmd_calibrate(args, _parser):
     cal = CalibrationParams(gain_h=args.gain_h, gain_v=args.gain_v,
                             offset_h=args.offset_h, offset_v=args.offset_v)
-    with _open_input(args.input) as fh:
-        session = _read_session(fh, VOLTAGE_HEADER, "calibrate", cal)
+    session = _read_session(args.input, VOLTAGE_HEADER, "calibrate", cal)
     out = _open_output(args.output)
     write_session(out, session)
     if out is not sys.stdout:
@@ -160,8 +162,7 @@ def cmd_calibrate(args, _parser):
 def cmd_filter(args, _parser):
     thresholds = FilterThresholds(tb_max=args.tb_max, tb_min_h=args.tb_min_h,
                                   tb_min_v=args.tb_min_v)
-    with _open_input(args.input) as fh:
-        session = _read_session(fh, TB_HEADER, "filter")
+    session = _read_session(args.input, TB_HEADER, "filter")
     flags = filter_tb(session, thresholds)
     rejected = flags != 0
     out = _open_output(args.output)
@@ -177,8 +178,7 @@ def cmd_filter(args, _parser):
 
 
 def cmd_represent(args, _parser):
-    with _open_input(args.input) as fh:
-        session = _read_session(fh, TB_HEADER, "represent")
+    session = _read_session(args.input, TB_HEADER, "represent")
     if not len(session):
         raise DataError("no valid observations in session")
     rep = representative(session, Statistic(args.statistic))
@@ -200,8 +200,7 @@ def cmd_retrieve(args, parser):
     algo = spec.resolve(surface.land_cover)
     if algo.kind in TAU_SCA_KINDS and args.tau_sca is None:
         parser.error(f"preset {spec.name} requires --tau-sca")
-    with _open_input(args.input) as fh:
-        rows = _read_rows(fh, ("tb_h", "tb_v"), "retrieve")
+    rows = _read_rows(args.input, ("tb_h", "tb_v"), "retrieve")
     out = _open_output(args.output)
     writer = csv.writer(out)
     writer.writerow(["sm", "tau", "cost", "converged", "boundary_hit", "evaluations"])
@@ -254,8 +253,7 @@ def cmd_forward(args, parser):
 
 
 def cmd_metrics(args, _parser):
-    with _open_input(args.input) as fh:
-        rows = _read_rows(fh, ("sm_obs", "sm_ref"), "metrics")
+    rows = _read_rows(args.input, ("sm_obs", "sm_ref"), "metrics")
     try:
         obs = [float(r[1][0]) for r in rows]
         ref = [float(r[1][1]) for r in rows]

@@ -31,13 +31,17 @@ class DataError(Exception):
         super().__init__(prefix + message)
 
 
-def read_text(path):
-    """The UTF-8 text of a data file. A byte sequence that is not UTF-8 is
-    a DataError naming the file and the line it is on."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def decode_text(data, path):
+    """The UTF-8 text of bytes read from `path`. A byte sequence that is
+    not UTF-8 is a DataError naming the path and the line it is on."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(str(exc), path=path,
                         line=data[:exc.start].count(b"\n") + 1) from None
+
+
+def read_text(path):
+    """The UTF-8 text of a data file, decoded by decode_text."""
+    with open(path, "rb") as fh:
+        return decode_text(fh.read(), path)

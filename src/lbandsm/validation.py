@@ -26,6 +26,12 @@ from .preprocess import parse_utc_timestamp
 R_MIN_SERIES = 3          # shorter series get their correlation flagged
 ALIGN_WINDOW_S = 1800.0   # default observation/reference pairing window
 _STD_EPS = 1e-13          # below this (scaled) a series counts as constant
+# Plausible probe soil temperature, K: below the lowest air temperature on
+# record (-89.2 C, Vostok, 21 July 1983; WMO World Weather and Climate
+# Extremes Archive) and above the highest land skin temperature seen from
+# orbit (70.7 C, Lut desert 2005; Mildrexler et al. 2011, Bull. Amer.
+# Meteor. Soc. 92(7), 855-860).
+SOIL_TEMP_RANGE_K = (180.0, 350.0)
 
 
 @dataclass(frozen=True)
@@ -39,9 +45,10 @@ class ReferenceRecord:
             raise DomainError("reference record needs at least one point measurement")
         if any(not 0.0 <= v <= 1.0 for v in self.point_sm):
             raise DomainError(f"point_sm values must be in [0, 1], got {self.point_sm}")
-        if not (math.isfinite(self.point_temperature_k) and self.point_temperature_k > 0.0):
+        lo, hi = SOIL_TEMP_RANGE_K
+        if not lo <= self.point_temperature_k <= hi:
             raise DomainError(
-                f"soil temperature must be finite and positive, got {self.point_temperature_k}")
+                f"soil temperature must be in [{lo}, {hi}] K, got {self.point_temperature_k}")
 
 
 @dataclass(frozen=True)

@@ -260,3 +260,33 @@ def test_stream_commands_name_bad_line(command, header, bad_row, message,
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert cli.main([command]) == 1
     assert capsys.readouterr().err.startswith(message)
+
+
+# extra arguments and a valid first data line per stage command
+STREAM_INPUTS = {
+    "filter": ([], "timestamp,tb_h,tb_v\n2023-11-11T14:00:00Z,250.0,260.0\n"),
+    "represent": ([], "timestamp,tb_h,tb_v\n2023-11-11T14:00:00Z,250.0,260.0\n"),
+    "calibrate": ([], "timestamp,v_h,v_v\n2023-11-11T14:00:00Z,2.5,2.6\n"),
+    "retrieve": (["--preset", "DCA1", "--clay-fraction", "0.2"], "tb_h,tb_v\n250.0,260.0\n"),
+    "metrics": ([], "sm_obs,sm_ref\n0.2,0.21\n"),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command", sorted(STREAM_INPUTS))
+def test_stream_commands_reject_non_utf8_input(command, source, tmp_path, capsys,
+                                               monkeypatch):
+    extra, text = STREAM_INPUTS[command]
+    data = text.encode() + b"0.2\xe9,0.2\n"    # a Latin-1 byte on line 3
+    args = [command] + extra
+    if source == "file":
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        args += ["--input", str(path)]
+        where = str(path)
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        where = "<stdin>"
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}:3: 'utf-8' codec can't decode byte 0xe9"), err

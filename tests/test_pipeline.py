@@ -240,7 +240,8 @@ def test_fault_injection_corpus(tmp_path):
     for site, cover, clay, sessions, reference, reflectance in (
             ("knot", "grassland", 0.13, "grass", "ref_grass.csv", "refl_knot.csv"),
             ("ndvi", "grassland", 0.13, "grass", "ref_grass.csv", "refl_ndvi.csv"),
-            ("probe", "bare_soil", 0.2, "bare", "ref_probe.csv", None)):
+            ("probe", "bare_soil", 0.2, "bare", "ref_probe.csv", None),
+            ("hot", "bare_soil", 0.2, "bare", "ref_hot.csv", None)):
         config += [f"site.{site}.land_cover = {cover}",
                    f"site.{site}.clay_fraction = {clay}",
                    f"site.{site}.sessions = sessions/{sessions}_*.csv",
@@ -250,12 +251,14 @@ def test_fault_injection_corpus(tmp_path):
     cfg_path.write_text("\n".join(config) + "\n")
     for copy, original in (("refl_knot.csv", "reflectance_grass.csv"),
                            ("refl_ndvi.csv", "reflectance_grass.csv"),
-                           ("ref_probe.csv", "ref_bare.csv")):
+                           ("ref_probe.csv", "ref_bare.csv"),
+                           ("ref_hot.csv", "ref_bare.csv")):
         (root / copy).write_text((root / original).read_text())
 
     clean = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "clean")
     assert clean.ok and not any(s.error for s in clean.sessions)
-    assert {s.site for s in clean.sessions} == {"bare", "grass", "knot", "ndvi", "probe"}
+    assert {s.site for s in clean.sessions} == {"bare", "grass", "knot", "ndvi", "probe",
+                                                "hot"}
 
     sessions = root / "sessions"
     day = {k: f"bare_2023-11-{11 + k}" for k in range(10)}
@@ -294,14 +297,13 @@ def test_fault_injection_corpus(tmp_path):
             out.append(f"{stamp},{float(tb_h) / 100.0:.8f},{float(tb_v) / 100.0:.8f}")
         return out
     _rewrite(session_file(7), as_voltage)
-    # a probe temperature that lifts the floor above the ceiling (day 8)
-    _rewrite(root / "ref_bare.csv", lambda lines: _set_field(lines, 9, -1, "1000"))
     # site defects: a one-knot reflectance file, a knot whose NDVI leaves
-    # [-1, 1], a non-positive probe temperature
+    # [-1, 1], a non-positive and an implausibly hot probe temperature
     _rewrite(root / "refl_knot.csv", lambda lines: lines[:2])
     _rewrite(root / "refl_ndvi.csv", lambda lines: _set_field(
         _set_field(lines, 2, 1, "-0.3"), 2, 2, "0.5"))
     _rewrite(root / "ref_probe.csv", lambda lines: _set_field(lines, 2, -1, "-5"))
+    _rewrite(root / "ref_hot.csv", lambda lines: _set_field(lines, 9, -1, "1000"))
 
     report = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "bad")
 
@@ -311,10 +313,10 @@ def test_fault_injection_corpus(tmp_path):
         f"{session_file(4)}:8: expected 3 fields, got 4",
         f"{session_file(6)}:6: bad timestamp 'NaT'",
         f"{session_file(7)}:1: voltage session requires calibration parameters",
-        f"{session_file(8)}: minimum thresholds must lie below tb_max",
         f"{root / 'refl_knot.csv'}: need at least 2 samples to interpolate",
         f"{root / 'refl_ndvi.csv'}:3: reflectances must be in [0, 1]",
         f"{root / 'ref_probe.csv'}:3: ",
+        f"{root / 'ref_hot.csv'}:10: soil temperature must be in [180.0, 350.0] K",
     ])
     assert len(errors) == len(want)
     for error, prefix in zip(errors, want):
@@ -322,13 +324,13 @@ def test_fault_injection_corpus(tmp_path):
     assert {s.site for s in report.sessions} == {"bare", "grass"}
 
     rows = {s.session_id: s for s in report.sessions if s.site == "bare"}
-    assert sorted(rows) == sorted(day[k] for k in (0, 1, 2, 5, 9))
+    assert sorted(rows) == sorted(day[k] for k in (0, 1, 2, 5, 8, 9))
     assert rows[day[1]].error == "empty session"
     assert rows[day[2]].n_accepted == 30 - 3 - 2
     assert rows[day[2]].flag_counts[preprocess.QualityFlag.MAX_EXCEEDED] == 1 + 2
 
     before, after = _report_lines(tmp_path / "clean"), _report_lines(tmp_path / "bad")
-    untouched = [("bare", day[k]) for k in (0, 5, 9)] + \
+    untouched = [("bare", day[k]) for k in (0, 5, 8, 9)] + \
         [("grass", s.session_id) for s in clean.sessions if s.site == "grass"]
     untouched += [("grass", preset) for preset in ("SCAV", "SCAH", "RDCA", "DCA0",
                                                    "DCA1", "DCA2")]

@@ -155,7 +155,7 @@ def test_load_reference_csv_flexible_point_count(tmp_path):
     assert va.load_reference_csv(path)[0].point_sm == (0.2, 0.3)
 
 
-@pytest.mark.parametrize("bad_t", ["-5", "nan", "inf", "0"])
+@pytest.mark.parametrize("bad_t", ["-5", "nan", "inf", "0", "1000"])
 def test_load_reference_csv_bad_temperature_names_line(tmp_path, bad_t):
     path = tmp_path / "ref.csv"
     path.write_text("timestamp,sm_1,soil_temp_k\n"
