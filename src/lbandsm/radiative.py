@@ -33,7 +33,6 @@ from .errors import DomainError
 VACUUM_PERMITTIVITY = 8.854e-12  # F/m
 WATER_EPS_INF = 4.9              # high-frequency limit of the water Debye spectra
 L_BAND_GHZ = 1.41
-DEFAULT_INCIDENCE_DEG = 40.0
 
 # Clay regressions of the mineralogy-based spectroscopic dielectric model
 # (Mironov et al. 2009 style), rescaled so clay is a mass fraction in [0, 1]
@@ -161,15 +160,20 @@ def _mironov_mixing_params(clay_fraction, frequency_ghz):
             float(n_b), float(k_b), float(n_u), float(k_u))
 
 
-def _mironov_mix(sm, params, minimum, maximum):
-    """Refractive mixing of dry soil, bound water and free water at
-    moisture sm; returns (eps_real, eps_imag)."""
+def _mironov_mixer(params, minimum, maximum):
+    """Function sm -> (eps_real, eps_imag): refractive mixing of dry soil,
+    bound water and free water with the constants `params`."""
     n_dry, k_dry, mvt, n_b, k_b, n_u, k_u = params
-    m_bound = minimum(sm, mvt)
-    m_free = maximum(sm - mvt, 0.0)
-    n = n_dry + (n_b - 1.0) * m_bound + (n_u - 1.0) * m_free
-    k = k_dry + k_b * m_bound + k_u * m_free
-    return n * n - k * k, 2.0 * n * k
+    n_b1, n_u1 = n_b - 1.0, n_u - 1.0
+
+    def eps_of_sm(sm):
+        m_bound = minimum(sm, mvt)
+        m_free = maximum(sm - mvt, 0.0)
+        n = n_dry + n_b1 * m_bound + n_u1 * m_free
+        k = k_dry + k_b * m_bound + k_u * m_free
+        return n * n - k * k, 2.0 * n * k
+
+    return eps_of_sm
 
 
 def topp_sm_of_eps(eps_real):
@@ -200,9 +204,9 @@ def _checked_sm(sm, dielectric):
 def mironov_eps(sm, clay_fraction, frequency_ghz=L_BAND_GHZ):
     """Moist-soil permittivity from the clay-parameterized spectroscopic
     model. Returns (eps_real, eps_imag) elementwise in sm."""
-    return _mironov_mix(_checked_sm(sm, DielectricModel.MIRONOV),
-                        _mironov_mixing_params(clay_fraction, frequency_ghz),
-                        np.minimum, np.maximum)
+    sm = _checked_sm(sm, DielectricModel.MIRONOV)
+    return _mironov_mixer(_mironov_mixing_params(clay_fraction, frequency_ghz),
+                          np.minimum, np.maximum)(sm)
 
 
 def topp_eps(sm):
@@ -263,10 +267,8 @@ def _emissivity_kernel(clay_fraction, incidence_deg, h, dielectric, frequency_gh
     r_rough = r_smooth exp(-h cos^2 th) and no cross-polarization mixing."""
     sqrt, minimum, maximum, sinh, asinh, to_complex = math_fns
     if dielectric == DielectricModel.MIRONOV:
-        params = _mironov_mixing_params(clay_fraction, frequency_ghz)
-
-        def eps_of_sm(sm):
-            return _mironov_mix(sm, params, minimum, maximum)
+        eps_of_sm = _mironov_mixer(_mironov_mixing_params(clay_fraction, frequency_ghz),
+                                   minimum, maximum)
     elif dielectric == DielectricModel.TOPP:
         def eps_of_sm(sm):
             return _topp_root(sm, sinh, asinh), 0.0

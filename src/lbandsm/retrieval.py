@@ -317,7 +317,7 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
             else:
                 step_sm, step_tau = 0.0, -grad_tau / d22
             sm_t = min(max(sm + step_sm, sm_lo), sm_hi)
-            tau_t = min(max(tau + step_tau, tau_lo), tau_hi)
+            tau_t = min(max(tau + step_tau, tau_lo), tau_hi) if free_tau else tau
             e_t, g_t, res_t, cost_t = state(sm_t, tau_t)
             evaluations += 1
             if cost_t < cost or mu > _LM_MU_MAX:

@@ -271,6 +271,21 @@ def test_forward_matches_chain_oracle():
     assert tb_v == pytest.approx(float(want[1]), rel=1e-12)
 
 
+def test_soil_emissivity_pair_domain_checks():
+    for kwargs, message in [
+        (dict(sm=[0.2, 1.1]), r"^sm must be in \[0, 1\]$"),
+        (dict(clay_fraction=1.2), "clay_fraction must be in"),
+        (dict(frequency_ghz=0.1), "frequency_ghz 0.1 outside"),
+        (dict(sm=0.99, dielectric=ra.DielectricModel.TOPP), "invertible branch"),
+        (dict(dielectric="debye"), "unknown dielectric model"),
+    ]:
+        args = dict(sm=0.2, clay_fraction=0.2, incidence_deg=40.0, h=0.1) | kwargs
+        with pytest.raises(DomainError, match=message):
+            ra.soil_emissivity_pair(**args)
+    with pytest.raises(DomainError, match="unknown dielectric model"):
+        ra.emissivity_evaluator(0.2, 40.0, 0.1, "debye")
+
+
 # Worst |scalar - array| emissivity over the sweep below, as measured:
 # numpy's complex sqrt (Mironov) and sinh/arcsinh (Topp) differ from
 # cmath's and math's in the last bits.
