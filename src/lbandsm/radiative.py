@@ -254,7 +254,9 @@ def tau_omega_tb(e_p, gamma, omega, t_e):
     return gamma * e_p * t_e + veg + gamma * (1.0 - e_p) * veg
 
 
-# (sqrt, minimum, maximum, sinh, asinh, complex) of the emission kernel
+# (sqrt, minimum, maximum, sinh, asinh, complex) of the emission kernel;
+# complex() keeps a numpy-scalar sm in Python complex arithmetic, whose
+# division rounds differently from numpy's
 _ARRAY_MATH = (np.sqrt, np.minimum, np.maximum, np.sinh, np.arcsinh,
                lambda real, imag: real + 1j * imag)
 _SCALAR_MATH = (cmath.sqrt, min, max, math.sinh, math.asinh, complex)

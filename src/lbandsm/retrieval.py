@@ -38,8 +38,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .kvconfig import parse_kv_text, read_kv_file
 from .radiative import (DielectricModel, L_BAND_GHZ, canopy_transmissivity,
-                        emissivity_evaluator, simulate_tb,
-                        soil_emissivity_pair, tau_omega_tb)
+                        emissivity_evaluator, soil_emissivity_pair, tau_omega_tb)
 
 SM_BOUNDS = (0.01, 0.70)
 TAU_BOUNDS = (0.0, 3.0)

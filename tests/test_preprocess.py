@@ -104,6 +104,16 @@ def test_min_threshold_tightens_with_canopy():
     assert veg_h > bare_h and veg_v > bare_v
 
 
+@pytest.mark.parametrize("t_e,tau,message", [
+    (0.0, 0.0, "t_e must be positive"), (float("nan"), 0.0, "t_e must be positive"),
+    (290.0, -0.1, "tau_nadir must be >= 0"), (290.0, float("nan"), "tau_nadir must be >= 0"),
+])
+def test_min_threshold_domain_checks(t_e, tau, message):
+    surface = make_surface(0.20, "grassland", 40.0)
+    with pytest.raises(DomainError, match=message):
+        pp.min_threshold(surface, ViewGeometry(40.0), t_e, tau_nadir=tau)
+
+
 # ----------------------------------------------------------------------
 # Filtering
 # ----------------------------------------------------------------------

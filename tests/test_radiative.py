@@ -185,7 +185,7 @@ def _rough_emissivity(r_smooth, h):
 
 
 def test_rough_emissivity_no_roughness_identity():
-    assert np.all(_rough_emissivity(0.3, 0.0) == pytest.approx(0.7))
+    assert _rough_emissivity(0.3, 0.0) == pytest.approx(0.7)
 
 
 def test_rough_emissivity_frozen_value():
