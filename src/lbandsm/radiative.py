@@ -245,13 +245,27 @@ def canopy_transmissivity(tau_nadir, incidence_deg):
     return np.exp(-np.asarray(tau_nadir, dtype=float) / math.cos(theta))
 
 
+def tau_omega_terms(e_p, gamma, omega):
+    """The factors of tau_omega_tb that do not involve t_e:
+    (gamma e_p, gamma (1 - e_p), (1 - omega)(1 - gamma))."""
+    return gamma * e_p, gamma * (1.0 - e_p), (1.0 - omega) * (1.0 - gamma)
+
+
+def tb_from_terms(terms, t_e):
+    """tau_omega_tb from its tau_omega_terms. The operations and their
+    order are those of the unsplit formula, so precomputed terms give the
+    same bits."""
+    soil, soil_loss, canopy = terms
+    veg = canopy * t_e
+    return soil * t_e + veg + soil_loss * veg
+
+
 def tau_omega_tb(e_p, gamma, omega, t_e):
     """Zeroth-order vegetation-over-soil emission for one polarization.
 
     Pure arithmetic; works unchanged for floats and broadcastable arrays.
     """
-    veg = (1.0 - omega) * (1.0 - gamma) * t_e
-    return gamma * e_p * t_e + veg + gamma * (1.0 - e_p) * veg
+    return tb_from_terms(tau_omega_terms(e_p, gamma, omega), t_e)
 
 
 # (sqrt, minimum, maximum, sinh, asinh, complex) of the emission kernel;

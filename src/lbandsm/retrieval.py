@@ -27,6 +27,7 @@ SCAH, RDCA, DCA0, DCA1, DCA2); they ship as key-value files under
 cover.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -38,7 +39,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .kvconfig import parse_kv_text, read_kv_file
 from .radiative import (DielectricModel, L_BAND_GHZ, canopy_transmissivity,
-                        emissivity_evaluator, soil_emissivity_pair, tau_omega_tb)
+                        emissivity_evaluator, soil_emissivity_pair, tau_omega_tb,
+                        tau_omega_terms, tb_from_terms)
 
 SM_BOUNDS = (0.01, 0.70)
 TAU_BOUNDS = (0.0, 3.0)
@@ -189,15 +191,82 @@ def residual(tb_h, tb_v, tau, tb_obs, weights, tau_sca=None):
     """Residual vector (w_h (tb_h - obs_h), w_v (tb_v - obs_v),
     lam (tau - tau_sca)) of simulated brightness temperatures at opacity
     tau, elementwise over broadcastable arrays or on floats. Every kind
-    minimizes its squared norm."""
+    minimizes its squared norm. A weight of 1.0 is not multiplied in, and
+    the opacity term is the scalar 0.0 when lam is 0: neither changes a
+    bit of the result."""
     w_h, w_v, lam = weights
-    return (w_h * (tb_h - tb_obs.tb_h), w_v * (tb_v - tb_obs.tb_v),
+    r_h, r_v = tb_h - tb_obs.tb_h, tb_v - tb_obs.tb_v
+    return (r_h if w_h == 1.0 else w_h * r_h, r_v if w_v == 1.0 else w_v * r_v,
             lam * (tau - tau_sca) if lam else 0.0)
 
 
 def squared_norm(res):
-    """Cost of a residual vector, in squared kelvin."""
-    return res[0] * res[0] + res[1] * res[1] + res[2] * res[2]
+    """Cost of a residual vector, in squared kelvin. A scalar zero term is
+    skipped: the sum of squares before it is >= +0.0, so adding it changes
+    no bit."""
+    r_h, r_v, r_tau = res
+    cost = r_h * r_h + r_v * r_v
+    if isinstance(r_tau, float) and r_tau == 0.0:
+        return cost
+    return cost + r_tau * r_tau
+
+
+# ----------------------------------------------------------------------
+# Seed-grid tables
+# ----------------------------------------------------------------------
+
+def _read_only(arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+_SM_GRID, _TAU_GRID = _read_only((np.linspace(*SM_BOUNDS, SEED_GRID_N),
+                                  np.linspace(*TAU_BOUNDS, SEED_GRID_N)))
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_emissivities(clay_fraction, incidence_deg, h, dielectric, frequency_ghz):
+    """Read-only rough-soil (e_h, e_v) on the seed grid's sm axis."""
+    return _read_only(soil_emissivity_pair(_SM_GRID, clay_fraction, incidence_deg, h,
+                                           dielectric, frequency_ghz))
+
+
+def _seed_terms(e_pair, gamma, omega):
+    """tau_omega_terms of each polarization over (sm axis) x (gamma axis)."""
+    return tuple(tau_omega_terms(e[:, None], gamma[None, :], omega) for e in e_pair)
+
+
+@functools.lru_cache(maxsize=32)
+def _dual_seed_terms(clay_fraction, incidence_deg, h, dielectric, frequency_ghz, omega):
+    """Read-only _seed_terms of the 64 x 64 dual-channel seed grid. They
+    depend on the site and preset only, so one table serves every session;
+    each 64 x 64 array is 32 KiB, at most 4 MiB in all."""
+    terms = _seed_terms(_grid_emissivities(clay_fraction, incidence_deg, h, dielectric,
+                                           frequency_ghz),
+                        canopy_transmissivity(_TAU_GRID, incidence_deg), omega)
+    for polarization in terms:
+        _read_only(polarization)
+    return terms
+
+
+def _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
+    """Cost over the seed grid, with the grid's tau axis: the 64 x 64
+    (sm, tau) rectangle for the dual-channel kinds, the 64 sm points at
+    tau_sca for the single-channel kinds."""
+    site = (surface.clay_fraction, surface.incidence_deg, algo.h, algo.dielectric,
+            frequency_ghz)
+    if algo.kind in DUAL_KINDS:
+        ts = _TAU_GRID
+        terms_h, terms_v = _dual_seed_terms(*site, algo.omega)
+    else:
+        ts = np.array([tau_sca])
+        terms_h, terms_v = _seed_terms(_grid_emissivities(*site),
+                                       canopy_transmissivity(ts, surface.incidence_deg),
+                                       algo.omega)
+    res = residual(tb_from_terms(terms_h, t_e), tb_from_terms(terms_v, t_e), ts[None, :],
+                   tb_obs, residual_weights(algo), tau_sca)
+    return squared_norm(res), ts
 
 
 # ----------------------------------------------------------------------
@@ -242,19 +311,11 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
     fit_tau = algo.kind in DUAL_KINDS
     cos_theta = math.cos(math.radians(surface.incidence_deg))
 
-    # Coarse seed over the full rectangle, or the sm line at tau_sca for
-    # the single-channel kinds; sm varies along rows so the first flat
-    # minimum has the smallest sm, then the smallest tau.
-    xs = np.linspace(sm_lo, sm_hi, SEED_GRID_N)
-    ts = np.linspace(tau_lo, tau_hi, SEED_GRID_N) if fit_tau else np.array([tau_sca])
-    e_h, e_v = soil_emissivity_pair(xs, surface.clay_fraction, surface.incidence_deg,
-                                    algo.h, algo.dielectric, frequency_ghz)
-    gamma = canopy_transmissivity(ts, surface.incidence_deg)[None, :]
-    costs = squared_norm(residual(tau_omega_tb(e_h[:, None], gamma, algo.omega, t_e),
-                                  tau_omega_tb(e_v[:, None], gamma, algo.omega, t_e),
-                                  ts[None, :], tb_obs, weights, tau_sca))
+    # Coarse seed; sm varies along rows so the first flat minimum has the
+    # smallest sm, then the smallest tau.
+    costs, ts = _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz)
     i, j = np.unravel_index(int(np.argmin(costs)), costs.shape)
-    sm, tau = float(xs[i]), float(ts[j])
+    sm, tau = float(_SM_GRID[i]), float(ts[j])
     evaluations = costs.size
 
     # Box-projected Levenberg-Marquardt on the same residual vector.

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from lbandsm import pipeline, preprocess, synth
+from lbandsm import pipeline, preprocess, retrieval, synth
 from lbandsm.config import load_campaign
 
 
@@ -364,3 +364,26 @@ def test_non_utf8_byte_is_data_error(tmp_path, target):
     if target == "session":
         want.add("grass_2023-11-11")
     assert {s.session_id for s in report.sessions} == want
+
+
+def test_seed_tables_built_once_per_site_and_preset(campaign_config, tmp_path):
+    """The pipeline builds one seed table per distinct site surface and
+    preset parameters, not one per retrieval; DCA1 and DCA2 share theirs."""
+    grid_keys, dual_keys = set(), set()
+    for site in campaign_config.sites:
+        for spec in campaign_config.presets:
+            algo = spec.resolve(site.surface.land_cover)
+            key = (site.surface.clay_fraction, site.surface.incidence_deg, algo.h,
+                   algo.dielectric)
+            grid_keys.add(key)
+            if algo.kind in retrieval.DUAL_KINDS:
+                dual_keys.add(key + (algo.omega,))
+    retrieval._dual_seed_terms.cache_clear()
+    retrieval._grid_emissivities.cache_clear()
+    report = pipeline.run_pipeline(campaign_config, output_dir=tmp_path)
+
+    dual = [r for r in report.retrievals if r.result is not None and r.result.tau is not None]
+    assert len(dual) == 40
+    assert len(dual_keys) == 6
+    assert retrieval._dual_seed_terms.cache_info().misses == len(dual_keys)
+    assert retrieval._grid_emissivities.cache_info().misses == len(grid_keys) == 8

@@ -207,6 +207,21 @@ def test_vegetation_transmissivity():
     assert np.all(np.diff(gammas) < 0.0)
 
 
+def test_tau_omega_tb_split_keeps_the_bits():
+    # the retrieval caches tau_omega_terms; through tb_from_terms they must
+    # round exactly like the formula written as one expression
+    rng = np.random.default_rng(23)
+    e_p = rng.uniform(0.3, 1.0, (50, 1))
+    gamma = ra.canopy_transmissivity(rng.uniform(0.0, 3.0, (1, 40)), 40.0)
+    for omega, t_e in [(0.0, 292.15), (0.0608, 271.3), (0.2, 310.05)]:
+        veg = (1.0 - omega) * (1.0 - gamma) * t_e
+        want = gamma * e_p * t_e + veg + gamma * (1.0 - e_p) * veg
+        assert np.array_equal(ra.tau_omega_tb(e_p, gamma, omega, t_e), want)
+        for e, g in zip(e_p[:, 0].tolist(), gamma[0].tolist()):
+            veg = (1.0 - omega) * (1.0 - g) * t_e
+            assert ra.tau_omega_tb(e, g, omega, t_e) == g * e * t_e + veg + g * (1.0 - e) * veg
+
+
 # ----------------------------------------------------------------------
 # Forward emission
 # ----------------------------------------------------------------------

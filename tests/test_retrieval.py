@@ -119,6 +119,79 @@ def test_rdca_grid_minimum_with_matching_target():
 
 
 # ----------------------------------------------------------------------
+# Seed-grid tables
+# ----------------------------------------------------------------------
+
+def _fresh_seed_costs(obs, algo, surface, t_e, tau_sca):
+    """Seed-grid costs rebuilt from the forward model, with every weight
+    multiplied in and every residual term added."""
+    ts = np.linspace(*rt.TAU_BOUNDS, rt.SEED_GRID_N) if algo.kind in rt.DUAL_KINDS \
+        else np.array([tau_sca])
+    e_h, e_v = ra.soil_emissivity_pair(np.linspace(*rt.SM_BOUNDS, rt.SEED_GRID_N),
+                                       surface.clay_fraction, surface.incidence_deg,
+                                       algo.h, algo.dielectric)
+    gamma = ra.canopy_transmissivity(ts, surface.incidence_deg)[None, :]
+    w_h, w_v, lam = rt.residual_weights(algo)
+    r_h = w_h * (ra.tau_omega_tb(e_h[:, None], gamma, algo.omega, t_e) - obs.tb_h)
+    r_v = w_v * (ra.tau_omega_tb(e_v[:, None], gamma, algo.omega, t_e) - obs.tb_v)
+    r_tau = lam * (ts[None, :] - tau_sca) if lam else 0.0
+    return r_h * r_h + r_v * r_v + r_tau * r_tau
+
+
+def _clear_seed_tables():
+    rt._dual_seed_terms.cache_clear()
+    rt._grid_emissivities.cache_clear()
+
+
+@pytest.mark.parametrize("cover,surface", [("bare_soil", BARE), ("grassland", GRASS)])
+@pytest.mark.parametrize("name", rt.PRESET_NAMES)
+def test_cached_seed_grid_equals_fresh_grid(name, cover, surface):
+    algo = preset(name, cover)
+    n_tau = rt.SEED_GRID_N if algo.kind in rt.DUAL_KINDS else 1
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        t_e = rng.uniform(260.0, 320.0)
+        obs = TbPair(rng.uniform(120.0, 300.0), rng.uniform(140.0, 310.0))
+        tau_sca = rng.uniform(0.0, 1.5)
+        got, _ = rt._seed_costs(obs, algo, surface, t_e, tau_sca, ra.L_BAND_GHZ)
+        assert got.shape == (rt.SEED_GRID_N, n_tau)
+        assert np.array_equal(got, _fresh_seed_costs(obs, algo, surface, t_e, tau_sca)), \
+            (name, cover, t_e, obs, tau_sca)
+
+    site = (surface.clay_fraction, surface.incidence_deg, algo.h, algo.dielectric,
+            ra.L_BAND_GHZ)
+    cached = [rt._SM_GRID, rt._TAU_GRID, *rt._grid_emissivities(*site)]
+    if algo.kind in rt.DUAL_KINDS:
+        cached += [a for terms in rt._dual_seed_terms(*site, algo.omega) for a in terms]
+    for array in cached:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_results_independent_of_order_and_cache_state():
+    # retrievals share the cached tables, so neither the order of the
+    # calls nor what the cache holds may change a result
+    rng = np.random.default_rng(606)
+    problems = [(TbPair(rng.uniform(180.0, 270.0), rng.uniform(200.0, 285.0)),
+                 preset(name, cover), surface, rng.uniform(275.0, 305.0),
+                 rng.uniform(0.0, 0.5))
+                for name in rt.PRESET_NAMES
+                for cover, surface in (("bare_soil", BARE), ("grassland", GRASS))
+                for _ in range(5)]
+
+    def solve(order):
+        return [repr(rt.retrieve(obs, algo, surface, t_e, tau_sca=tau_sca))
+                for obs, algo, surface, t_e, tau_sca in order]
+
+    _clear_seed_tables()
+    in_order = solve(problems)
+    backwards = solve(problems[::-1])[::-1]
+    _clear_seed_tables()
+    assert solve(problems) == backwards == in_order
+
+
+# ----------------------------------------------------------------------
 # Retrieval
 # ----------------------------------------------------------------------
 
