@@ -17,7 +17,10 @@ galactic terms are out of scope.
 The soil part of the chain, sm -> (e_h, e_v), is written once and takes
 its math functions as parameters: numpy's for arrays
 (soil_emissivity_pair, which checks its inputs) and cmath/math/builtins
-for the optimizer's scalar calls (emissivity_evaluator).
+for the optimizer's scalar calls (emissivity_evaluator). The vegetation
+formula is split into its t_e-free factors (tau_omega_terms) and the
+step that multiplies t_e in (tb_from_terms), so the retrieval can cache
+the factors over its seed grid.
 """
 
 import cmath

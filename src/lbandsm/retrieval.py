@@ -21,6 +21,16 @@ the box is held fixed, and a trial point, clipped to the box, is kept
 only if it lowers the cost, so the cost never rises above the grid
 seed's.
 
+The part of the seed grid that does not depend on the observation is
+built once per site and preset: the emissivities on the 64 sm points per
+(clay, incidence, h, dielectric, frequency), and for the dual-channel
+kinds the t_e-free factors of the tau-omega model (radiative.
+tau_omega_terms) over the 64 x 64 grid, per that key plus omega. Both
+are read-only arrays in bounded LRU caches, and a retrieval finishes the
+brightness temperatures with radiative.tb_from_terms, the same
+operations in the same order as an uncached evaluation, so the results
+are bit-identical. `evaluations` still counts every grid point.
+
 Six named presets cover the operational algorithm configurations (SCAV,
 SCAH, RDCA, DCA0, DCA1, DCA2); they ship as key-value files under
 ``lbandsm/presets`` and resolve to concrete parameter sets per land
@@ -240,8 +250,9 @@ def _seed_terms(e_pair, gamma, omega):
 @functools.lru_cache(maxsize=32)
 def _dual_seed_terms(clay_fraction, incidence_deg, h, dielectric, frequency_ghz, omega):
     """Read-only _seed_terms of the 64 x 64 dual-channel seed grid. They
-    depend on the site and preset only, so one table serves every session;
-    each 64 x 64 array is 32 KiB, at most 4 MiB in all."""
+    depend on the site and preset only, so one table serves every session.
+    A table is four 64 x 64 arrays (128 KiB), so the cache holds at most
+    4 MiB."""
     terms = _seed_terms(_grid_emissivities(clay_fraction, incidence_deg, h, dielectric,
                                            frequency_ghz),
                         canopy_transmissivity(_TAU_GRID, incidence_deg), omega)
