@@ -179,8 +179,6 @@ def cmd_filter(args, _parser):
 
 def cmd_represent(args, _parser):
     session = _read_session(args.input, TB_HEADER, "represent")
-    if not len(session):
-        raise DataError("no valid observations in session")
     rep = representative(session, Statistic(args.statistic))
     summary = session_stats(session)
     out = _open_output(args.output)

@@ -32,13 +32,12 @@ from pathlib import Path
 from .ancillary import daily_ndvi_series, load_reflectance_csv, ndvi_to_tau
 from .errors import DataError, DomainError
 from .preprocess import (FilterThresholds, QualityFlag, TB_MAX_DEFAULT,
-                         filter_tb, format_utc_timestamp, load_session,
+                         filter_tb, format_utc_timestamp, load_session, mean_std,
                          min_threshold, rejection_counts, representative,
-                         session_stats)
+                         session_stats, sorted_median)
 from .radiative import ViewGeometry
 from .retrieval import CONSTANT_T_E, TAU_SCA_KINDS, TempSource, retrieve
-from .validation import (metrics, nearest_reference, load_reference_csv,
-                         reference_spread, spatial_average)
+from .validation import metrics, nearest_reference, load_reference_csv
 
 logger = logging.getLogger(__name__)
 
@@ -102,14 +101,6 @@ def _session_date(t_mid):
     return dt.datetime.fromtimestamp(t_mid, tz=dt.timezone.utc).date()
 
 
-def _median_timestamp(timestamp):
-    """Median of a strictly increasing timestamp column."""
-    mid = len(timestamp) // 2
-    if len(timestamp) % 2:
-        return float(timestamp[mid])
-    return 0.5 * (float(timestamp[mid - 1]) + float(timestamp[mid]))
-
-
 def _process_session(cfg, site, session_path, references, ndvi_series):
     session_id = Path(session_path).stem
     row = SessionRow(site=site.name, session_id=session_id, t_mid=0.0)
@@ -119,14 +110,14 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
         row.error = "empty session"
         return row, None
     row.n_total = len(session)
-    row.t_mid = _median_timestamp(session.timestamp)
+    row.t_mid = sorted_median(session.timestamp)   # time strictly increases
 
     reference = nearest_reference(references, row.t_mid, cfg.align_window_s) \
         if references else None
     if reference is not None:
         row.t_e_measured = reference.point_temperature_k
-        row.sm_ref = spatial_average(reference)
-        row.sm_ref_std = reference_spread(reference)
+        # the spatial average and the probes' population spread, from one sum
+        row.sm_ref, row.sm_ref_std = mean_std(reference.point_sm)
 
     geometry = ViewGeometry(site.surface.incidence_deg, cfg.frequency_ghz)
     t_floor = row.t_e_measured if row.t_e_measured is not None else CONSTANT_T_E

@@ -16,11 +16,16 @@ when all three quality predicates hold:
   * tb_v strictly above tb_h.
 
 Each record's flag bitmask names exactly the violated predicates.
+
+The accepted records reduce per channel by index on columns sorted once
+(session_stats): the median, numpy's 'linear' quartiles and the mean and
+population std from one sum, each equal to numpy's bit for bit.
 """
 
 import csv
 import datetime as dt
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -161,48 +166,66 @@ def rejection_counts(flags):
                      for flag, bit in FLAG_BITS.items()})
 
 
-def _sorted_channels(accepted):
-    if not len(accepted):
-        raise DomainError("no valid observations in session")
-    return accepted.sorted_channels
+def mean_std(x):
+    """(np.mean(x), np.std(x)) bit for bit from one sum, by the ufuncs that
+    numpy's mean and var apply (pairwise add.reduce, / n, squares, sqrt)."""
+    x = np.asarray(x, dtype=float)
+    mean = np.add.reduce(x) / len(x)
+    dev = x - mean
+    return float(mean), math.sqrt(np.add.reduce(dev * dev) / len(x))
 
 
-_STAT_FUNCS = {
-    Statistic.MEDIAN: np.median,
-    Statistic.MEAN: np.mean,
-    Statistic.P25: lambda x: np.percentile(x, 25),
-    Statistic.P75: lambda x: np.percentile(x, 75),
-}
+def sorted_median(x):
+    """np.median of an ascending float array, bit for bit: NaN when NaN is
+    present (sorted last), else the middle one or two summed from +0.0."""
+    mid, odd = divmod(len(x), 2)
+    if math.isnan(x[-1]):
+        return float(x[-1])
+    return 0.0 + float(x[mid]) if odd else (0.0 + float(x[mid - 1]) + float(x[mid])) / 2
+
+
+def _quartiles(x):
+    """np.percentile(x, [25, 50, 75]) of an ascending float array, bit for
+    bit, by numpy's 'linear' rule; numpy itself takes a NaN channel and a
+    zero result, whose sign follows where np.partition leaves -0.0/+0.0."""
+    n, out = len(x), []
+    for q in (0.25, 0.5, 0.75):
+        v = (n - 1) * q
+        i = -1 if v >= n - 1 else int(v)       # as numpy's _get_indexes
+        a, b, g = float(x[i]), float(x[-1 if i < 0 else i + 1]), v - i
+        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    if math.isnan(x[-1]) or 0.0 in out:
+        return np.percentile(x, [25, 50, 75]).tolist()
+    return out
 
 
 def representative(accepted, statistic=Statistic.MEDIAN):
     """Per-channel representative value of an accepted Session; channels
-    are reduced independently. Median is the operational default."""
-    tb_h, tb_v = _sorted_channels(accepted)
-    func = _STAT_FUNCS[Statistic(statistic)]
-    return TbPair(float(func(tb_h)), float(func(tb_v)))
+    are reduced independently. Median is the operational default; it
+    alone needs none of the rest of session_stats."""
+    name = Statistic(statistic).value       # a ChannelStats field but median
+    if name != "median":
+        summary = session_stats(accepted)
+        return TbPair(getattr(summary.stats_h, name), getattr(summary.stats_v, name))
+    if not len(accepted):
+        raise DomainError("no valid observations in session")
+    return TbPair(*map(sorted_median, accepted.sorted_channels))
 
 
 def session_stats(accepted, n_total=None):
     """Population statistics per channel plus the median representative.
 
     Quartiles interpolate linearly between closest order statistics; std
-    is the population form (divide by n).
+    is the population form (divide by n). Each value is numpy's (median,
+    percentile, mean, std) bit for bit, NaN where numpy's is, computed once
+    from the sorted channels and without warnings for non-finite records.
     """
-    tb_h, tb_v = _sorted_channels(accepted)
-
-    def stats(x):
-        p25, p50, p75 = np.percentile(x, [25, 50, 75])
-        return ChannelStats(float(np.mean(x)), float(np.std(x)),
-                            float(p25), float(p50), float(p75))
-
-    return SessionSummary(
-        representative=TbPair(float(np.median(tb_h)), float(np.median(tb_v))),
-        stats_h=stats(tb_h),
-        stats_v=stats(tb_v),
-        n_total=len(accepted) if n_total is None else n_total,
-        n_accepted=len(accepted),
-    )
+    median = representative(accepted)       # refuses an empty session
+    with np.errstate(invalid="ignore", over="ignore"):
+        stats_h, stats_v = (ChannelStats(*mean_std(x), *_quartiles(x))
+                            for x in accepted.sorted_channels)
+    return SessionSummary(median, stats_h, stats_v,
+                          len(accepted) if n_total is None else n_total, len(accepted))
 
 
 # ----------------------------------------------------------------------

@@ -242,41 +242,35 @@ def _grid_emissivities(clay_fraction, incidence_deg, h, dielectric, frequency_gh
                                            dielectric, frequency_ghz))
 
 
-def _seed_terms(e_pair, gamma, omega):
-    """tau_omega_terms of each polarization over (sm axis) x (gamma axis)."""
-    return tuple(tau_omega_terms(e[:, None], gamma[None, :], omega) for e in e_pair)
-
-
 @functools.lru_cache(maxsize=32)
 def _dual_seed_terms(clay_fraction, incidence_deg, h, dielectric, frequency_ghz, omega):
-    """Read-only _seed_terms of the 64 x 64 dual-channel seed grid. They
-    depend on the site and preset only, so one table serves every session.
-    A table is four 64 x 64 arrays (128 KiB), so the cache holds at most
-    4 MiB."""
-    terms = _seed_terms(_grid_emissivities(clay_fraction, incidence_deg, h, dielectric,
-                                           frequency_ghz),
-                        canopy_transmissivity(_TAU_GRID, incidence_deg), omega)
-    for polarization in terms:
-        _read_only(polarization)
-    return terms
+    """Read-only tau_omega_terms of each polarization over the 64 x 64
+    dual-channel seed grid, (sm axis) x (tau axis). They depend on the site
+    and preset only, so one table serves every session. A table is four
+    64 x 64 arrays (128 KiB), so the cache holds at most 4 MiB."""
+    gamma = canopy_transmissivity(_TAU_GRID, incidence_deg)[None, :]
+    return tuple(_read_only(tau_omega_terms(e[:, None], gamma, omega)) for e in
+                 _grid_emissivities(clay_fraction, incidence_deg, h, dielectric, frequency_ghz))
 
 
 def _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     """Cost over the seed grid, with the grid's tau axis: the 64 x 64
     (sm, tau) rectangle for the dual-channel kinds, the 64 sm points at
-    tau_sca for the single-channel kinds."""
+    tau_sca for the single-channel kinds. A channel of weight 0.0 is not
+    simulated but scored at its observed value, a 0.0 term either way."""
     site = (surface.clay_fraction, surface.incidence_deg, algo.h, algo.dielectric,
             frequency_ghz)
+    weights = residual_weights(algo)
     if algo.kind in DUAL_KINDS:
-        ts = _TAU_GRID
-        terms_h, terms_v = _dual_seed_terms(*site, algo.omega)
+        ts, terms = _TAU_GRID, _dual_seed_terms(*site, algo.omega)
     else:
         ts = np.array([tau_sca])
-        terms_h, terms_v = _seed_terms(_grid_emissivities(*site),
-                                       canopy_transmissivity(ts, surface.incidence_deg),
-                                       algo.omega)
-    res = residual(tb_from_terms(terms_h, t_e), tb_from_terms(terms_v, t_e), ts[None, :],
-                   tb_obs, residual_weights(algo), tau_sca)
+        gamma = canopy_transmissivity(ts, surface.incidence_deg)[None, :]
+        terms = [tau_omega_terms(e[:, None], gamma, algo.omega) if w else None
+                 for e, w in zip(_grid_emissivities(*site), weights)]
+    tb_h, tb_v = (tb_from_terms(t, t_e) if w else obs
+                  for t, w, obs in zip(terms, weights, (tb_obs.tb_h, tb_obs.tb_v)))
+    res = residual(tb_h, tb_v, ts[None, :], tb_obs, weights, tau_sca)
     return squared_norm(res), ts
 
 

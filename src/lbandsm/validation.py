@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, read_text
-from .preprocess import parse_utc_timestamp
+from .preprocess import mean_std, parse_utc_timestamp
 
 R_MIN_SERIES = 3          # shorter series get their correlation flagged
 ALIGN_WINDOW_S = 1800.0   # default observation/reference pairing window
@@ -63,12 +63,7 @@ class MetricsReport:
 
 def spatial_average(record):
     """Arithmetic mean of the point measurements."""
-    return float(np.mean(record.point_sm))
-
-
-def reference_spread(record):
-    """Population standard deviation of the point measurements."""
-    return float(np.std(record.point_sm))
+    return mean_std(record.point_sm)[0]
 
 
 def metrics(obs, ref):
@@ -77,29 +72,28 @@ def metrics(obs, ref):
     Zero variance in either series leaves the correlation undefined; the
     other statistics are still reported.
     """
-    obs = np.asarray(obs, dtype=float)
-    ref = np.asarray(ref, dtype=float)
+    obs, ref = np.asarray(obs, dtype=float), np.asarray(ref, dtype=float)
     if obs.shape != ref.shape or obs.ndim != 1:
         raise DomainError(f"series must be 1-d and equal length, got {obs.shape} vs {ref.shape}")
     n = obs.size
     if n < 2:
         raise DomainError(f"need at least 2 pairs, got {n}")
 
-    bias = float(np.mean(obs) - np.mean(ref))
-    rmse = float(np.sqrt(np.mean((obs - ref) ** 2)))
+    # each sum once, by the ufuncs of np.mean and np.std
+    (mean_o, std_o), (mean_r, std_r) = mean_std(obs), mean_std(ref)
+    bias = mean_o - mean_r
+    rmse = math.sqrt(np.add.reduce((obs - ref) ** 2) / n)
     # rmse^2 - bias^2 >= 0 analytically; clamp rounding noise before sqrt
     ubrmse = math.sqrt(max(rmse * rmse - bias * bias, 0.0))
 
-    std_o = float(np.std(obs))
-    std_r = float(np.std(ref))
     # a numerically constant series (rounding-level spread included) has no
     # defined correlation
-    eps_o = _STD_EPS * max(1.0, abs(float(np.mean(obs))))
-    eps_r = _STD_EPS * max(1.0, abs(float(np.mean(ref))))
+    eps_o = _STD_EPS * max(1.0, abs(mean_o))
+    eps_r = _STD_EPS * max(1.0, abs(mean_r))
     if std_o <= eps_o or std_r <= eps_r:
         r, r_flag = float("nan"), "zero_variance"
     else:
-        cov = float(np.mean((obs - np.mean(obs)) * (ref - np.mean(ref))))
+        cov = float(np.add.reduce((obs - mean_o) * (ref - mean_r)) / n)
         r = cov / (std_o * std_r)
         r = max(-1.0, min(1.0, r))
         r_flag = "short_series" if n < R_MIN_SERIES else "ok"

@@ -246,6 +246,39 @@ def test_filter_splits_stream_and_flags_rejected(tmp_path, capsys, monkeypatch):
         "2023-11-11T14:00:00.207000Z,262.000000,261.000000,pol_order_violated"]
 
 
+# stdout of `represent` on three records, one of them non-finite, per
+# statistic: the numpy reductions' values, NaN wherever numpy gives NaN
+NON_FINITE_REPRESENT = {
+    "inf": ("2023-11-11T14:00:01Z,inf,262.5", {
+        "median": "251.250000,261.000000,3,nan,1.027402",
+        "mean": "inf,261.166667,3,nan,1.027402",
+        "p25": "250.625000,260.500000,3,nan,1.027402",
+        "p75": "nan,261.750000,3,nan,1.027402"}),
+    "nan": ("2023-11-11T14:00:01Z,252.0,nan", {
+        "median": "251.250000,nan,3,0.824958,nan",
+        "mean": "251.083333,nan,3,0.824958,nan",
+        "p25": "250.625000,nan,3,0.824958,nan",
+        "p75": "251.625000,nan,3,0.824958,nan"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_REPRESENT))
+def test_represent_non_finite_record_prints_values_only(kind, tmp_path):
+    record, expected = NON_FINITE_REPRESENT[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("timestamp,tb_h,tb_v\n2023-11-11T14:00:00Z,250.0,260.0\n"
+                    f"{record}\n2023-11-11T14:00:02Z,251.25,261.0\n", encoding="utf-8")
+    src = str(Path(lbandsm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for statistic, row in expected.items():
+        out = subprocess.run([sys.executable, "-m", "lbandsm.cli", "represent",
+                              "--statistic", statistic, "--input", str(path)],
+                             capture_output=True, text=True, env=env)
+        assert (out.returncode, out.stderr) == (0, ""), statistic
+        assert out.stdout == f"tb_h,tb_v,n,std_h,std_v\n{row}\n", statistic
+
+
 @pytest.mark.parametrize("command,header,bad_row,message", [
     ("filter", "timestamp,tb_h,tb_v", "2023-11-11T14:00:01Z,x,260",
      "error: filter: line 3: could not convert string to float: 'x'"),

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -303,6 +304,56 @@ def test_session_stats_quartiles_match_oracle():
     assert summary.stats_h.p25 <= summary.stats_h.p50 <= summary.stats_h.p75
     assert min(values) <= summary.stats_h.p50 <= max(values)
     assert summary.representative.tb_h == summary.stats_h.p50
+
+
+def _hex(value):
+    """float.hex, with every NaN alike."""
+    return "nan" if math.isnan(value) else float(value).hex()
+
+
+def _channel_draws(n, rng):
+    """Channels of n records: uniform, tied integers, and tied integers
+    mixed with signed zeros and infinities, then with NaN as well."""
+    ties = rng.integers(-3, 4, n).astype(float)
+    yield rng.uniform(150.0, 320.0, n)
+    yield ties
+    for specials in ([0.0, -0.0, np.inf, -np.inf], [0.0, -0.0, np.nan, np.inf, -np.inf]):
+        yield np.where(rng.random(n) < 0.3, rng.choice(specials, n), ties)
+
+
+def test_reductions_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(53)
+    for n in [*range(1, 258), 5997]:
+        draws = list(_channel_draws(n, rng))
+        for tb_h, tb_v in zip(draws, draws[1:] + draws[:1]):
+            session = pp.Session(np.arange(n, dtype=float), tb_h, tb_v)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")      # non-finite records reduce silently
+                summary = pp.session_stats(session)
+                reps = {s: pp.representative(session, s) for s in pp.Statistic}
+            for name, stats, x in (("tb_h", summary.stats_h, tb_h),
+                                   ("tb_v", summary.stats_v, tb_v)):
+                x = np.sort(x)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    median, mean, std = np.median(x), np.mean(x), np.std(x)
+                    p25, p50, p75 = np.percentile(x, [25, 50, 75])
+                got = [getattr(summary.representative, name), stats.mean, stats.std,
+                       stats.p25, stats.p50, stats.p75,
+                       *(getattr(reps[s], name) for s in pp.Statistic)]
+                want = [median, mean, std, p25, p50, p75,
+                        *({pp.Statistic.MEDIAN: median, pp.Statistic.MEAN: mean,
+                           pp.Statistic.P25: p25, pp.Statistic.P75: p75}[s]
+                          for s in pp.Statistic)]
+                assert list(map(_hex, got)) == list(map(_hex, want)), (n, x.tolist())
+
+
+def test_sorted_median_of_timestamps_halves_middle_pair():
+    rng = np.random.default_rng(59)
+    for n in range(1, 40):
+        stamps = 1.7e9 + np.cumsum(rng.uniform(0.001, 1.0, n))
+        mid = n // 2
+        want = stamps[mid] if n % 2 else 0.5 * (float(stamps[mid - 1]) + float(stamps[mid]))
+        assert _hex(pp.sorted_median(stamps)) == _hex(want)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from lbandsm import validation as va
 from lbandsm.errors import DataError, DomainError
+from lbandsm.preprocess import mean_std
 
 import oracles
 
@@ -23,6 +24,29 @@ def test_spatial_average_matches_direct_sum():
     points = tuple(rng.uniform(0.0, 0.6, 5))
     record = va.ReferenceRecord(0.0, points, 290.0)
     assert va.spatial_average(record) == pytest.approx(sum(points) / 5.0, abs=1e-15)
+
+
+def test_reductions_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for n in range(2, 80):
+        points = tuple(rng.uniform(0.0, 0.6, 1 + n % 7))
+        assert va.spatial_average(va.ReferenceRecord(0.0, points, 290.0)).hex() == \
+            float(np.mean(points)).hex()
+        assert [v.hex() for v in mean_std(points)] == \
+            [float(np.mean(points)).hex(), float(np.std(points)).hex()]
+        obs = rng.uniform(0.05, 0.5, n)
+        ref = obs + rng.normal(0.0, 0.04, n) if n % 5 else np.full(n, 0.25)
+        report = va.metrics(obs, ref)
+        bias = float(np.mean(obs) - np.mean(ref))
+        rmse = float(np.sqrt(np.mean((obs - ref) ** 2)))
+        std_o, std_r = float(np.std(obs)), float(np.std(ref))
+        assert (report.bias.hex(), report.rmse.hex()) == (bias.hex(), rmse.hex())
+        assert report.ubrmse.hex() == math.sqrt(max(rmse * rmse - bias * bias, 0.0)).hex()
+        if n % 5:
+            cov = float(np.mean((obs - np.mean(obs)) * (ref - np.mean(ref))))
+            assert report.r.hex() == max(-1.0, min(1.0, cov / (std_o * std_r))).hex()
+        else:
+            assert report.r_flag == "zero_variance"
 
 
 def test_reference_record_invariants():
