@@ -1,6 +1,7 @@
 """Screening, representative statistics and session ingestion."""
 
 import csv
+import hashlib
 import io
 import math
 import warnings
@@ -613,6 +614,64 @@ def test_per_field_parse_where_bulk_declines(name):
     body = PER_FIELD[name]
     assert pp._bulk_columns(body, increasing=True) is None
     assert _result(pp.session_from_text, body) == _result(_per_field, body)
+
+
+# the parse of each body above as frozen before the per-field path was
+# rewritten: a digest of the column bytes, or the DataError text
+FROZEN = {
+    'bad_value': "s.csv:3: could not convert string to float: 'x'",
+    'blank_lines': 'b9f5b6280a84e9a2',
+    'blank_only': '3cdb74a99566c5be',
+    'cr_endings': '9e54e8e591ccfd4f',
+    'crlf': '9e54e8e591ccfd4f',
+    'exponents': '5f66b9038f3b869c',
+    'extra_field': 's.csv:5: expected 3 fields, got 4',
+    'header_only': '3cdb74a99566c5be',
+    'hour_24': "s.csv:3: bad timestamp '2023-11-11T24:00:00Z': hour must be in 0..23",
+    'leap_day': 'ac9effb2529f2980',
+    'lf': '9e54e8e591ccfd4f',
+    'missing_field': 's.csv:4: expected 3 fields, got 2',
+    'mixed_endings': 'b9f5b6280a84e9a2',
+    'nan_inf': 'd0957b9a10d1f61e',
+    'no_trailing_newline': '9e54e8e591ccfd4f',
+    'non_leap_day': "s.csv:3: bad timestamp '2023-02-29T00:00:00Z': day is out of range for month",
+    'not_increasing': 's.csv:4: timestamps must be strictly increasing',
+    'nul': '514d51dbf9b279f8',
+    'over_wide_fraction': '12a676047a8a463d',
+    'over_wide_offset': '12a676047a8a463d',
+    'padded_stamp': '514d51dbf9b279f8',
+    'quoted': '3d908fc269e5826b',
+    'repeated_stamp': 's.csv:3: timestamps must be strictly increasing',
+    'second_60': "s.csv:3: bad timestamp '2023-11-11T23:59:60Z': second must be in 0..59",
+    'separator_x1c': "s.csv:2: could not convert string to float: '250\\x1c'",
+    'underscore': 'e5c6b59b11195b3f',
+    'unicode_digits': 'fff7f1983c0164d4',
+    'unicode_space': 'fff7f1983c0164d4',
+    'whitespace_lines': 'b9f5b6280a84e9a2',
+    'widths_20_27': '178313f25b3bf61f',
+    'year_1699': 'd6e1b84cebd31903',
+    'year_1700': 'eb7f84df6633d15e',
+    'year_2199': 'e7f9f086d350e765',
+    'year_2200': '64cdca3a5d054892',
+}
+
+
+def _frozen(parse, body):
+    got = _result(parse, body)
+    if isinstance(got, str):
+        return got
+    digest = hashlib.sha256()
+    for dtype, data in got:
+        digest.update(dtype.str.encode())
+        digest.update(data)
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_parse_matches_frozen_result(name):
+    body = {**BULK, **PER_FIELD}[name]
+    assert _frozen(pp.session_from_text, body) == FROZEN[name]
+    assert _frozen(_per_field, body) == FROZEN[name]
 
 
 def test_bulk_parse_of_unordered_dates():
