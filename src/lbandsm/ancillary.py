@@ -12,13 +12,11 @@ config data; defaults for the supported land covers ship with the
 package and can be replaced wholesale by a user table.
 """
 
-import csv
 import datetime as dt
-import io
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ConfigError, DataError, DomainError, read_text
+from .errors import ConfigError, DataError, DomainError, csv_records, read_text, split_header
 from .kvconfig import parse_kv_text, read_kv_file
 
 
@@ -161,25 +159,19 @@ REFLECTANCE_HEADER = ("date", "red", "nir")
 
 def load_reflectance_csv(path):
     """Read `date,red,nir` rows into ReflectanceSamples."""
-    samples = []
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = tuple(col.strip() for col in next(reader))
-    except StopIteration:
-        raise DataError("empty reflectance file", path=path) from None
+    header, body = split_header(read_text(path), path)
+    if header is None:
+        raise DataError("empty reflectance file", path=path)
     if header != REFLECTANCE_HEADER:
         raise DataError(f"expected header {','.join(REFLECTANCE_HEADER)!r}",
                         path=path, line=1)
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise DataError(f"expected 3 fields, got {len(row)}", path=path, line=line_no)
+    samples = []
+    for line, (date, red, nir) in csv_records(body, 3, path):
         try:
             samples.append(ReflectanceSample(
-                dt.date.fromisoformat(row[0].strip()), float(row[1]), float(row[2])))
+                dt.date.fromisoformat(date.strip()), float(red), float(nir)))
         except (ValueError, DomainError) as exc:
-            raise DataError(str(exc), path=path, line=line_no) from None
+            raise DataError(str(exc), path=path, line=line) from None
     return samples
 
 

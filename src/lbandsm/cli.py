@@ -20,8 +20,8 @@ variable LBANDSM_CONFIG supplies --config when the flag is omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import logging
 import os
 import sys
@@ -33,14 +33,15 @@ from . import __version__
 from .ancillary import (daily_ndvi_series, load_reflectance_csv,
                         load_tau_coefficients, ndvi_to_tau)
 from .config import CONFIG_ENV_VAR, load_campaign
-from .errors import ConfigError, DataError, DomainError, decode_text, read_text
+from .errors import (ConfigError, DataError, DomainError, csv_records, decode_text,
+                     read_text, split_header)
 from .geometry import footprint
 from .pipeline import run_pipeline
 from .preprocess import (CalibrationParams, FilterThresholds, Statistic,
                          TB_HEADER, TB_MAX_DEFAULT, VOLTAGE_HEADER, filter_tb,
                          format_utc_timestamp, parse_utc_timestamp,
                          representative, session_from_text, session_stats,
-                         split_header, write_session)
+                         write_session)
 from .radiative import L_BAND_GHZ, TbPair, simulate_tb
 from .retrieval import (CONSTANT_T_E, PRESET_NAMES, TAU_SCA_KINDS, TempSource,
                         load_preset, make_surface, retrieve)
@@ -56,19 +57,26 @@ def _read_input(path):
         # a text stream without a byte buffer has been decoded already
         data = getattr(sys.stdin, "buffer", sys.stdin).read()
         return data if isinstance(data, str) else decode_text(data, "<stdin>")
-    try:
-        return read_text(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    return read_text(path)
 
 
-def _open_output(path):
-    if path in (None, "-"):
-        return sys.stdout
-    try:
-        return open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+@contextlib.contextmanager
+def _outputs(*paths):
+    """A text file open for writing for each of `paths`: stdout for '-',
+    None for None. A file that cannot be opened is a DataError; the files
+    opened here are closed on leaving."""
+    with contextlib.ExitStack() as stack:
+        files = []
+        for path in paths:
+            if path is None or path == "-":
+                files.append(None if path is None else sys.stdout)
+                continue
+            try:
+                files.append(stack.enter_context(
+                    open(path, "w", newline="", encoding="utf-8")))
+            except OSError as exc:
+                raise DataError(f"cannot write: {exc.strerror}", path=path) from None
+        yield files
 
 
 def _body(path, expected_header, what):
@@ -82,16 +90,17 @@ def _body(path, expected_header, what):
     return body
 
 
-def _read_rows(path, expected_header, what):
+def _read_floats(path, expected_header, what):
+    """The fields of each record of an input, each read by float()."""
+    body = _body(path, expected_header, what)
     rows = []
-    reader = csv.reader(io.StringIO(_body(path, expected_header, what), newline=""))
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(expected_header):
-            raise DataError(f"{what}: line {line_no}: expected "
-                            f"{len(expected_header)} fields, got {len(row)}")
-        rows.append((line_no, row))
+    try:
+        for line, fields in csv_records(body, len(expected_header)):
+            rows.append([float(field) for field in fields])
+    except ValueError as exc:
+        raise DataError(f"{what}: line {line}: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{what}: {exc}") from None
     return rows
 
 
@@ -152,10 +161,8 @@ def cmd_calibrate(args, _parser):
     cal = CalibrationParams(gain_h=args.gain_h, gain_v=args.gain_v,
                             offset_h=args.offset_h, offset_v=args.offset_v)
     session = _read_session(args.input, VOLTAGE_HEADER, "calibrate", cal)
-    out = _open_output(args.output)
-    write_session(out, session)
-    if out is not sys.stdout:
-        out.close()
+    with _outputs(args.output) as (out,):
+        write_session(out, session)
     return 0
 
 
@@ -165,13 +172,10 @@ def cmd_filter(args, _parser):
     session = _read_session(args.input, TB_HEADER, "filter")
     flags = filter_tb(session, thresholds)
     rejected = flags != 0
-    out = _open_output(args.output)
-    write_session(out, session.select(~rejected))
-    if out is not sys.stdout:
-        out.close()
-    if args.rejected:
-        with open(args.rejected, "w", newline="", encoding="utf-8") as fh:
-            write_session(fh, session.select(rejected), flags[rejected])
+    with _outputs(args.output, args.rejected) as (out, rejected_out):
+        write_session(out, session.select(~rejected))
+        if rejected_out:
+            write_session(rejected_out, session.select(rejected), flags[rejected])
     n_rejected = int(np.count_nonzero(rejected))
     logger.info("filter: %d accepted, %d rejected", len(session) - n_rejected, n_rejected)
     return 0
@@ -181,13 +185,11 @@ def cmd_represent(args, _parser):
     session = _read_session(args.input, TB_HEADER, "represent")
     rep = representative(session, Statistic(args.statistic))
     summary = session_stats(session)
-    out = _open_output(args.output)
-    writer = csv.writer(out)
-    writer.writerow(["tb_h", "tb_v", "n", "std_h", "std_v"])
-    writer.writerow([f"{rep.tb_h:.6f}", f"{rep.tb_v:.6f}", len(session),
-                     f"{summary.stats_h.std:.6f}", f"{summary.stats_v.std:.6f}"])
-    if out is not sys.stdout:
-        out.close()
+    with _outputs(args.output) as (out,):
+        writer = csv.writer(out)
+        writer.writerow(["tb_h", "tb_v", "n", "std_h", "std_v"])
+        writer.writerow([f"{rep.tb_h:.6f}", f"{rep.tb_v:.6f}", len(session),
+                         f"{summary.stats_h.std:.6f}", f"{summary.stats_v.std:.6f}"])
     return 0
 
 
@@ -198,26 +200,20 @@ def cmd_retrieve(args, parser):
     algo = spec.resolve(surface.land_cover)
     if algo.kind in TAU_SCA_KINDS and args.tau_sca is None:
         parser.error(f"preset {spec.name} requires --tau-sca")
-    rows = _read_rows(args.input, ("tb_h", "tb_v"), "retrieve")
-    out = _open_output(args.output)
-    writer = csv.writer(out)
-    writer.writerow(["sm", "tau", "cost", "converged", "boundary_hit", "evaluations"])
-    for line_no, row in rows:
-        try:
-            obs = TbPair(float(row[0]), float(row[1]))
-        except ValueError as exc:
-            raise DataError(f"retrieve: line {line_no}: {exc}") from None
-        t_e = CONSTANT_T_E if algo.t_e_source == TempSource.CONSTANT else args.t_e
-        result = retrieve(obs, algo, surface, t_e, tau_sca=args.tau_sca,
-                          frequency_ghz=args.frequency)
-        writer.writerow([f"{result.sm:.6f}",
-                         "" if result.tau is None else f"{result.tau:.6f}",
-                         f"{result.cost:.6e}",
-                         "true" if result.converged else "false",
-                         "true" if result.boundary_hit else "false",
-                         result.evaluations])
-    if out is not sys.stdout:
-        out.close()
+    pairs = _read_floats(args.input, ("tb_h", "tb_v"), "retrieve")
+    t_e = CONSTANT_T_E if algo.t_e_source == TempSource.CONSTANT else args.t_e
+    with _outputs(args.output) as (out,):
+        writer = csv.writer(out)
+        writer.writerow(["sm", "tau", "cost", "converged", "boundary_hit", "evaluations"])
+        for pair in pairs:
+            result = retrieve(TbPair(*pair), algo, surface, t_e, tau_sca=args.tau_sca,
+                              frequency_ghz=args.frequency)
+            writer.writerow([f"{result.sm:.6f}",
+                             "" if result.tau is None else f"{result.tau:.6f}",
+                             f"{result.cost:.6e}",
+                             "true" if result.converged else "false",
+                             "true" if result.boundary_hit else "false",
+                             result.evaluations])
     return 0
 
 
@@ -231,76 +227,63 @@ def cmd_forward(args, parser):
                              surface.clay_fraction, surface.incidence_deg,
                              t_e, algo.dielectric, args.frequency)
     tb_h, tb_v = float(tb_h), float(tb_v)
-    out = _open_output(args.output)
-    writer = csv.writer(out)
-    if args.samples:
-        rng = np.random.default_rng(args.seed)
-        t0 = parse_utc_timestamp(args.start)
-        writer.writerow(["timestamp", "tb_h", "tb_v"])
-        noise = rng.normal(0.0, args.noise_k, size=(args.samples, 2)) \
-            if args.noise_k > 0 else np.zeros((args.samples, 2))
-        for k in range(args.samples):
-            writer.writerow([format_utc_timestamp(t0 + k * SAMPLE_PERIOD_S),
-                             f"{tb_h + noise[k, 0]:.4f}", f"{tb_v + noise[k, 1]:.4f}"])
-    else:
-        writer.writerow(["tb_h", "tb_v"])
-        writer.writerow([f"{tb_h:.6f}", f"{tb_v:.6f}"])
-    if out is not sys.stdout:
-        out.close()
+    with _outputs(args.output) as (out,):
+        writer = csv.writer(out)
+        if args.samples:
+            rng = np.random.default_rng(args.seed)
+            t0 = parse_utc_timestamp(args.start)
+            writer.writerow(["timestamp", "tb_h", "tb_v"])
+            noise = rng.normal(0.0, args.noise_k, size=(args.samples, 2)) \
+                if args.noise_k > 0 else np.zeros((args.samples, 2))
+            for k in range(args.samples):
+                writer.writerow([format_utc_timestamp(t0 + k * SAMPLE_PERIOD_S),
+                                 f"{tb_h + noise[k, 0]:.4f}", f"{tb_v + noise[k, 1]:.4f}"])
+        else:
+            writer.writerow(["tb_h", "tb_v"])
+            writer.writerow([f"{tb_h:.6f}", f"{tb_v:.6f}"])
     return 0
 
 
 def cmd_metrics(args, _parser):
-    rows = _read_rows(args.input, ("sm_obs", "sm_ref"), "metrics")
-    try:
-        obs = [float(r[1][0]) for r in rows]
-        ref = [float(r[1][1]) for r in rows]
-    except ValueError as exc:
-        raise DataError(f"metrics: {exc}") from None
-    report = metrics(obs, ref)
-    out = _open_output(args.output)
-    writer = csv.writer(out)
-    writer.writerow(["bias", "rmse", "ubrmse", "r", "r_flag", "n"])
-    writer.writerow([f"{report.bias:.6f}", f"{report.rmse:.6f}",
-                     f"{report.ubrmse:.6f}",
-                     "" if report.r != report.r else f"{report.r:.6f}",
-                     report.r_flag, report.n])
-    if out is not sys.stdout:
-        out.close()
+    pairs = _read_floats(args.input, ("sm_obs", "sm_ref"), "metrics")
+    report = metrics([obs for obs, _ in pairs], [ref for _, ref in pairs])
+    with _outputs(args.output) as (out,):
+        writer = csv.writer(out)
+        writer.writerow(["bias", "rmse", "ubrmse", "r", "r_flag", "n"])
+        writer.writerow([f"{report.bias:.6f}", f"{report.rmse:.6f}",
+                         f"{report.ubrmse:.6f}",
+                         "" if report.r != report.r else f"{report.r:.6f}",
+                         report.r_flag, report.n])
     return 0
 
 
 def cmd_footprint(args, _parser):
     ellipse = footprint(args.height, args.incidence, args.beamwidth)
-    out = _open_output(args.output)
-    writer = csv.writer(out)
-    writer.writerow(["major_axis_m", "minor_axis_m", "center_offset_m"])
-    writer.writerow([f"{ellipse.major_axis_m:.6f}", f"{ellipse.minor_axis_m:.6f}",
-                     f"{ellipse.center_offset_m:.6f}"])
-    if out is not sys.stdout:
-        out.close()
+    with _outputs(args.output) as (out,):
+        writer = csv.writer(out)
+        writer.writerow(["major_axis_m", "minor_axis_m", "center_offset_m"])
+        writer.writerow([f"{ellipse.major_axis_m:.6f}", f"{ellipse.minor_axis_m:.6f}",
+                         f"{ellipse.center_offset_m:.6f}"])
     return 0
 
 
 def cmd_tau(args, parser):
     table = load_tau_coefficients(args.coefficients)
-    out = _open_output(args.output)
-    writer = csv.writer(out)
-    if args.ndvi is not None:
-        tau, clamped = ndvi_to_tau(args.ndvi, table, args.land_cover)
-        writer.writerow(["ndvi", "tau", "clamped"])
-        writer.writerow([f"{args.ndvi:.6f}", f"{tau:.6f}",
-                         "true" if clamped else "false"])
-    elif args.input:
-        series = daily_ndvi_series(load_reflectance_csv(args.input))
-        writer.writerow(["date", "ndvi", "tau"])
-        for day, value in series.items():
-            tau, _ = ndvi_to_tau(value, table, args.land_cover)
-            writer.writerow([day.isoformat(), f"{value:.6f}", f"{tau:.6f}"])
-    else:
+    if args.ndvi is None and not args.input:
         parser.error("tau requires either --ndvi or --input")
-    if out is not sys.stdout:
-        out.close()
+    with _outputs(args.output) as (out,):
+        writer = csv.writer(out)
+        if args.ndvi is not None:
+            tau, clamped = ndvi_to_tau(args.ndvi, table, args.land_cover)
+            writer.writerow(["ndvi", "tau", "clamped"])
+            writer.writerow([f"{args.ndvi:.6f}", f"{tau:.6f}",
+                             "true" if clamped else "false"])
+        else:
+            series = daily_ndvi_series(load_reflectance_csv(args.input))
+            writer.writerow(["date", "ndvi", "tau"])
+            for day, value in series.items():
+                tau, _ = ndvi_to_tau(value, table, args.land_cover)
+                writer.writerow([day.isoformat(), f"{value:.6f}", f"{tau:.6f}"])
     return 0
 
 

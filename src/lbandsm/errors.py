@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the read of a data
-file that reports undecodable bytes as one of them."""
+"""Exception types shared across the package, and the reading of input
+files: the text of a file, its header and its records, each fault of
+which is a DataError naming the path and, where it has one, the line."""
+
+import csv
+import io
 
 
 class DomainError(ValueError):
@@ -42,6 +46,50 @@ def decode_text(data, path):
 
 
 def read_text(path):
-    """The UTF-8 text of a data file, decoded by decode_text."""
-    with open(path, "rb") as fh:
-        return decode_text(fh.read(), path)
+    """The UTF-8 text of a data file, decoded by decode_text. A file that
+    cannot be read (missing, a directory, no permission) is a DataError
+    naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read: {exc.strerror}", path=path) from None
+    return decode_text(data, path)
+
+
+def split_header(text, path=None):
+    """(header, body) of CSV text: the stripped fields of its first record
+    and the text after that record; header is None when there is no
+    record."""
+    size = 1024
+    try:
+        while True:     # read from a prefix that holds the record, not a copy of all
+            buf = io.StringIO(text[:size], newline="")
+            header = next(csv.reader(buf), None)
+            if buf.tell() < size or size >= len(text):
+                break
+            size *= 16
+    except csv.Error as exc:    # as a field longer than csv.field_size_limit()
+        raise DataError(str(exc), path=path, line=1) from None
+    if header is None:
+        return None, ""
+    return tuple(col.strip() for col in header), text[buf.tell():]
+
+
+def csv_records(body, n_fields, path=None):
+    """(line, fields) of each record of the CSV text that follows a header
+    line, the first record being line 2 of `path`. A blank record (no
+    field, or one of whitespace only) is skipped. A record of other than
+    `n_fields` fields, or one that csv cannot read, is a DataError at its
+    line."""
+    line = 1
+    try:
+        for line, fields in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+            if not fields or (len(fields) == 1 and not fields[0].strip()):
+                continue
+            if len(fields) != n_fields:
+                raise DataError(f"expected {n_fields} fields, got {len(fields)}",
+                                path=path, line=line)
+            yield line, fields
+    except csv.Error as exc:    # raised reading the record after `line`
+        raise DataError(str(exc), path=path, line=line + 1) from None

@@ -5,7 +5,7 @@ Dotted keys express sections (`site.north.clay_fraction = 0.2`). Values
 are kept as strings; typed accessors live on KeyValueMap.
 """
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError, read_text
 
 
 class KeyValueMap:
@@ -106,9 +106,10 @@ def parse_kv_text(text, source="<config>"):
 
 
 def read_kv_file(path):
+    """The KeyValueMap of a UTF-8 file; a file that cannot be read or
+    decoded is a ConfigError naming it (and the line of a bad byte)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        text = read_text(path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     return parse_kv_text(text, source=str(path))

@@ -54,6 +54,7 @@ class SessionRow:
     n_accepted: int = 0
     flag_counts: Counter = field(default_factory=Counter)
     summary: object = None
+    rep: object = None      # the TbPair that every preset inverts
     tb_min_h: float = None
     tb_min_v: float = None
     t_e_measured: float = None
@@ -108,7 +109,7 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
                            skip_leading=cfg.skip_leading)
     if not len(session):
         row.error = "empty session"
-        return row, None
+        return row
     row.n_total = len(session)
     row.t_mid = sorted_median(session.timestamp)   # time strictly increases
 
@@ -133,10 +134,10 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
                 {f.value: row.flag_counts.get(f, 0) for f in FLAG_ORDER})
     if not row.n_accepted:
         row.error = "no valid observations in session"
-        return row, None
+        return row
 
     row.summary = session_stats(accepted, n_total=row.n_total)
-    rep = representative(accepted, cfg.statistic)
+    row.rep = representative(accepted, cfg.statistic)
 
     entry = cfg.tau_table.entries.get(site.surface.land_cover)
     if entry is not None and entry.b == 0.0:
@@ -144,10 +145,10 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
     elif ndvi_series is not None:
         value = ndvi_series.value_on(_session_date(row.t_mid))
         row.tau_sca, _ = ndvi_to_tau(value, cfg.tau_table, site.surface.land_cover)
-    return row, rep
+    return row
 
 
-def _retrieve_session(cfg, site, session_row, rep, spec):
+def _retrieve_session(cfg, site, session_row, spec):
     out = RetrievalRow(site=site.name, session_id=session_row.session_id,
                        t_mid=session_row.t_mid, preset=spec.name,
                        tau_sca=session_row.tau_sca)
@@ -163,7 +164,7 @@ def _retrieve_session(cfg, site, session_row, rep, spec):
         out.error = "no ndvi-based opacity available"
         return out
     try:
-        out.result = retrieve(rep, algo, site.surface, out.t_e_used,
+        out.result = retrieve(session_row.rep, algo, site.surface, out.t_e_used,
                               tau_sca=session_row.tau_sca,
                               frequency_ghz=cfg.frequency_ghz)
     except DomainError as exc:
@@ -201,8 +202,7 @@ def run_pipeline(cfg, output_dir=None):
         site_rows = []
         for session_path in site.session_paths:
             try:
-                row, rep = _process_session(cfg, site, session_path,
-                                            references, ndvi_series)
+                row = _process_session(cfg, site, session_path, references, ndvi_series)
             except DataError as exc:
                 data_errors.append(str(exc))
                 logger.warning("skipping malformed session: %s", exc)
@@ -215,12 +215,12 @@ def run_pipeline(cfg, output_dir=None):
             if row.error:
                 warnings.append(f"site {site.name} session {row.session_id}: {row.error}")
                 continue
-            site_rows.append((row, rep))
+            site_rows.append(row)
 
         for spec in sorted(cfg.presets, key=lambda s: s.name):
             series_obs, series_ref = [], []
-            for row, rep in sorted(site_rows, key=lambda item: item[0].t_mid):
-                rrow = _retrieve_session(cfg, site, row, rep, spec)
+            for row in sorted(site_rows, key=lambda r: r.t_mid):
+                rrow = _retrieve_session(cfg, site, row, spec)
                 retrievals.append(rrow)
                 if rrow.error:
                     warnings.append(f"site {site.name} session {row.session_id} "
@@ -296,7 +296,7 @@ def write_artifacts(report):
         stats = [""] * 12
         if s is not None:
             stats = [_fmt(v, "{:.4f}") for v in (
-                s.representative.tb_h, s.representative.tb_v,
+                r.rep.tb_h, r.rep.tb_v,
                 s.stats_h.mean, s.stats_h.std, s.stats_h.p25, s.stats_h.p50, s.stats_h.p75,
                 s.stats_v.mean, s.stats_v.std, s.stats_v.p25, s.stats_v.p50, s.stats_v.p75)]
         lines.append(",".join([

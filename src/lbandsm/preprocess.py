@@ -6,9 +6,9 @@ brightness temperatures or raw detector voltages plus a linear
 calibration), loaded as a `Session` of numpy columns. A body of
 canonical UTC stamps and plain numbers, the form this package writes,
 is tokenized in C by np.loadtxt and its stamps decoded as bytes; any
-other body is read by csv.reader and parsed field by field, which gives
-the same columns or names the first bad line. Records are kept only
-when all three quality predicates hold:
+other body is read record by record (errors.csv_records) and parsed
+field by field, which gives the same columns or names the first bad
+line. Records are kept only when all three quality predicates hold:
 
   * tb_h and tb_v at or below the 320 K ceiling,
   * tb_h and tb_v at or above the physical floor given by the forward
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, DomainError, read_text
+from .errors import DataError, DomainError, csv_records, read_text, split_header
 from .radiative import DielectricModel, TbPair, simulate_tb
 
 TB_MAX_DEFAULT = 320.0  # K, ceiling applied to both polarizations
@@ -116,7 +116,6 @@ class ChannelStats:
 
 @dataclass(frozen=True)
 class SessionSummary:
-    representative: TbPair
     stats_h: ChannelStats
     stats_v: ChannelStats
     n_total: int
@@ -213,18 +212,19 @@ def representative(accepted, statistic=Statistic.MEDIAN):
 
 
 def session_stats(accepted, n_total=None):
-    """Population statistics per channel plus the median representative.
+    """Population statistics per channel.
 
     Quartiles interpolate linearly between closest order statistics; std
     is the population form (divide by n). Each value is numpy's (median,
     percentile, mean, std) bit for bit, NaN where numpy's is, computed once
     from the sorted channels and without warnings for non-finite records.
     """
-    median = representative(accepted)       # refuses an empty session
+    if not len(accepted):
+        raise DomainError("no valid observations in session")
     with np.errstate(invalid="ignore", over="ignore"):
         stats_h, stats_v = (ChannelStats(*mean_std(x), *_quartiles(x))
                             for x in accepted.sorted_channels)
-    return SessionSummary(median, stats_h, stats_v,
+    return SessionSummary(stats_h, stats_v,
                           len(accepted) if n_total is None else n_total, len(accepted))
 
 
@@ -325,30 +325,6 @@ def _bulk_columns(body, increasing):
     return timestamp, np.ascontiguousarray(records["a"]), np.ascontiguousarray(records["b"])
 
 
-def _is_blank(row):
-    return not row or (len(row) == 1 and not row[0].strip())
-
-
-def _raise_first_bad_line(rows, increasing, path):
-    """Raise the DataError of the first row, in file order, that the
-    columnar parse in session_from_rows rejects."""
-    last_ts = None
-    for line_no, row in enumerate(rows, start=2):
-        if _is_blank(row):
-            continue
-        if len(row) != 3:
-            raise DataError(f"expected 3 fields, got {len(row)}", path=path, line=line_no)
-        try:
-            ts = parse_utc_timestamp(row[0])
-            float(row[1]), float(row[2])
-        except ValueError as exc:
-            raise DataError(str(exc), path=path, line=line_no) from None
-        if increasing and last_ts is not None and ts <= last_ts:
-            raise DataError("timestamps must be strictly increasing",
-                            path=path, line=line_no)
-        last_ts = ts
-
-
 def _session(timestamp, a, b, calibration):
     if calibration is None:
         return Session(timestamp, a, b)
@@ -357,34 +333,29 @@ def _session(timestamp, a, b, calibration):
                    calibration.gain_v * b + calibration.offset_v)
 
 
-def session_from_rows(rows, calibration=None, increasing=False, path=None):
-    """Session of the CSV rows of (timestamp, a, b) text that follow a
-    header line, so rows[k] is line k + 2 of `path`; blank rows are
-    skipped. a and b are voltages when `calibration` is given, else
-    brightness temperatures.
+def session_from_records(body, calibration=None, increasing=False, path=None):
+    """Session of the CSV text that follows a header line, whose first
+    line is line 2 of `path`, parsed record by record (csv_records) with
+    each stamp read by parse_utc_timestamp and each value by float(). The
+    values are voltages when `calibration` is given, else brightness
+    temperatures.
 
-    Each field is parsed by parse_utc_timestamp or float(). When one
-    fails, a pass over the rows in order raises the DataError of the
-    first bad line: a wrong field count, a value or timestamp that does
-    not parse, or, with `increasing`, a timestamp not after the one
-    before it.
+    The first bad line in file order is a DataError: a wrong field count,
+    a value or timestamp that does not parse, or, with `increasing`, a
+    timestamp not after the one before it.
     """
-    data = rows
-    if set(map(len, rows)) != {3}:  # blank rows, or a wrong field count
-        data = [row for row in rows if not _is_blank(row)]
-    try:
-        if data and set(map(len, data)) != {3}:
-            raise ValueError("wrong field count")
-        stamps, a, b = zip(*data) if data else ((), (), ())
-        timestamp = np.array([parse_utc_timestamp(s) for s in stamps], dtype=float)
-        if increasing and np.any(timestamp[1:] <= timestamp[:-1]):
-            raise ValueError("timestamps not strictly increasing")
-        a = np.fromiter(map(float, a), dtype=float, count=len(a))
-        b = np.fromiter(map(float, b), dtype=float, count=len(b))
-    except ValueError:
-        _raise_first_bad_line(rows, increasing, path)
-        raise
-    return _session(timestamp, a, b, calibration)
+    timestamp, a, b = [], [], []
+    for line, (stamp, x, y) in csv_records(body, 3, path):
+        try:
+            ts = parse_utc_timestamp(stamp)
+            a.append(float(x))
+            b.append(float(y))
+        except ValueError as exc:
+            raise DataError(str(exc), path=path, line=line) from None
+        if increasing and timestamp and ts <= timestamp[-1]:
+            raise DataError("timestamps must be strictly increasing", path=path, line=line)
+        timestamp.append(ts)
+    return _session(*(np.array(col, dtype=float) for col in (timestamp, a, b)), calibration)
 
 
 def session_from_text(body, calibration=None, increasing=False, path=None):
@@ -395,31 +366,14 @@ def session_from_text(body, calibration=None, increasing=False, path=None):
     A body of canonical stamps and plain numbers is parsed in bulk.
     Anything else (other stamp forms, quoted fields, blank lines of
     spaces, Unicode digits, a bad or missing field, or, with `increasing`,
-    time that does not strictly increase) goes to session_from_rows over
-    csv.reader rows, which returns the same columns or raises the
-    DataError of the first bad line.
+    time that does not strictly increase) goes to session_from_records,
+    which returns the same columns or raises the DataError of the first
+    bad line.
     """
     columns = _bulk_columns(body, increasing)
     if columns is None:
-        rows = list(csv.reader(io.StringIO(body, newline="")))
-        return session_from_rows(rows, calibration, increasing, path)
+        return session_from_records(body, calibration, increasing, path)
     return _session(*columns, calibration)
-
-
-def split_header(text):
-    """(header, body) of CSV text: the stripped fields of its first record
-    and the text after that record; header is None when there is no
-    record."""
-    size = 1024
-    while True:     # read from a prefix that holds the record, not a copy of all
-        buf = io.StringIO(text[:size], newline="")
-        header = next(csv.reader(buf), None)
-        if buf.tell() < size or size >= len(text):
-            break
-        size *= 16
-    if header is None:
-        return None, ""
-    return tuple(col.strip() for col in header), text[buf.tell():]
 
 
 def load_session(path, calibration=None, skip_leading=0):
@@ -430,7 +384,7 @@ def load_session(path, calibration=None, skip_leading=0):
     parameters. `skip_leading` drops warm-up samples from the front.
     Timestamps must be strictly increasing.
     """
-    header, body = split_header(read_text(path))
+    header, body = split_header(read_text(path), path)
     if header is None:
         raise DataError("empty session file", path=path)
     if header == TB_HEADER:
@@ -447,23 +401,17 @@ def load_session(path, calibration=None, skip_leading=0):
     return session
 
 
-def write_session(path_or_fh, session, flags=None):
-    """Write a Session out in the TB session schema, with a flags column
-    when `flags` (filter_tb's bitmasks of these records) has any set."""
-    own = isinstance(path_or_fh, (str, bytes)) or hasattr(path_or_fh, "__fspath__")
-    fh = open(path_or_fh, "w", newline="", encoding="utf-8") if own else path_or_fh
-    try:
-        writer = csv.writer(fh)
-        flagged = flags is not None and bool(np.any(flags))
-        header = list(TB_HEADER) + (["flags"] if flagged else [])
-        writer.writerow(header)
-        for k, (ts, tb_h, tb_v) in enumerate(zip(session.timestamp.tolist(),
-                                                  session.tb_h.tolist(),
-                                                  session.tb_v.tolist())):
-            row = [format_utc_timestamp(ts), f"{tb_h:.6f}", f"{tb_v:.6f}"]
-            if flagged:
-                row.append("|".join(sorted(f.value for f in flags_of(flags[k]))))
-            writer.writerow(row)
-    finally:
-        if own:
-            fh.close()
+def write_session(fh, session, flags=None):
+    """Write a Session to an open text file in the TB session schema, with
+    a flags column when `flags` (filter_tb's bitmasks of these records)
+    has any set."""
+    writer = csv.writer(fh)
+    flagged = flags is not None and bool(np.any(flags))
+    writer.writerow(list(TB_HEADER) + (["flags"] if flagged else []))
+    for k, (ts, tb_h, tb_v) in enumerate(zip(session.timestamp.tolist(),
+                                              session.tb_h.tolist(),
+                                              session.tb_v.tolist())):
+        row = [format_utc_timestamp(ts), f"{tb_h:.6f}", f"{tb_v:.6f}"]
+        if flagged:
+            row.append("|".join(sorted(f.value for f in flags_of(flags[k]))))
+        writer.writerow(row)

@@ -172,17 +172,3 @@ def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
     (root / "campaign.cfg").write_text("\n".join(config_text), encoding="utf-8")
     return truth
 
-
-def load_truth(root):
-    rows = []
-    with open(Path(root) / "truth.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            from .preprocess import parse_utc_timestamp
-            rows.append(TruthRow(
-                site=rec["site"], session_id=rec["session"],
-                t_mid=parse_utc_timestamp(rec["t_mid"]),
-                sm_true=float(rec["sm_true"]), tau_true=float(rec["tau_true"]),
-                t_e=float(rec["t_e"]), tb_h=float(rec["tb_h"]),
-                tb_v=float(rec["tb_v"])))
-    return rows

@@ -13,14 +13,12 @@ built from population (1/n) moments:
 so rmse^2 = bias^2 + ubrmse^2 holds by construction.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, read_text
+from .errors import DataError, DomainError, csv_records, read_text, split_header
 from .preprocess import mean_std, parse_utc_timestamp
 
 R_MIN_SERIES = 3          # shorter series get their correlation flagged
@@ -117,29 +115,21 @@ def nearest_reference(records, timestamp, window_s=ALIGN_WINDOW_S):
 
 def load_reference_csv(path):
     """Read `timestamp,sm_1..sm_k,soil_temp_k` rows into ReferenceRecords."""
-    records = []
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = [col.strip() for col in next(reader)]
-    except StopIteration:
-        raise DataError("empty reference file", path=path) from None
+    header, body = split_header(read_text(path), path)
+    if header is None:
+        raise DataError("empty reference file", path=path)
     if (len(header) < 3 or header[0] != "timestamp" or header[-1] != "soil_temp_k"
             or any(not col.startswith("sm_") for col in header[1:-1])):
         raise DataError(
             "expected header 'timestamp,sm_1..sm_k,soil_temp_k'", path=path, line=1)
-    n_points = len(header) - 2
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != n_points + 2:
-            raise DataError(f"expected {n_points + 2} fields, got {len(row)}",
-                            path=path, line=line_no)
+    records = []
+    for line, fields in csv_records(body, len(header), path):
         try:
             records.append(ReferenceRecord(
-                timestamp=parse_utc_timestamp(row[0]),
-                point_sm=tuple(float(v) for v in row[1:-1]),
-                point_temperature_k=float(row[-1]),
+                timestamp=parse_utc_timestamp(fields[0]),
+                point_sm=tuple(float(v) for v in fields[1:-1]),
+                point_temperature_k=float(fields[-1]),
             ))
         except (ValueError, DomainError) as exc:
-            raise DataError(str(exc), path=path, line=line_no) from None
+            raise DataError(str(exc), path=path, line=line) from None
     return records

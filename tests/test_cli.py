@@ -286,10 +286,13 @@ def test_represent_non_finite_record_prints_values_only(kind, tmp_path):
      "error: represent: line 3: expected 3 fields, got 2"),
     ("calibrate", "timestamp,v_h,v_v", "NaT,2.5,2.6",
      "error: calibrate: line 3: bad timestamp 'NaT'"),
+    ("metrics", "sm_obs,sm_ref", "0.3,x",
+     "error: metrics: line 3: could not convert string to float: 'x'"),
 ])
 def test_stream_commands_name_bad_line(command, header, bad_row, message,
                                        capsys, monkeypatch):
-    text = f"{header}\n2023-11-11T14:00:00Z,2.5,2.6\n{bad_row}\n"
+    first = {"metrics": "0.2,0.21"}.get(command, "2023-11-11T14:00:00Z,2.5,2.6")
+    text = f"{header}\n{first}\n{bad_row}\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert cli.main([command]) == 1
     assert capsys.readouterr().err.startswith(message)
@@ -323,3 +326,38 @@ def test_stream_commands_reject_non_utf8_input(command, source, tmp_path, capsys
     assert cli.main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}:3: 'utf-8' codec can't decode byte 0xe9"), err
+
+
+def _one_line_error(capsys, *args):
+    """stderr of a CLI run that must exit 1 with a one-line error."""
+    assert cli.main(list(args)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_unreadable_input_and_unwritable_output_are_data_errors(tmp_path, capsys,
+                                                                monkeypatch):
+    missing = tmp_path / "missing.csv"
+    err = _one_line_error(capsys, "tau", "--input", str(missing))
+    assert err.startswith(f"error: {missing}: cannot read: "), err
+    err = _one_line_error(capsys, "represent", "--input", str(tmp_path))
+    assert err.startswith(f"error: {tmp_path}: cannot read: "), err
+    rejected = tmp_path / "no" / "such" / "dir" / "r.csv"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(STREAM_INPUTS["filter"][1]))
+    err = _one_line_error(capsys, "filter", "--rejected", str(rejected))
+    assert err.startswith(f"error: {rejected}: cannot write: "), err
+
+
+@pytest.mark.parametrize("kind", ["campaign", "preset", "coefficients"])
+def test_non_utf8_config_file_is_config_error(kind, tmp_path, capsys):
+    """A byte that is not UTF-8 in a config file is an error naming the
+    file and line, not a traceback."""
+    path = tmp_path / f"{kind}.cfg"
+    path.write_bytes(b"# comment\nkey = caf\xe9\n")
+    args = {"campaign": ["run", "--config", str(path)],
+            "preset": ["forward", "--preset", str(path), "--sm", "0.2",
+                       "--clay-fraction", "0.2"],
+            "coefficients": ["tau", "--coefficients", str(path), "--ndvi", "0.3"]}[kind]
+    err = _one_line_error(capsys, *args)
+    assert err.startswith(f"error: {path}:2: 'utf-8' codec can't decode byte 0xe9"), err

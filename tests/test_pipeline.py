@@ -6,6 +6,7 @@ import pytest
 
 from lbandsm import pipeline, preprocess, retrieval, synth
 from lbandsm.config import load_campaign
+from lbandsm.radiative import TbPair
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +305,13 @@ def test_fault_injection_corpus(tmp_path):
         _set_field(lines, 2, 1, "-0.3"), 2, 2, "0.5"))
     _rewrite(root / "ref_probe.csv", lambda lines: _set_field(lines, 2, -1, "-5"))
     _rewrite(root / "ref_hot.csv", lambda lines: _set_field(lines, 9, -1, "1000"))
+    # a directory the session pattern matches, a file of NUL bytes that is
+    # one field longer than csv reads, and such a field on file line 3
+    (sessions / "bare_dir.csv").mkdir()
+    (sessions / "bare_nul.csv").write_bytes(b"\0" * 200_000)
+    first_lines = session_file(0).read_text().splitlines()[:2]
+    (sessions / "bare_long.csv").write_text(
+        "\n".join(first_lines + ["x" * 200_000 + ",250,260"]) + "\n")
 
     report = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "bad")
 
@@ -317,6 +325,9 @@ def test_fault_injection_corpus(tmp_path):
         f"{root / 'refl_ndvi.csv'}:3: reflectances must be in [0, 1]",
         f"{root / 'ref_probe.csv'}:3: ",
         f"{root / 'ref_hot.csv'}:10: soil temperature must be in [180.0, 350.0] K",
+        f"{sessions / 'bare_dir.csv'}: cannot read: Is a directory",
+        f"{sessions / 'bare_nul.csv'}:1: field larger than field limit",
+        f"{sessions / 'bare_long.csv'}:3: field larger than field limit",
     ])
     assert len(errors) == len(want)
     for error, prefix in zip(errors, want):
@@ -364,6 +375,32 @@ def test_non_utf8_byte_is_data_error(tmp_path, target):
     if target == "session":
         want.add("grass_2023-11-11")
     assert {s.session_id for s in report.sessions} == want
+
+
+def test_sessions_csv_reports_the_inverted_statistic(tmp_path):
+    """With statistic = p75, sessions.csv reports as tb_h_rep/tb_v_rep the
+    p75 pair that every preset inverts, not the median."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=5, n_days=2, n_samples=60, voltage_site=None)
+
+    def spread(lines):      # synth records repeat one pair; offset each by up to 2 K
+        out = lines[:1]
+        for k, line in enumerate(lines[1:]):
+            stamp, tb_h, tb_v = line.split(",")
+            out.append(f"{stamp},{float(tb_h) + k % 5 * 0.5},{float(tb_v) + k % 7 * 0.25}")
+        return out
+    for path in (root / "sessions").glob("*.csv"):
+        _rewrite(path, spread)
+    cfg_path = root / "campaign.cfg"
+    cfg_path.write_text(cfg_path.read_text().replace("statistic = median", "statistic = p75"))
+    report = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "out")
+    with open(tmp_path / "out" / "sessions.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert all(r["p75_h"] != r["p50_h"] and r["p75_v"] != r["p50_v"] for r in rows)
+    assert all((r["tb_h_rep"], r["tb_v_rep"]) == (r["p75_h"], r["p75_v"]) for r in rows)
+    assert report.ok and all(s.rep == TbPair(s.summary.stats_h.p75, s.summary.stats_v.p75)
+                             for s in report.sessions)
 
 
 def test_seed_tables_built_once_per_site_and_preset(campaign_config, tmp_path):

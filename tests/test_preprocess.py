@@ -30,8 +30,8 @@ def columns(pairs):
 
 def calibrated(cal, v_h, v_v):
     """Brightness temperatures of one voltage row under `cal`."""
-    session = pp.session_from_rows(
-        [["2023-11-11T14:00:00Z", repr(v_h), repr(v_v)]], calibration=cal)
+    session = pp.session_from_records(
+        f"2023-11-11T14:00:00Z,{v_h!r},{v_v!r}\n", calibration=cal)
     return TbPair(float(session.tb_h[0]), float(session.tb_v[0]))
 
 
@@ -70,9 +70,9 @@ def test_calibrate_matches_scalar_affine():
     rng = np.random.default_rng(41)
     cal = pp.CalibrationParams(101.3, 99.7, -3.25, 1.5)
     volts = rng.uniform(0.5, 3.5, size=(200, 2))
-    rows = [[pp.format_utc_timestamp(1.7e9 + k), repr(a), repr(b)]
-            for k, (a, b) in enumerate(volts.tolist())]
-    session = pp.session_from_rows(rows, calibration=cal)
+    body = "".join(f"{pp.format_utc_timestamp(1.7e9 + k)},{a!r},{b!r}\n"
+                   for k, (a, b) in enumerate(volts.tolist()))
+    session = pp.session_from_records(body, calibration=cal)
     for (a, b), tb_h, tb_v in zip(volts.tolist(), session.tb_h.tolist(),
                                   session.tb_v.tolist()):
         assert tb_h == cal.gain_h * a + cal.offset_h
@@ -298,13 +298,14 @@ def test_session_stats_population_std():
 def test_session_stats_quartiles_match_oracle():
     rng = np.random.default_rng(31)
     values = rng.uniform(150, 320, 500)
-    summary = pp.session_stats(columns([(v, v + 3) for v in values]))
+    session = columns([(v, v + 3) for v in values])
+    summary = pp.session_stats(session)
     assert summary.stats_h.p25 == pytest.approx(oracles.sort_percentile(values, 25), abs=1e-9)
     assert summary.stats_h.p50 == pytest.approx(oracles.sort_median(values), abs=1e-9)
     assert summary.stats_h.p75 == pytest.approx(oracles.sort_percentile(values, 75), abs=1e-9)
     assert summary.stats_h.p25 <= summary.stats_h.p50 <= summary.stats_h.p75
     assert min(values) <= summary.stats_h.p50 <= max(values)
-    assert summary.representative.tb_h == summary.stats_h.p50
+    assert pp.representative(session).tb_h == summary.stats_h.p50
 
 
 def _hex(value):
@@ -338,7 +339,7 @@ def test_reductions_equal_numpy_bit_for_bit():
                 with np.errstate(invalid="ignore", over="ignore"):
                     median, mean, std = np.median(x), np.mean(x), np.std(x)
                     p25, p50, p75 = np.percentile(x, [25, 50, 75])
-                got = [getattr(summary.representative, name), stats.mean, stats.std,
+                got = [getattr(pp.representative(session), name), stats.mean, stats.std,
                        stats.p25, stats.p50, stats.p75,
                        *(getattr(reps[s], name) for s in pp.Statistic)]
                 want = [median, mean, std, p25, p50, p75,
@@ -553,10 +554,9 @@ def _result(parse, body, calibration=None):
 
 
 def _per_field(body, calibration=None, increasing=True, path=None):
-    """session_from_rows over csv.reader rows: the parse of every input
-    that the bulk path does not take."""
-    rows = list(csv.reader(io.StringIO(body, newline="")))
-    return pp.session_from_rows(rows, calibration, increasing, path)
+    """session_from_records: the parse of every input that the bulk path
+    does not take."""
+    return pp.session_from_records(body, calibration, increasing, path)
 
 
 S = ["2023-11-11T14:00:00Z", "2023-11-11T14:00:00.069000Z", "2023-11-11T14:00:01Z"]
