@@ -269,21 +269,19 @@ def cmd_footprint(args, _parser):
 
 def cmd_tau(args, parser):
     table = load_tau_coefficients(args.coefficients)
-    if args.ndvi is None and not args.input:
+    if args.ndvi is not None:
+        tau, clamped = ndvi_to_tau(args.ndvi, table, args.land_cover)
+        rows = [["ndvi", "tau", "clamped"],
+                [f"{args.ndvi:.6f}", f"{tau:.6f}", "true" if clamped else "false"]]
+    elif args.input:
+        rows = [["date", "ndvi", "tau"]]
+        for day, value in daily_ndvi_series(load_reflectance_csv(args.input)).items():
+            tau, _ = ndvi_to_tau(value, table, args.land_cover)
+            rows.append([day.isoformat(), f"{value:.6f}", f"{tau:.6f}"])
+    else:
         parser.error("tau requires either --ndvi or --input")
     with _outputs(args.output) as (out,):
-        writer = csv.writer(out)
-        if args.ndvi is not None:
-            tau, clamped = ndvi_to_tau(args.ndvi, table, args.land_cover)
-            writer.writerow(["ndvi", "tau", "clamped"])
-            writer.writerow([f"{args.ndvi:.6f}", f"{tau:.6f}",
-                             "true" if clamped else "false"])
-        else:
-            series = daily_ndvi_series(load_reflectance_csv(args.input))
-            writer.writerow(["date", "ndvi", "tau"])
-            for day, value in series.items():
-                tau, _ = ndvi_to_tau(value, table, args.land_cover)
-                writer.writerow([day.isoformat(), f"{value:.6f}", f"{tau:.6f}"])
+        csv.writer(out).writerows(rows)
     return 0
 
 

@@ -60,7 +60,8 @@ def read_text(path):
 def split_header(text, path=None):
     """(header, body) of CSV text: the stripped fields of its first record
     and the text after that record; header is None when there is no
-    record."""
+    record. A first record that csv cannot read is a DataError at line 1
+    of `path`."""
     size = 1024
     try:
         while True:     # read from a prefix that holds the record, not a copy of all
