@@ -18,9 +18,9 @@ from .ancillary import (LandCoverTau, NdviSeries, ReflectanceSample,
                         TauCoefficients, daily_ndvi_series,
                         interpolate_daily, load_tau_coefficients, ndvi,
                         ndvi_to_tau)
-from .retrieval import (AlgorithmConfig, AlgorithmKind, PresetSpec,
-                        RetrievalResult, SurfaceConfig, TauSource,
-                        TempSource, load_preset, make_surface, retrieve)
+from .retrieval import (AlgorithmConfig, AlgorithmKind, RetrievalResult,
+                        SurfaceConfig, TempSource, load_preset, make_surface,
+                        retrieve)
 from .validation import (MetricsReport, ReferenceRecord, metrics,
                          spatial_average)
 

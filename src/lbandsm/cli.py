@@ -24,6 +24,7 @@ import contextlib
 import csv
 import logging
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -63,8 +64,10 @@ def _read_input(path):
 @contextlib.contextmanager
 def _outputs(*paths):
     """A text file open for writing for each of `paths`: stdout for '-',
-    None for None. A file that cannot be opened is a DataError; the files
-    opened here are closed on leaving."""
+    None for None. Every file is opened before a regular file among them
+    is emptied, so one that cannot be opened (a DataError) leaves the
+    others' contents as they were; the files opened here are closed on
+    leaving."""
     with contextlib.ExitStack() as stack:
         files = []
         for path in paths:
@@ -72,10 +75,13 @@ def _outputs(*paths):
                 files.append(None if path is None else sys.stdout)
                 continue
             try:
-                files.append(stack.enter_context(
-                    open(path, "w", newline="", encoding="utf-8")))
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             except OSError as exc:
                 raise DataError(f"cannot write: {exc.strerror}", path=path) from None
+            files.append(stack.enter_context(open(fd, "w", newline="", encoding="utf-8")))
+        for fh in files:
+            if fh not in (None, sys.stdout) and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
         yield files
 
 
@@ -91,12 +97,13 @@ def _body(path, expected_header, what):
 
 
 def _read_floats(path, expected_header, what):
-    """The fields of each record of an input, each read by float()."""
+    """(line, values) of each record of an input, each field read by
+    float()."""
     body = _body(path, expected_header, what)
     rows = []
     try:
         for line, fields in csv_records(body, len(expected_header)):
-            rows.append([float(field) for field in fields])
+            rows.append((line, [float(field) for field in fields]))
     except ValueError as exc:
         raise DataError(f"{what}: line {line}: {exc}") from None
     except DataError as exc:
@@ -196,32 +203,32 @@ def cmd_represent(args, _parser):
 def cmd_retrieve(args, parser):
     _check_preset(parser, args.preset)
     surface, _campaign = _surface_from_args(args, parser)
-    spec = load_preset(args.preset)
-    algo = spec.resolve(surface.land_cover)
+    algo = load_preset(args.preset, surface.land_cover)
     if algo.kind in TAU_SCA_KINDS and args.tau_sca is None:
-        parser.error(f"preset {spec.name} requires --tau-sca")
-    pairs = _read_floats(args.input, ("tb_h", "tb_v"), "retrieve")
+        parser.error(f"preset {algo.name} requires --tau-sca")
     t_e = CONSTANT_T_E if algo.t_e_source == TempSource.CONSTANT else args.t_e
-    with _outputs(args.output) as (out,):
-        writer = csv.writer(out)
-        writer.writerow(["sm", "tau", "cost", "converged", "boundary_hit", "evaluations"])
-        for pair in pairs:
+    rows = [["sm", "tau", "cost", "converged", "boundary_hit", "evaluations"]]
+    for line, pair in _read_floats(args.input, ("tb_h", "tb_v"), "retrieve"):
+        try:
             result = retrieve(TbPair(*pair), algo, surface, t_e, tau_sca=args.tau_sca,
                               frequency_ghz=args.frequency)
-            writer.writerow([f"{result.sm:.6f}",
-                             "" if result.tau is None else f"{result.tau:.6f}",
-                             f"{result.cost:.6e}",
-                             "true" if result.converged else "false",
-                             "true" if result.boundary_hit else "false",
-                             result.evaluations])
+        except DomainError as exc:
+            raise DomainError(f"retrieve: line {line}: {exc}") from None
+        rows.append([f"{result.sm:.6f}",
+                     "" if result.tau is None else f"{result.tau:.6f}",
+                     f"{result.cost:.6e}",
+                     "true" if result.converged else "false",
+                     "true" if result.boundary_hit else "false",
+                     result.evaluations])
+    with _outputs(args.output) as (out,):
+        csv.writer(out).writerows(rows)
     return 0
 
 
 def cmd_forward(args, parser):
     _check_preset(parser, args.preset)
     surface, _campaign = _surface_from_args(args, parser)
-    spec = load_preset(args.preset)
-    algo = spec.resolve(surface.land_cover)
+    algo = load_preset(args.preset, surface.land_cover)
     t_e = CONSTANT_T_E if algo.t_e_source == TempSource.CONSTANT else args.t_e
     tb_h, tb_v = simulate_tb(args.sm, args.tau, algo.omega, algo.h,
                              surface.clay_fraction, surface.incidence_deg,
@@ -246,7 +253,7 @@ def cmd_forward(args, parser):
 
 def cmd_metrics(args, _parser):
     pairs = _read_floats(args.input, ("sm_obs", "sm_ref"), "metrics")
-    report = metrics([obs for obs, _ in pairs], [ref for _, ref in pairs])
+    report = metrics([obs for _, (obs, _) in pairs], [ref for _, (_, ref) in pairs])
     with _outputs(args.output) as (out,):
         writer = csv.writer(out)
         writer.writerow(["bias", "rmse", "ubrmse", "r", "r_flag", "n"])

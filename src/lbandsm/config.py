@@ -2,7 +2,9 @@
 
 A campaign file is flat key-value text. Paths are resolved relative to
 the file's own directory, and every referenced path is checked at load
-time so batch runs fail fast.
+time so batch runs fail fast. Each selected preset file is read once and
+loaded per site for its land cover, so a preset that cannot serve a
+site is a ConfigError here, not a fault in the middle of a run.
 
     output_dir = out
     presets = SCAV, SCAH, RDCA, DCA0, DCA1, DCA2
@@ -34,9 +36,9 @@ from .ancillary import TauCoefficients, load_tau_coefficients
 from .errors import ConfigError
 from .kvconfig import read_kv_file
 from .preprocess import CalibrationParams, Statistic
-from .retrieval import (PresetSpec, SurfaceConfig, TAU_SCA_KINDS, load_preset,
-                        make_surface)
-from .radiative import L_BAND_GHZ
+from .retrieval import (SurfaceConfig, TAU_SCA_KINDS, make_surface, parse_preset,
+                        read_preset)
+from .radiative import L_BAND_GHZ, MIRONOV_FREQ_RANGE_GHZ
 
 CONFIG_ENV_VAR = "LBANDSM_CONFIG"
 DEFAULT_ALIGN_WINDOW_S = 1800.0
@@ -46,6 +48,7 @@ DEFAULT_ALIGN_WINDOW_S = 1800.0
 class SiteConfig:
     name: str
     surface: SurfaceConfig
+    presets: tuple            # AlgorithmConfig for the site's land cover, by name
     session_paths: tuple
     reference_path: Path = None
     reflectance_path: Path = None
@@ -53,9 +56,7 @@ class SiteConfig:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    base_dir: Path
     output_dir: Path
-    presets: tuple            # PresetSpec, in selection order
     sites: tuple              # SiteConfig
     calibration: CalibrationParams   # None without a calibration.* key
     tau_table: TauCoefficients
@@ -97,17 +98,17 @@ def load_campaign(path) -> CampaignConfig:
     resolvable now."""
     path = Path(path)
     kv = read_kv_file(path)
-    base_dir = path.parent.resolve()
+    base_dir = path.parent.absolute()
     warnings = []
 
     preset_names = kv.get_list("presets")
     if not preset_names:
         raise ConfigError(f"{path}: no presets selected")
-    presets = []
+    preset_kvs = []
     for name in preset_names:
         # user presets may be file paths relative to the campaign file
         candidate = base_dir / name
-        presets.append(load_preset(candidate if candidate.is_file() else name))
+        preset_kvs.append(read_preset(candidate if candidate.is_file() else name))
 
     tau_raw = kv.get_str("tau_coefficients")
     tau_table = load_tau_coefficients(
@@ -122,7 +123,11 @@ def load_campaign(path) -> CampaignConfig:
         offset_v=cal_kv.get_float("offset_v", 0.0),
     ) if cal_kv.keys() else None
 
-    needs_tau = any(spec.kind in TAU_SCA_KINDS for spec in presets)
+    frequency_ghz = kv.get_float("frequency_ghz", L_BAND_GHZ)
+    lo, hi = MIRONOV_FREQ_RANGE_GHZ   # the screening floor always uses Mironov
+    if not lo <= frequency_ghz <= hi:
+        raise ConfigError(f"{path}: frequency_ghz {frequency_ghz} outside {lo}-{hi} GHz")
+
     sites = []
     for name in kv.group_names("site"):
         sv = kv.section(f"site.{name}")
@@ -137,6 +142,8 @@ def load_campaign(path) -> CampaignConfig:
             h=sv.get_float("h"),
             omega=sv.get_float("omega"),
         )
+        presets = sorted((parse_preset(preset_kv, land_cover) for preset_kv in preset_kvs),
+                         key=lambda algo: algo.name)
         session_paths = _expand_sessions(base_dir, sv.get_list("sessions"), name)
         if not session_paths:
             warnings.append(f"site {name}: no session files configured")
@@ -150,13 +157,13 @@ def load_campaign(path) -> CampaignConfig:
                                           what=f"site {name} reflectance file")
                             if refl_raw else None)
 
-        if needs_tau:
+        if any(algo.kind in TAU_SCA_KINDS for algo in presets):
             entry = tau_table.for_cover(land_cover)  # raises when missing
             if entry.b > 0.0 and reflectance_path is None:
                 raise ConfigError(
                     f"site {name}: selected presets need ndvi-based opacity for "
                     f"{land_cover!r}; set site.{name}.reflectance")
-        sites.append(SiteConfig(name=name, surface=surface,
+        sites.append(SiteConfig(name=name, surface=surface, presets=tuple(presets),
                                 session_paths=session_paths,
                                 reference_path=reference_path,
                                 reflectance_path=reflectance_path))
@@ -179,13 +186,11 @@ def load_campaign(path) -> CampaignConfig:
         raise ConfigError(f"{path}: skip_leading must be >= 0")
 
     return CampaignConfig(
-        base_dir=base_dir,
         output_dir=output_dir,
-        presets=tuple(presets),
         sites=tuple(sites),
         calibration=calibration,
         tau_table=tau_table,
-        frequency_ghz=kv.get_float("frequency_ghz", L_BAND_GHZ),
+        frequency_ghz=frequency_ghz,
         statistic=statistic,
         skip_leading=skip_leading,
         align_window_s=kv.get_float("align_window_s", DEFAULT_ALIGN_WINDOW_S),

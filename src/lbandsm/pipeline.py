@@ -21,6 +21,7 @@ reruns are byte-identical:
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import logging
 import math
@@ -35,7 +36,6 @@ from .preprocess import (FilterThresholds, QualityFlag, TB_MAX_DEFAULT,
                          filter_tb, format_utc_timestamp, load_session, mean_std,
                          min_threshold, rejection_counts, representative,
                          session_stats, sorted_median)
-from .radiative import ViewGeometry
 from .retrieval import CONSTANT_T_E, TAU_SCA_KINDS, TempSource, retrieve
 from .validation import metrics, nearest_reference, load_reference_csv
 
@@ -120,9 +120,8 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
         # the spatial average and the probes' population spread, from one sum
         row.sm_ref, row.sm_ref_std = mean_std(reference.point_sm)
 
-    geometry = ViewGeometry(site.surface.incidence_deg, cfg.frequency_ghz)
     t_floor = row.t_e_measured if row.t_e_measured is not None else CONSTANT_T_E
-    row.tb_min_h, row.tb_min_v = min_threshold(site.surface, geometry, t_floor)
+    row.tb_min_h, row.tb_min_v = min_threshold(site.surface, t_floor, cfg.frequency_ghz)
     thresholds = FilterThresholds(tb_max=TB_MAX_DEFAULT, tb_min_h=row.tb_min_h,
                                   tb_min_v=row.tb_min_v)
     flags = filter_tb(session, thresholds)
@@ -136,7 +135,7 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
         row.error = "no valid observations in session"
         return row
 
-    row.summary = session_stats(accepted, n_total=row.n_total)
+    row.summary = session_stats(accepted)
     row.rep = representative(accepted, cfg.statistic)
 
     entry = cfg.tau_table.entries.get(site.surface.land_cover)
@@ -148,11 +147,10 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
     return row
 
 
-def _retrieve_session(cfg, site, session_row, spec):
+def _retrieve_session(cfg, site, session_row, algo):
     out = RetrievalRow(site=site.name, session_id=session_row.session_id,
-                       t_mid=session_row.t_mid, preset=spec.name,
+                       t_mid=session_row.t_mid, preset=algo.name,
                        tau_sca=session_row.tau_sca)
-    algo = spec.resolve(site.surface.land_cover)
     if algo.t_e_source == TempSource.CONSTANT:
         out.t_e_used = CONSTANT_T_E
     elif session_row.t_e_measured is not None:
@@ -217,19 +215,19 @@ def run_pipeline(cfg, output_dir=None):
                 continue
             site_rows.append(row)
 
-        for spec in sorted(cfg.presets, key=lambda s: s.name):
+        for algo in site.presets:
             series_obs, series_ref = [], []
             for row in sorted(site_rows, key=lambda r: r.t_mid):
-                rrow = _retrieve_session(cfg, site, row, spec)
+                rrow = _retrieve_session(cfg, site, row, algo)
                 retrievals.append(rrow)
                 if rrow.error:
                     warnings.append(f"site {site.name} session {row.session_id} "
-                                    f"preset {spec.name}: {rrow.error}")
+                                    f"preset {algo.name}: {rrow.error}")
                 elif row.sm_ref is not None:
                     series_obs.append(rrow.result.sm)
                     series_ref.append(row.sm_ref)
             report = metrics(series_obs, series_ref) if len(series_obs) >= 2 else None
-            metrics_rows.append(MetricsRow(site=site.name, preset=spec.name,
+            metrics_rows.append(MetricsRow(site=site.name, preset=algo.name,
                                            n=len(series_obs), report=report))
 
     sessions.sort(key=lambda r: (r.site, r.t_mid, r.session_id))
@@ -275,10 +273,15 @@ def _fmt(value, spec="{:.6f}"):
     return spec.format(value)
 
 
-def _atomic_write(path, lines):
+def _atomic_write(path, rows, text=False):
+    """Write `rows` to `path` through a temporary file: CSV records, each
+    field quoted where it needs to be, or lines of `text`."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if text:
+            fh.write("\n".join(rows) + "\n")
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
     os.replace(tmp, path)
 
 
@@ -286,11 +289,11 @@ def write_artifacts(report):
     out = report.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = ["site,session,t_mid,n_total,n_accepted,"
-             "n_max_exceeded,n_min_violated,n_pol_order_violated,"
-             "tb_h_rep,tb_v_rep,mean_h,std_h,p25_h,p50_h,p75_h,"
-             "mean_v,std_v,p25_v,p50_v,p75_v,tb_min_h,tb_min_v,"
-             "t_e_measured,sm_ref,sm_ref_std,tau_sca,error"]
+    rows = [("site,session,t_mid,n_total,n_accepted,"
+              "n_max_exceeded,n_min_violated,n_pol_order_violated,"
+              "tb_h_rep,tb_v_rep,mean_h,std_h,p25_h,p50_h,p75_h,"
+              "mean_v,std_v,p25_v,p50_v,p75_v,tb_min_h,tb_min_v,"
+              "t_e_measured,sm_ref,sm_ref_std,tau_sca,error").split(",")]
     for r in report.sessions:
         s = r.summary
         stats = [""] * 12
@@ -299,63 +302,63 @@ def write_artifacts(report):
                 r.rep.tb_h, r.rep.tb_v,
                 s.stats_h.mean, s.stats_h.std, s.stats_h.p25, s.stats_h.p50, s.stats_h.p75,
                 s.stats_v.mean, s.stats_v.std, s.stats_v.p25, s.stats_v.p50, s.stats_v.p75)]
-        lines.append(",".join([
+        rows.append([
             r.site, r.session_id, format_utc_timestamp(r.t_mid),
-            str(r.n_total), str(r.n_accepted),
-            *(str(r.flag_counts.get(f, 0)) for f in FLAG_ORDER),
+            r.n_total, r.n_accepted,
+            *(r.flag_counts.get(f, 0) for f in FLAG_ORDER),
             *stats,
             _fmt(r.tb_min_h, "{:.4f}"), _fmt(r.tb_min_v, "{:.4f}"),
             _fmt(r.t_e_measured, "{:.4f}"), _fmt(r.sm_ref), _fmt(r.sm_ref_std),
-            _fmt(r.tau_sca), r.error or ""]))
-    _atomic_write(out / "sessions.csv", lines)
+            _fmt(r.tau_sca), r.error or ""])
+    _atomic_write(out / "sessions.csv", rows)
 
-    lines = ["site,session,flag,count"]
+    rows = [["site", "session", "flag", "count"]]
     for r in report.sessions:
         for flag in FLAG_ORDER:
-            lines.append(f"{r.site},{r.session_id},{flag.value},{r.flag_counts.get(flag, 0)}")
-    _atomic_write(out / "rejections.csv", lines)
+            rows.append([r.site, r.session_id, flag.value, r.flag_counts.get(flag, 0)])
+    _atomic_write(out / "rejections.csv", rows)
 
-    lines = ["site,session,t_mid,preset,t_e_used,tau_sca,"
-             "sm,tau,cost,converged,boundary_hit,evaluations,error"]
+    rows = [("site,session,t_mid,preset,t_e_used,tau_sca,"
+              "sm,tau,cost,converged,boundary_hit,evaluations,error").split(",")]
     for r in report.retrievals:
         res = r.result
-        lines.append(",".join([
+        rows.append([
             r.site, r.session_id, format_utc_timestamp(r.t_mid), r.preset,
             _fmt(r.t_e_used, "{:.4f}"), _fmt(r.tau_sca),
             _fmt(res.sm if res else None), _fmt(res.tau if res else None),
             _fmt(res.cost if res else None, "{:.6e}"),
             _fmt(res.converged if res else None),
             _fmt(res.boundary_hit if res else None),
-            str(res.evaluations) if res else "",
-            r.error or ""]))
-    _atomic_write(out / "retrievals.csv", lines)
+            res.evaluations if res else "",
+            r.error or ""])
+    _atomic_write(out / "retrievals.csv", rows)
 
-    lines = ["site,preset,n,bias,rmse,ubrmse,r,r_flag"]
+    rows = [["site", "preset", "n", "bias", "rmse", "ubrmse", "r", "r_flag"]]
     for m in report.metrics_rows:
         rep = m.report
         r_text = "" if rep is None or math.isnan(rep.r) else f"{rep.r:.6f}"
-        lines.append(",".join([
-            m.site, m.preset, str(m.n),
+        rows.append([
+            m.site, m.preset, m.n,
             _fmt(rep.bias if rep else None), _fmt(rep.rmse if rep else None),
             _fmt(rep.ubrmse if rep else None), r_text,
-            rep.r_flag if rep else ""]))
-    _atomic_write(out / "metrics.csv", lines)
-    _atomic_write(out / "metrics.txt", render_metrics_table(report.metrics_rows))
+            rep.r_flag if rep else ""])
+    _atomic_write(out / "metrics.csv", rows)
+    _atomic_write(out / "metrics.txt", render_metrics_table(report.metrics_rows), text=True)
 
-    lines = ["site,session,t_mid,tb_h_p25,tb_h_p50,tb_h_p75,tb_h_mean,"
-             "tb_v_p25,tb_v_p50,tb_v_p75,tb_v_mean"]
+    rows = [("site,session,t_mid,tb_h_p25,tb_h_p50,tb_h_p75,tb_h_mean,"
+              "tb_v_p25,tb_v_p50,tb_v_p75,tb_v_mean").split(",")]
     for r in report.sessions:
         if r.summary is None:
             continue
         s = r.summary
-        lines.append(",".join([
+        rows.append([
             r.site, r.session_id, format_utc_timestamp(r.t_mid),
             *(_fmt(v, "{:.4f}") for v in (
                 s.stats_h.p25, s.stats_h.p50, s.stats_h.p75, s.stats_h.mean,
-                s.stats_v.p25, s.stats_v.p50, s.stats_v.p75, s.stats_v.mean))]))
-    _atomic_write(out / "plot_tb_series.csv", lines)
+                s.stats_v.p25, s.stats_v.p50, s.stats_v.p75, s.stats_v.mean))])
+    _atomic_write(out / "plot_tb_series.csv", rows)
 
-    lines = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi"]
+    rows = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi".split(",")]
     # reversed, so a repeated (site, session) maps to its first row
     session_rows = {(s.site, s.session_id): s for s in reversed(report.sessions)}
     for r in report.retrievals:
@@ -367,12 +370,12 @@ def write_artifacts(report):
             ref = match.sm_ref
             lo = max(ref - 2.0 * match.sm_ref_std, 0.0)
             hi = ref + 2.0 * match.sm_ref_std
-        lines.append(",".join([
+        rows.append([
             r.site, r.session_id, format_utc_timestamp(r.t_mid), r.preset,
-            _fmt(r.result.sm), _fmt(ref), _fmt(lo), _fmt(hi)]))
-    _atomic_write(out / "plot_sm_series.csv", lines)
+            _fmt(r.result.sm), _fmt(ref), _fmt(lo), _fmt(hi)])
+    _atomic_write(out / "plot_sm_series.csv", rows)
 
     if report.warnings or report.data_errors:
         lines = [f"error: {e}" for e in report.data_errors]
         lines += [f"warning: {w}" for w in report.warnings]
-        _atomic_write(out / "run_warnings.txt", lines)
+        _atomic_write(out / "run_warnings.txt", lines, text=True)

@@ -118,11 +118,9 @@ class ChannelStats:
 class SessionSummary:
     stats_h: ChannelStats
     stats_v: ChannelStats
-    n_total: int
-    n_accepted: int
 
 
-def min_threshold(surface, geometry, t_e, tau_nadir=0.0,
+def min_threshold(surface, t_e, frequency_ghz, tau_nadir=0.0,
                   dielectric=DielectricModel.MIRONOV):
     """Physical floor (tb_min_h, tb_min_v): the forward model at
     saturation moisture sm = 1 with the site's roughness and albedo.
@@ -135,8 +133,8 @@ def min_threshold(surface, geometry, t_e, tau_nadir=0.0,
     if not tau_nadir >= 0.0:
         raise DomainError(f"tau_nadir must be >= 0, got {tau_nadir}")
     tb_h, tb_v = simulate_tb(1.0, tau_nadir, surface.omega, surface.h,
-                             surface.clay_fraction, geometry.incidence_deg, t_e,
-                             dielectric, geometry.frequency_ghz)
+                             surface.clay_fraction, surface.incidence_deg, t_e,
+                             dielectric, frequency_ghz)
     return float(tb_h), float(tb_v)
 
 
@@ -211,7 +209,7 @@ def representative(accepted, statistic=Statistic.MEDIAN):
     return TbPair(*map(sorted_median, accepted.sorted_channels))
 
 
-def session_stats(accepted, n_total=None):
+def session_stats(accepted):
     """Population statistics per channel.
 
     Quartiles interpolate linearly between closest order statistics; std
@@ -224,8 +222,7 @@ def session_stats(accepted, n_total=None):
     with np.errstate(invalid="ignore", over="ignore"):
         stats_h, stats_v = (ChannelStats(*mean_std(x), *_quartiles(x))
                             for x in accepted.sorted_channels)
-    return SessionSummary(stats_h, stats_v,
-                          len(accepted) if n_total is None else n_total, len(accepted))
+    return SessionSummary(stats_h, stats_v)
 
 
 # ----------------------------------------------------------------------

@@ -96,18 +96,6 @@ class DielectricModel(str, Enum):
 
 
 @dataclass(frozen=True)
-class ViewGeometry:
-    incidence_deg: float
-    frequency_ghz: float = L_BAND_GHZ
-
-    def __post_init__(self):
-        if not 0.0 <= self.incidence_deg < 90.0:
-            raise DomainError(f"incidence_deg must be in [0, 90), got {self.incidence_deg}")
-        if not self.frequency_ghz > 0.0:
-            raise DomainError(f"frequency_ghz must be positive, got {self.frequency_ghz}")
-
-
-@dataclass(frozen=True)
 class TbPair:
     """Dual-polarization brightness temperatures in kelvin."""
 

@@ -33,8 +33,8 @@ are bit-identical. `evaluations` still counts every grid point.
 
 Six named presets cover the operational algorithm configurations (SCAV,
 SCAH, RDCA, DCA0, DCA1, DCA2); they ship as key-value files under
-``lbandsm/presets`` and resolve to concrete parameter sets per land
-cover.
+``lbandsm/presets``, and a preset loads as the AlgorithmConfig of one
+land cover.
 """
 
 import functools
@@ -79,7 +79,6 @@ class AlgorithmKind(str, Enum):
     DCA2 = "DCA2"
 
 
-SCA_KINDS = (AlgorithmKind.SCAV, AlgorithmKind.SCAH)
 DUAL_KINDS = (AlgorithmKind.RDCA, AlgorithmKind.DCA0, AlgorithmKind.DCA1,
               AlgorithmKind.DCA2)
 TAU_SCA_KINDS = (AlgorithmKind.SCAV, AlgorithmKind.SCAH, AlgorithmKind.RDCA)
@@ -88,12 +87,6 @@ TAU_SCA_KINDS = (AlgorithmKind.SCAV, AlgorithmKind.SCAH, AlgorithmKind.RDCA)
 class TempSource(str, Enum):
     MEASURED = "measured"      # coincident probe soil temperature
     CONSTANT = "constant"      # CONSTANT_T_E
-
-
-class TauSource(str, Enum):
-    NDVI = "ndvi"
-    RETRIEVED = "retrieved"
-    ZERO = "zero"
 
 
 # Fallback roughness/albedo per land cover for sites that do not set
@@ -141,29 +134,20 @@ def make_surface(clay_fraction, land_cover, incidence_deg, h=None, omega=None):
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    """One concrete algorithm setup (preset resolved for a land cover)."""
+    """One preset as it applies to one land cover. The kind fixes the
+    channels it fits and where its opacity comes from (residual_weights,
+    TAU_SCA_KINDS)."""
 
+    name: str
     kind: AlgorithmKind
     h: float
     omega: float
     t_e_source: TempSource
-    tau_source: TauSource
     dielectric: DielectricModel
-    polarization: str = None   # 'H' or 'V', single-channel kinds only
     lam: float = RDCA_LAMBDA   # regularization weight, RDCA only
 
     def __post_init__(self):
-        kind = self.kind
-        if kind in SCA_KINDS:
-            if self.tau_source != TauSource.NDVI:
-                raise ConfigError(f"{kind.value} must take opacity from the ndvi chain")
-            expected = "V" if kind == AlgorithmKind.SCAV else "H"
-            if self.polarization != expected:
-                raise ConfigError(f"{kind.value} uses polarization {expected}")
-        else:
-            if self.tau_source != TauSource.RETRIEVED:
-                raise ConfigError(f"{kind.value} retrieves opacity as an output")
-        if kind == AlgorithmKind.DCA0:
+        if self.kind == AlgorithmKind.DCA0:
             if self.dielectric != DielectricModel.TOPP:
                 raise ConfigError("DCA0 pairs with the Topp dielectric")
             if self.t_e_source != TempSource.CONSTANT:
@@ -287,7 +271,7 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
 
     Args:
         tb_obs: observed TbPair (finite).
-        algo: AlgorithmConfig, typically from a resolved preset.
+        algo: AlgorithmConfig, typically from load_preset.
         t_e: effective soil temperature in K, already resolved from the
             preset's temperature source.
         tau_sca: opacity from the optical chain; required for the
@@ -417,56 +401,6 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
 PRESET_NAMES = ("DCA0", "DCA1", "DCA2", "RDCA", "SCAH", "SCAV")
 
 
-@dataclass(frozen=True)
-class PresetSpec:
-    """Parsed preset file; h and omega may vary by land cover."""
-
-    name: str
-    kind: AlgorithmKind
-    t_e_source: TempSource
-    tau_source: TauSource
-    dielectric: DielectricModel
-    h_by_cover: tuple       # (("*", 0.0),) style items
-    omega_by_cover: tuple
-    polarization: str = None
-    lam: float = RDCA_LAMBDA
-
-    def _lookup(self, items, land_cover, field):
-        table = dict(items)
-        if land_cover in table:
-            return table[land_cover]
-        if "*" in table:
-            return table["*"]
-        raise ConfigError(
-            f"preset {self.name}: no {field} for land cover {land_cover!r}")
-
-    def resolve(self, land_cover):
-        """Concrete AlgorithmConfig for one land cover."""
-        return AlgorithmConfig(
-            kind=self.kind,
-            h=self._lookup(self.h_by_cover, land_cover, "h"),
-            omega=self._lookup(self.omega_by_cover, land_cover, "omega"),
-            t_e_source=self.t_e_source,
-            tau_source=self.tau_source,
-            dielectric=self.dielectric,
-            polarization=self.polarization,
-            lam=self.lam,
-        )
-
-
-def _per_cover(kv, field):
-    flat = kv.get_float(field)
-    if flat is not None:
-        return (("*", flat),)
-    items = []
-    for key in sorted(kv.keys()):
-        if key.startswith(field + "."):
-            items.append((key[len(field) + 1:], kv.get_float(key)))
-    if not items:
-        raise ConfigError(f"{kv.source}: missing {field!r}")
-    return tuple(items)
-
-
 def _parse_enum(kv, key, enum_cls):
     raw = kv.require(key)
     try:
@@ -476,30 +410,44 @@ def _parse_enum(kv, key, enum_cls):
         raise ConfigError(f"{kv.source}: {key} must be one of {valid}, got {raw!r}") from None
 
 
-def parse_preset(kv, name):
+def parse_preset(kv, land_cover):
+    """The AlgorithmConfig of a preset file's key-value map for one land
+    cover, named after the file. h and omega are set for every cover
+    (`h`) or per cover (`h.<cover>`, which wins); every value is parsed
+    whichever cover is asked for. A preset that cannot serve the cover is
+    a ConfigError naming the file and the cover."""
     kind = _parse_enum(kv, "kind", AlgorithmKind)
-    spec = PresetSpec(
-        name=name,
-        kind=kind,
-        t_e_source=_parse_enum(kv, "t_e_source", TempSource),
-        tau_source=_parse_enum(kv, "tau_source", TauSource),
-        dielectric=_parse_enum(kv, "dielectric", DielectricModel),
-        h_by_cover=_per_cover(kv, "h"),
-        omega_by_cover=_per_cover(kv, "omega"),
-        polarization=kv.get_str("polarization"),
-        lam=kv.get_float("lambda", RDCA_LAMBDA),
-    )
-    return spec
+    t_e_source = _parse_enum(kv, "t_e_source", TempSource)
+    dielectric = _parse_enum(kv, "dielectric", DielectricModel)
+    lam = kv.get_float("lambda", RDCA_LAMBDA)
+    surface = {}
+    for field in ("h", "omega"):
+        by_cover = {key[len(field) + 1:]: kv.get_float(key)
+                    for key in kv.keys() if key.startswith(field + ".")}
+        surface[field] = by_cover.get(land_cover, kv.get_float(field))
+        if surface[field] is None:
+            raise ConfigError(f"{kv.source}: no {field} for land cover {land_cover!r}")
+    try:
+        return AlgorithmConfig(name=Path(kv.source).stem, kind=kind, t_e_source=t_e_source,
+                               dielectric=dielectric, lam=lam, **surface)
+    except ConfigError as exc:
+        raise ConfigError(f"{kv.source}: land cover {land_cover!r}: {exc}") from None
 
 
-def load_preset(name_or_path):
-    """Load a shipped preset by name or a user preset file by path."""
+def read_preset(name_or_path):
+    """The key-value map of a shipped preset by name or of a user preset
+    file by path."""
     name = str(name_or_path)
     if name in PRESET_NAMES:
         text = resources.files("lbandsm").joinpath(f"presets/{name}.cfg").read_text()
-        return parse_preset(parse_kv_text(text, source=f"{name}.cfg"), name)
+        return parse_kv_text(text, source=f"{name}.cfg")
     path = Path(name_or_path)
     if not path.is_file():
         raise ConfigError(
             f"unknown preset {name!r}: not a shipped name {PRESET_NAMES} and not a file")
-    return parse_preset(read_kv_file(path), path.stem)
+    return read_kv_file(path)
+
+
+def load_preset(name_or_path, land_cover):
+    """A shipped or user preset as it applies to one land cover."""
+    return parse_preset(read_preset(name_or_path), land_cover)

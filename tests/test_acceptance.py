@@ -41,9 +41,8 @@ def criterion(num, text):
 
 
 def resolve(name):
-    spec = rt.load_preset(name)
     surface = SURFACE_FOR[name]
-    algo = spec.resolve(surface.land_cover)
+    algo = rt.load_preset(name, surface.land_cover)
     t_e = rt.CONSTANT_T_E if algo.t_e_source == rt.TempSource.CONSTANT else 290.0
     return algo, surface, t_e
 
@@ -235,9 +234,10 @@ def test_criterion_7_optimizer_dominance():
             obs = TbPair(base.tb_h + rng.uniform(-4.0, 4.0),
                          base.tb_v + rng.uniform(-4.0, 4.0))
             res = rt.retrieve(obs, algo, surface, t_e, tau_sca=tau_sca)
-            if algo.kind in rt.SCA_KINDS:
-                obs_p = obs.tb_h if algo.polarization == "H" else obs.tb_v
-                best = _grid_cost_1d(obs_p, algo.polarization, tau_sca,
+            if algo.kind not in rt.DUAL_KINDS:
+                pol = "H" if algo.kind == rt.AlgorithmKind.SCAH else "V"
+                obs_p = obs.tb_h if pol == "H" else obs.tb_v
+                best = _grid_cost_1d(obs_p, pol, tau_sca,
                                      algo, surface, t_e)
             else:
                 best = _grid_cost_2d(obs, algo, surface, t_e, tau_sca)
@@ -249,8 +249,7 @@ def test_criterion_7_optimizer_dominance():
               "the optical estimate within 1e-3; weight 0 reproduces the "
               "plain dual-channel minimizer within optimizer tolerance")
 def test_criterion_8_rdca_limits():
-    spec = rt.load_preset("RDCA")
-    algo = spec.resolve("grassland")
+    algo = rt.load_preset("RDCA", "grassland")
     tau_sca = 0.12
     obs = forward_pair(0.28, 0.25, algo, GRASS, 290.0)
 
@@ -260,10 +259,7 @@ def test_criterion_8_rdca_limits():
 
     free = rt.retrieve(obs, dataclasses.replace(algo, lam=0.0), GRASS, 290.0,
                        tau_sca=tau_sca)
-    dca_like = rt.AlgorithmConfig(
-        kind=rt.AlgorithmKind.DCA2, h=algo.h, omega=algo.omega,
-        t_e_source=algo.t_e_source, tau_source=rt.TauSource.RETRIEVED,
-        dielectric=algo.dielectric)
+    dca_like = dataclasses.replace(algo, kind=rt.AlgorithmKind.DCA2)
     plain = rt.retrieve(obs, dca_like, GRASS, 290.0)
     print(f"  pinned tau={pinned.tau:.5f} (target {tau_sca}), "
           f"free ({free.sm:.5f}, {free.tau:.5f}) vs plain "

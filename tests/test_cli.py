@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ import pytest
 import lbandsm
 from lbandsm import cli, pipeline
 from lbandsm.preprocess import min_threshold
-from lbandsm.radiative import ViewGeometry
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None, capsys=None):
@@ -139,6 +139,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The console-script launcher an installer writes for "name = module:func"
 _LAUNCHER = """#!{python}
 import sys
+import threading
 from {module} import {func}
 sys.exit({func}())
 """
@@ -196,8 +197,8 @@ def test_pipe_composability_matches_pipeline(synthetic_campaign, campaign_config
     session_row = next(s for s in report.sessions if s.session_id == session_id)
 
     # same floor the pipeline computed from the matched reference temperature
-    geom = ViewGeometry(site.surface.incidence_deg, cfg.frequency_ghz)
-    tb_min_h, tb_min_v = min_threshold(site.surface, geom, session_row.t_e_measured)
+    tb_min_h, tb_min_v = min_threshold(site.surface, session_row.t_e_measured,
+                                       cfg.frequency_ghz)
 
     code, filtered = run_cli([
         "filter", "--input", str(session_path),
@@ -347,6 +348,48 @@ def test_unreadable_input_and_unwritable_output_are_data_errors(tmp_path, capsys
     monkeypatch.setattr(sys, "stdin", io.StringIO(STREAM_INPUTS["filter"][1]))
     err = _one_line_error(capsys, "filter", "--rejected", str(rejected))
     assert err.startswith(f"error: {rejected}: cannot write: "), err
+
+
+def test_unwritable_rejected_leaves_output_untouched(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "f.csv"
+    out.write_text("kept\n")
+    rejected = tmp_path / "no" / "such" / "r.csv"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(STREAM_INPUTS["filter"][1]))
+    err = _one_line_error(capsys, "filter", "--output", str(out), "--rejected", str(rejected))
+    assert err.startswith(f"error: {rejected}: cannot write: "), err
+    assert out.read_text() == "kept\n"
+
+
+def test_outputs_replace_files_and_write_to_devices_and_fifos(tmp_path, capsys,
+                                                             monkeypatch):
+    text = STREAM_INPUTS["filter"][1]
+    code, expected = run_cli(["filter"], stdin_text=text, monkeypatch=monkeypatch,
+                             capsys=capsys)
+    out = tmp_path / "f.csv"
+    out.write_text(expected * 4)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["filter", "--output", str(out), "--rejected", os.devnull]) == 0
+    assert out.read_bytes().decode() == expected
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes().decode()), daemon=True)
+    reader.start()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["filter", "--output", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert received == [expected]
+
+
+def test_retrieve_names_line_of_pair_outside_domain(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o.csv"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("tb_h,tb_v\n200,250\nnan,260\n210,255\n"))
+    err = _one_line_error(capsys, "retrieve", "--preset", "DCA1", "--clay-fraction", "0.2",
+                          "--output", str(out))
+    assert err.startswith("error: retrieve: line 3: observed brightness temperatures "
+                          "must be finite"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["campaign", "preset", "coefficients"])

@@ -1,5 +1,7 @@
 """Key-value parsing and campaign configuration loading."""
 
+import re
+
 import pytest
 
 from lbandsm import kvconfig
@@ -65,8 +67,9 @@ def test_get_floats_list():
 def test_load_synthetic_campaign(campaign_config):
     cfg = campaign_config
     assert {s.name for s in cfg.sites} == {"bare", "grass"}
-    assert [p.name for p in cfg.presets] == \
-        ["SCAV", "SCAH", "RDCA", "DCA0", "DCA1", "DCA2"]
+    for site in cfg.sites:
+        assert [p.name for p in site.presets] == \
+            ["DCA0", "DCA1", "DCA2", "RDCA", "SCAH", "SCAV"]
     assert cfg.statistic == Statistic.MEDIAN
     assert cfg.calibration.gain_h == 100.0
     grass = next(s for s in cfg.sites if s.name == "grass")
@@ -119,6 +122,46 @@ def test_vegetated_site_requires_reflectance_for_ndvi_presets(tmp_path):
 def test_unknown_preset_in_campaign(tmp_path):
     path = _write_config(tmp_path, "presets = NOPE\n" + MINIMAL_SITE)
     with pytest.raises(ConfigError, match="unknown preset"):
+        load_campaign(path)
+
+
+def _write_preset(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text("t_e_source = constant\ndielectric = topp\n" + text, encoding="utf-8")
+    return path
+
+
+def test_preset_without_value_for_site_cover_fails_at_load(tmp_path):
+    preset = _write_preset(tmp_path, "MY.cfg", "kind = DCA1\nh.grassland = 0.1\nomega = 0.0\n")
+    path = _write_config(tmp_path, "presets = DCA1, MY.cfg\n" + MINIMAL_SITE)
+    message = f"{preset}: no h for land cover 'bare_soil'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_campaign(path)
+
+
+def test_user_dca0_preset_with_roughness_fails_at_load(tmp_path):
+    preset = _write_preset(tmp_path, "ZERO.cfg", "kind = DCA0\nh = 0.1\nomega = 0.0\n")
+    path = _write_config(tmp_path, "presets = ZERO.cfg\n" + MINIMAL_SITE)
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{preset}: land cover 'bare_soil': DCA0 sets h")):
+        load_campaign(path)
+
+
+def test_presets_resolved_per_site_cover(tmp_path):
+    _write_preset(tmp_path, "MY.cfg", "kind = DCA1\nh.bare_soil = 0.1\nh.grassland = 0.2\n"
+                  "omega = 0.0\n")
+    path = _write_config(tmp_path, "presets = MY.cfg, DCA0\n" + MINIMAL_SITE +
+                         "site.g.land_cover = grassland\nsite.g.clay_fraction = 0.1\n")
+    a, g = load_campaign(path).sites
+    assert [(p.name, p.h) for p in a.presets] == [("DCA0", 0.0), ("MY", 0.1)]
+    assert [(p.name, p.h) for p in g.presets] == [("DCA0", 0.0), ("MY", 0.2)]
+
+
+@pytest.mark.parametrize("frequency", ["0.0", "30.0", "nan"])
+def test_frequency_outside_dielectric_range_rejected(tmp_path, frequency):
+    path = _write_config(tmp_path, f"presets = DCA0\nfrequency_ghz = {frequency}\n"
+                         + MINIMAL_SITE)
+    with pytest.raises(ConfigError, match="frequency_ghz"):
         load_campaign(path)
 
 

@@ -28,7 +28,8 @@ def run_golden_campaign(root):
     root = Path(root)
     synth.generate_campaign(root / "campaign", **CAMPAIGN)
     cfg = config.load_campaign(root / "campaign" / "campaign.cfg")
-    assert {p.name for p in cfg.presets} == {"SCAV", "SCAH", "RDCA", "DCA0", "DCA1", "DCA2"}
+    for site in cfg.sites:
+        assert [p.name for p in site.presets] == ["DCA0", "DCA1", "DCA2", "RDCA", "SCAH", "SCAV"]
     out = root / "out"
     pipeline.run_pipeline(cfg, output_dir=out)
     return out

@@ -38,7 +38,7 @@ def test_injected_outliers_counted(report):
 
 
 def test_retrievals_cover_all_presets(report, campaign_config):
-    presets = {p.name for p in campaign_config.presets}
+    presets = {p.name for p in campaign_config.sites[0].presets}
     for row in report.sessions:
         rows = [r for r in report.retrievals
                 if r.site == row.site and r.session_id == row.session_id]
@@ -63,7 +63,7 @@ def test_session_reference_matching(report, synthetic_campaign):
 
 
 def test_metrics_rows_per_site_and_preset(report, campaign_config):
-    assert len(report.metrics_rows) == 2 * len(campaign_config.presets)
+    assert len(report.metrics_rows) == 2 * len(campaign_config.sites[0].presets)
     for m in report.metrics_rows:
         assert m.n == 5
         assert m.report is not None
@@ -403,13 +403,30 @@ def test_sessions_csv_reports_the_inverted_statistic(tmp_path):
                              for s in report.sessions)
 
 
+def test_report_csvs_quote_a_session_name_with_a_comma(tmp_path):
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30, voltage_site=None)
+    first = sorted((root / "sessions").glob("bare_*.csv"))[0]
+    first.rename(first.with_name("bare_x,y.csv"))
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "out")
+    assert report.ok
+    for name in ("sessions.csv", "rejections.csv", "retrievals.csv", "metrics.csv",
+                 "plot_tb_series.csv", "plot_sm_series.csv"):
+        with open(tmp_path / "out" / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), name
+        if "session" in header:
+            sessions = {row[header.index("session")] for row in rows}
+            assert "bare_x,y" in sessions, name
+
+
 def test_seed_tables_built_once_per_site_and_preset(campaign_config, tmp_path):
     """The pipeline builds one seed table per distinct site surface and
     preset parameters, not one per retrieval; DCA1 and DCA2 share theirs."""
     grid_keys, dual_keys = set(), set()
     for site in campaign_config.sites:
-        for spec in campaign_config.presets:
-            algo = spec.resolve(site.surface.land_cover)
+        for algo in site.presets:
             key = (site.surface.clay_fraction, site.surface.incidence_deg, algo.h,
                    algo.dielectric)
             grid_keys.add(key)

@@ -12,7 +12,7 @@ import pytest
 
 from lbandsm import preprocess as pp, synth
 from lbandsm.errors import DataError, DomainError, read_text
-from lbandsm.radiative import TbPair, ViewGeometry
+from lbandsm.radiative import L_BAND_GHZ, TbPair
 from lbandsm.retrieval import make_surface
 
 import oracles
@@ -90,7 +90,7 @@ def test_calibrate_zero_gain_rejected():
 
 def test_min_threshold_bare_smooth_frozen():
     surface = make_surface(0.20, "bare_soil", 40.0, h=0.0, omega=0.0)
-    tb_min_h, tb_min_v = pp.min_threshold(surface, ViewGeometry(40.0), 292.15)
+    tb_min_h, tb_min_v = pp.min_threshold(surface, 292.15, L_BAND_GHZ)
     # frozen saturation-moisture forward chain (oracle composition)
     assert tb_min_h == pytest.approx(74.700059347643695, rel=1e-12)
     assert tb_min_v == pytest.approx(115.48778743214935, rel=1e-12)
@@ -100,9 +100,8 @@ def test_min_threshold_bare_smooth_frozen():
 
 def test_min_threshold_tightens_with_canopy():
     surface = make_surface(0.20, "grassland", 40.0)
-    geom = ViewGeometry(40.0)
-    bare_h, bare_v = pp.min_threshold(surface, geom, 290.0)
-    veg_h, veg_v = pp.min_threshold(surface, geom, 290.0, tau_nadir=0.2)
+    bare_h, bare_v = pp.min_threshold(surface, 290.0, L_BAND_GHZ)
+    veg_h, veg_v = pp.min_threshold(surface, 290.0, L_BAND_GHZ, tau_nadir=0.2)
     assert veg_h > bare_h and veg_v > bare_v
 
 
@@ -113,7 +112,7 @@ def test_min_threshold_tightens_with_canopy():
 def test_min_threshold_domain_checks(t_e, tau, message):
     surface = make_surface(0.20, "grassland", 40.0)
     with pytest.raises(DomainError, match=message):
-        pp.min_threshold(surface, ViewGeometry(40.0), t_e, tau_nadir=tau)
+        pp.min_threshold(surface, t_e, L_BAND_GHZ, tau_nadir=tau)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +285,6 @@ def test_session_stats_constant_series():
     summary = pp.session_stats(columns([(260.0, 270.0)] * 10))
     assert summary.stats_h.std == 0.0
     assert summary.stats_h.p25 == summary.stats_h.p50 == summary.stats_h.p75 == 260.0
-    assert summary.n_accepted == 10
 
 
 def test_session_stats_population_std():

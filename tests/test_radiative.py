@@ -12,6 +12,7 @@ import pytest
 
 from lbandsm import radiative as ra
 from lbandsm.errors import DomainError
+from lbandsm.retrieval import make_surface
 
 import oracles
 
@@ -323,4 +324,4 @@ def test_scalar_evaluator_matches_array_path():
 
 def test_type_invariants_rejected():
     with pytest.raises(DomainError):
-        ra.ViewGeometry(90.0)
+        make_surface(0.2, "bare_soil", 90.0)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lbandsm import radiative as ra
+from lbandsm import kvconfig, radiative as ra
 from lbandsm import retrieval as rt
 from lbandsm.errors import ConfigError, DomainError
 from lbandsm.radiative import DielectricModel, TbPair, simulate_tb
@@ -17,7 +17,7 @@ GRASS = rt.make_surface(0.13, "grassland", 40.0)
 
 
 def preset(name, cover="bare_soil"):
-    return rt.load_preset(name).resolve(cover)
+    return rt.load_preset(name, cover)
 
 
 def synth_obs(sm, tau, algo, surface, t_e):
@@ -276,10 +276,7 @@ def test_rdca_limit_large_weight_pins_opacity():
 
 def test_rdca_limit_zero_weight_equals_dca():
     rdca0 = dataclasses.replace(preset("RDCA", "grassland"), lam=0.0)
-    dca_like = rt.AlgorithmConfig(
-        kind=rt.AlgorithmKind.DCA2, h=rdca0.h, omega=rdca0.omega,
-        t_e_source=rdca0.t_e_source, tau_source=rt.TauSource.RETRIEVED,
-        dielectric=rdca0.dielectric)
+    dca_like = dataclasses.replace(rdca0, kind=rt.AlgorithmKind.DCA2)
     obs = synth_obs(0.26, 0.31, rdca0, GRASS, 290.0)
     res_r = rt.retrieve(obs, rdca0, GRASS, 290.0, tau_sca=0.9)
     res_d = rt.retrieve(obs, dca_like, GRASS, 290.0)
@@ -343,70 +340,96 @@ def test_retrieve_input_validation():
 # ----------------------------------------------------------------------
 
 EXPECTED_PRESETS = {
-    # name -> (cover -> (h, omega)), t_e_source, tau_source, dielectric, pol
+    # name -> (cover -> (h, omega)), t_e_source, dielectric
     "SCAV": ({"bare_soil": (0.15, 0.0), "grassland": (0.156, 0.05)},
-             rt.TempSource.MEASURED, rt.TauSource.NDVI, DielectricModel.MIRONOV, "V"),
+             rt.TempSource.MEASURED, DielectricModel.MIRONOV),
     "SCAH": ({"bare_soil": (0.15, 0.0), "grassland": (0.156, 0.05)},
-             rt.TempSource.MEASURED, rt.TauSource.NDVI, DielectricModel.MIRONOV, "H"),
+             rt.TempSource.MEASURED, DielectricModel.MIRONOV),
     "RDCA": ({"bare_soil": (0.4612, 0.0), "grassland": (0.4612, 0.0608)},
-             rt.TempSource.MEASURED, rt.TauSource.RETRIEVED, DielectricModel.MIRONOV, None),
+             rt.TempSource.MEASURED, DielectricModel.MIRONOV),
     "DCA0": ({"bare_soil": (0.0, 0.0), "grassland": (0.0, 0.0)},
-             rt.TempSource.CONSTANT, rt.TauSource.RETRIEVED, DielectricModel.TOPP, None),
+             rt.TempSource.CONSTANT, DielectricModel.TOPP),
     "DCA1": ({"bare_soil": (0.0, 0.0), "grassland": (0.0, 0.0)},
-             rt.TempSource.CONSTANT, rt.TauSource.RETRIEVED, DielectricModel.MIRONOV, None),
+             rt.TempSource.CONSTANT, DielectricModel.MIRONOV),
     "DCA2": ({"bare_soil": (0.0, 0.0), "grassland": (0.0, 0.0)},
-             rt.TempSource.MEASURED, rt.TauSource.RETRIEVED, DielectricModel.MIRONOV, None),
+             rt.TempSource.MEASURED, DielectricModel.MIRONOV),
 }
 
 
 def test_shipped_presets_match_expected_parameters():
     assert set(rt.PRESET_NAMES) == set(EXPECTED_PRESETS)
-    for name, (by_cover, te_src, tau_src, diel, pol) in EXPECTED_PRESETS.items():
-        spec = rt.load_preset(name)
+    for name, (by_cover, te_src, diel) in EXPECTED_PRESETS.items():
         for cover, (h, omega) in by_cover.items():
-            algo = spec.resolve(cover)
+            algo = rt.load_preset(name, cover)
+            assert algo.name == name and algo.kind == rt.AlgorithmKind(name)
             assert algo.h == h, (name, cover)
             assert algo.omega == omega, (name, cover)
             assert algo.t_e_source == te_src
-            assert algo.tau_source == tau_src
             assert algo.dielectric == diel
-            assert algo.polarization == pol
-        if name == "RDCA":
-            assert spec.lam == 20.0
+            assert algo.lam == 20.0
+
+
+class _RecordingMap(kvconfig.KeyValueMap):
+    """A key-value map that records every key read from it."""
+
+    def __init__(self, kv):
+        super().__init__(kv.entries, kv.source)
+        self.read = set()
+
+    def raw(self, key, default=None):
+        self.read.add(key)
+        return super().raw(key, default)
+
+
+@pytest.mark.parametrize("name", rt.PRESET_NAMES)
+def test_shipped_preset_keys_are_all_read(name):
+    # a key that parse_preset does not read (as the derived tau_source and
+    # polarization were) has no effect and must not ship
+    kv = _RecordingMap(rt.read_preset(name))
+    rt.parse_preset(kv, "bare_soil")
+    assert set(kv.keys()) <= kv.read, name
 
 
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError, match="unknown preset"):
-        rt.load_preset("SCAX")
+        rt.load_preset("SCAX", "bare_soil")
 
 
 def test_user_preset_file(tmp_path):
     path = tmp_path / "custom.cfg"
     path.write_text(
         "kind = DCA2\nh = 0.1\nomega = 0.02\nt_e_source = measured\n"
-        "tau_source = retrieved\ndielectric = mironov\n")
-    spec = rt.load_preset(path)
-    algo = spec.resolve("anything")
+        "dielectric = mironov\n")
+    algo = rt.load_preset(path, "anything")
     assert algo.h == 0.1 and algo.omega == 0.02
-    assert spec.name == "custom"
+    assert algo.name == "custom"
+
+
+def test_user_preset_per_cover_values(tmp_path):
+    # a cover's own key wins over the flat one, and every value is parsed
+    # whichever cover is asked for
+    path = tmp_path / "mixed.cfg"
+    path.write_text("kind = DCA2\nh = 0.1\nh.grassland = 0.2\nomega.grassland = 0.05\n"
+                    "t_e_source = measured\ndielectric = mironov\n")
+    assert rt.load_preset(path, "grassland").h == 0.2
+    with pytest.raises(ConfigError, match="no omega for land cover 'bare_soil'"):
+        rt.load_preset(path, "bare_soil")
+    path.write_text(path.read_text() + "omega.forest = x\n")
+    with pytest.raises(ConfigError, match="omega.forest"):
+        rt.load_preset(path, "grassland")
 
 
 def test_algorithm_config_kind_consistency():
-    with pytest.raises(ConfigError):  # single-channel must use ndvi opacity
-        rt.AlgorithmConfig(rt.AlgorithmKind.SCAV, 0.15, 0.0, rt.TempSource.MEASURED,
-                           rt.TauSource.RETRIEVED, DielectricModel.MIRONOV, "V")
-    with pytest.raises(ConfigError):  # wrong polarization for the kind
-        rt.AlgorithmConfig(rt.AlgorithmKind.SCAV, 0.15, 0.0, rt.TempSource.MEASURED,
-                           rt.TauSource.NDVI, DielectricModel.MIRONOV, "H")
-    with pytest.raises(ConfigError):  # dual-channel kinds retrieve opacity
-        rt.AlgorithmConfig(rt.AlgorithmKind.DCA1, 0.0, 0.0, rt.TempSource.CONSTANT,
-                           rt.TauSource.NDVI, DielectricModel.MIRONOV)
-    with pytest.raises(ConfigError):  # the zero-parameter kind pins its fields
-        rt.AlgorithmConfig(rt.AlgorithmKind.DCA0, 0.0, 0.0, rt.TempSource.CONSTANT,
-                           rt.TauSource.RETRIEVED, DielectricModel.MIRONOV)
-    with pytest.raises(ConfigError):
-        rt.AlgorithmConfig(rt.AlgorithmKind.DCA0, 0.1, 0.0, rt.TempSource.CONSTANT,
-                           rt.TauSource.RETRIEVED, DielectricModel.TOPP)
+    # the zero-parameter kind pins its fields
+    with pytest.raises(ConfigError, match="Topp"):
+        rt.AlgorithmConfig("D", rt.AlgorithmKind.DCA0, 0.0, 0.0, rt.TempSource.CONSTANT,
+                           DielectricModel.MIRONOV)
+    with pytest.raises(ConfigError, match="constant"):
+        rt.AlgorithmConfig("D", rt.AlgorithmKind.DCA0, 0.0, 0.0, rt.TempSource.MEASURED,
+                           DielectricModel.TOPP)
+    with pytest.raises(ConfigError, match="zero"):
+        rt.AlgorithmConfig("D", rt.AlgorithmKind.DCA0, 0.1, 0.0, rt.TempSource.CONSTANT,
+                           DielectricModel.TOPP)
 
 
 def test_surface_defaults_per_land_cover():
