@@ -21,7 +21,6 @@ from .ancillary import (LandCoverTau, NdviSeries, ReflectanceSample,
 from .retrieval import (AlgorithmConfig, AlgorithmKind, RetrievalResult,
                         SurfaceConfig, TempSource, load_preset, make_surface,
                         retrieve)
-from .validation import (MetricsReport, ReferenceRecord, metrics,
-                         spatial_average)
+from .validation import MetricsReport, ReferenceRecord, metrics
 
 __version__ = "0.1.0"

@@ -65,20 +65,37 @@ def _read_input(path):
 def _outputs(*paths):
     """A text file open for writing for each of `paths`: stdout for '-',
     None for None. Every file is opened before a regular file among them
-    is emptied, so one that cannot be opened (a DataError) leaves the
-    others' contents as they were; the files opened here are closed on
-    leaving."""
+    is emptied. When one cannot be opened, or two name the same regular
+    file, the DataError leaves the files that existed as they were and
+    removes the ones this call created. The files opened here are closed
+    on leaving."""
     with contextlib.ExitStack() as stack:
-        files = []
-        for path in paths:
-            if path is None or path == "-":
-                files.append(None if path is None else sys.stdout)
-                continue
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-            except OSError as exc:
-                raise DataError(f"cannot write: {exc.strerror}", path=path) from None
-            files.append(stack.enter_context(open(fd, "w", newline="", encoding="utf-8")))
+        files, created, regular = [], [], {}
+        try:
+            for path in paths:
+                if path is None or path == "-":
+                    files.append(None if path is None else sys.stdout)
+                    continue
+                try:
+                    try:
+                        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                        created.append(path)
+                    except FileExistsError:
+                        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                except OSError as exc:
+                    raise DataError(f"cannot write: {exc.strerror}", path=path) from None
+                files.append(stack.enter_context(open(fd, "w", newline="", encoding="utf-8")))
+                info = os.fstat(fd)
+                if stat.S_ISREG(info.st_mode):
+                    key = (info.st_dev, info.st_ino)
+                    if key in regular:
+                        raise DataError(f"same file as output {regular[key]}", path=path)
+                    regular[key] = path
+        except DataError:
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
+            raise
         for fh in files:
             if fh not in (None, sys.stdout) and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, DomainError, csv_records, read_text, split_header
-from .radiative import DielectricModel, TbPair, simulate_tb
+from .radiative import TbPair, simulate_tb
 
 TB_MAX_DEFAULT = 320.0  # K, ceiling applied to both polarizations
 
@@ -120,21 +120,15 @@ class SessionSummary:
     stats_v: ChannelStats
 
 
-def min_threshold(surface, t_e, frequency_ghz, tau_nadir=0.0,
-                  dielectric=DielectricModel.MIRONOV):
+def min_threshold(surface, t_e, frequency_ghz):
     """Physical floor (tb_min_h, tb_min_v): the forward model at
-    saturation moisture sm = 1 with the site's roughness and albedo.
-
-    tau_nadir defaults to 0, the most permissive (lowest) floor; pass the
-    site's current canopy opacity to tighten it.
+    saturation moisture sm = 1 with the site's roughness and albedo, the
+    Mironov dielectric and no canopy, the most permissive (lowest) floor.
     """
     if not t_e > 0.0:
         raise DomainError(f"t_e must be positive, got {t_e}")
-    if not tau_nadir >= 0.0:
-        raise DomainError(f"tau_nadir must be >= 0, got {tau_nadir}")
-    tb_h, tb_v = simulate_tb(1.0, tau_nadir, surface.omega, surface.h,
-                             surface.clay_fraction, surface.incidence_deg, t_e,
-                             dielectric, frequency_ghz)
+    tb_h, tb_v = simulate_tb(1.0, 0.0, surface.omega, surface.h, surface.clay_fraction,
+                             surface.incidence_deg, t_e, frequency_ghz=frequency_ghz)
     return float(tb_h), float(tb_v)
 
 

@@ -17,10 +17,12 @@ galactic terms are out of scope.
 The soil part of the chain, sm -> (e_h, e_v), is written once and takes
 its math functions as parameters: numpy's for arrays
 (soil_emissivity_pair, which checks its inputs) and cmath/math/builtins
-for the optimizer's scalar calls (emissivity_evaluator). The vegetation
-formula is split into its t_e-free factors (tau_omega_terms) and the
-step that multiplies t_e in (tb_from_terms), so the retrieval can cache
-the factors over its seed grid.
+for scalar calls (emissivity_evaluator). For the optimizer the same
+kernel also returns the analytic slope d(e_h, e_v)/dsm next to the value
+(emissivity_slope_evaluator). The vegetation formula is split into its
+t_e-free factors (tau_omega_terms) and the step that multiplies t_e in
+(tb_from_terms), so the retrieval can cache the factors over its seed
+grid.
 """
 
 import cmath
@@ -211,9 +213,11 @@ def topp_eps(sm):
 # ----------------------------------------------------------------------
 
 def _fresnel(eps, cos_t, sin2, sqrt):
+    """Amplitude reflection coefficients (rho_h, rho_v) of a smooth half
+    space and the root sqrt(eps - sin^2 th) that both share."""
     root = sqrt(eps - sin2)
-    return (abs((cos_t - root) / (cos_t + root)) ** 2,
-            abs((eps * cos_t - root) / (eps * cos_t + root)) ** 2)
+    eps_cos = eps * cos_t
+    return (cos_t - root) / (cos_t + root), (eps_cos - root) / (eps_cos + root), root
 
 
 def fresnel_power(eps_real, eps_imag, incidence_deg):
@@ -227,7 +231,8 @@ def fresnel_power(eps_real, eps_imag, incidence_deg):
     """
     eps = np.asarray(eps_real, dtype=float) + 1j * np.asarray(eps_imag, dtype=float)
     theta = math.radians(incidence_deg)
-    return _fresnel(eps, math.cos(theta), math.sin(theta) ** 2, np.sqrt)
+    rho_h, rho_v, _ = _fresnel(eps, math.cos(theta), math.sin(theta) ** 2, np.sqrt)
+    return abs(rho_h) ** 2, abs(rho_v) ** 2
 
 
 def canopy_transmissivity(tau_nadir, incidence_deg):
@@ -267,18 +272,37 @@ _ARRAY_MATH = (np.sqrt, np.minimum, np.maximum, np.sinh, np.arcsinh,
 _SCALAR_MATH = (cmath.sqrt, min, max, math.sinh, math.asinh, complex)
 
 
+@functools.lru_cache(maxsize=64)
 def _emissivity_kernel(clay_fraction, incidence_deg, h, dielectric, frequency_ghz,
-                       math_fns):
+                       math_fns, slope=False):
     """The chain sm -> eps -> smooth (r_h, r_v) -> rough (e_h, e_v) as one
     function of sm, with the exponential roughness damping
-    r_rough = r_smooth exp(-h cos^2 th) and no cross-polarization mixing."""
+    r_rough = r_smooth exp(-h cos^2 th) and no cross-polarization mixing.
+
+    With slope=True (scalar math only) the function returns
+    ((e_h, e_v), (de_h/dsm, de_v/dsm)): the chain rule through the same
+    steps, de_p/dsm = -2 exp(-h cos^2 th) Re(conj(rho_p) drho_p/deps
+    deps/dsm)."""
     sqrt, minimum, maximum, sinh, asinh, to_complex = math_fns
     if dielectric == DielectricModel.MIRONOV:
-        eps_of_sm = _mironov_mixer(_mironov_mixing_params(clay_fraction, frequency_ghz),
-                                   minimum, maximum)
+        params = _mironov_mixing_params(clay_fraction, frequency_ghz)
+        eps_of_sm = _mironov_mixer(params, minimum, maximum)
+        _, _, mvt, n_b, k_b, n_u, k_u = params
+        # d(n + ik)/dsm of bound water below mvt and of free water above
+        slope_bound, slope_free = complex(n_b - 1.0, k_b), complex(n_u - 1.0, k_u)
+
+        def eps_slope(sm, eps):
+            # eps = (n + ik)^2, and n + ik is its principal root (n > 0)
+            return 2.0 * sqrt(eps) * (slope_bound if sm < mvt else slope_free)
     elif dielectric == DielectricModel.TOPP:
+        _, c1, c2, c3 = TOPP_COEFFS
+
         def eps_of_sm(sm):
             return _topp_root(sm, sinh, asinh), 0.0
+
+        def eps_slope(sm, eps):
+            # implicit derivative of sm = c0 + c1 eps + c2 eps^2 + c3 eps^3
+            return 1.0 / (c1 + eps.real * (2.0 * c2 + 3.0 * c3 * eps.real))
     else:
         raise DomainError(f"unknown dielectric model {dielectric!r}")
     theta = math.radians(incidence_deg)
@@ -288,8 +312,18 @@ def _emissivity_kernel(clay_fraction, incidence_deg, h, dielectric, frequency_gh
 
     def e_pair(sm):
         eps_r, eps_i = eps_of_sm(sm)
-        r_h, r_v = _fresnel(to_complex(eps_r, eps_i), cos_t, sin2, sqrt)
-        return 1.0 - r_h * att, 1.0 - r_v * att
+        eps = to_complex(eps_r, eps_i)
+        rho_h, rho_v, root = _fresnel(eps, cos_t, sin2, sqrt)
+        e_hv = 1.0 - abs(rho_h) ** 2 * att, 1.0 - abs(rho_v) ** 2 * att
+        if not slope:
+            return e_hv
+        # d|rho|^2 = 2 Re(conj(rho) drho/deps deps/dsm)
+        d_eps = eps_slope(sm, eps) / root
+        den_h, den_v = cos_t + root, eps * cos_t + root
+        d_rho_h = -cos_t * d_eps / (den_h * den_h)
+        d_rho_v = cos_t * (eps - 2.0 * sin2) * d_eps / (den_v * den_v)
+        return e_hv, (-2.0 * att * (rho_h.conjugate() * d_rho_h).real,
+                      -2.0 * att * (rho_v.conjugate() * d_rho_v).real)
 
     return e_pair
 
@@ -306,11 +340,22 @@ def soil_emissivity_pair(sm, clay_fraction, incidence_deg, h,
 def emissivity_evaluator(clay_fraction, incidence_deg, h,
                          dielectric=DielectricModel.MIRONOV,
                          frequency_ghz=L_BAND_GHZ):
-    """Closure sm -> (e_h, e_v) on Python floats for optimizer inner
-    loops: the kernel of soil_emissivity_pair without array dispatch or
-    the sm range checks."""
+    """Closure sm -> (e_h, e_v) on Python floats for scalar inner loops:
+    the kernel of soil_emissivity_pair without array dispatch or the sm
+    range checks."""
     return _emissivity_kernel(clay_fraction, incidence_deg, h, dielectric,
                               frequency_ghz, _SCALAR_MATH)
+
+
+def emissivity_slope_evaluator(clay_fraction, incidence_deg, h,
+                               dielectric=DielectricModel.MIRONOV,
+                               frequency_ghz=L_BAND_GHZ):
+    """Closure sm -> ((e_h, e_v), (de_h/dsm, de_v/dsm)) on Python floats:
+    emissivity_evaluator with the analytic slope in sm. Mironov's slope is
+    one-sided at the bound/free water transition mvt, where it takes the
+    free-water side."""
+    return _emissivity_kernel(clay_fraction, incidence_deg, h, dielectric,
+                              frequency_ghz, _SCALAR_MATH, slope=True)
 
 
 def simulate_tb(sm, tau_nadir, omega, h, clay_fraction, incidence_deg, t_e,

@@ -12,24 +12,32 @@ vector of the same forward model,
     estimate, lambda = 20.
 
 Minimization is deterministic over sm in [0.01, 0.70] and tau in [0, 3].
-A coarse grid (64 x 64, or 64 x 1 at tau_sca for SCA) seeds a
-box-projected Levenberg-Marquardt solve on r, which steps sm alone when
-tau is fixed. Its Jacobian takes d/dtau analytically through
-gamma = exp(-tau / cos theta) and d/dsm by a central difference of the
-soil emissivities. A coordinate on a bound whose gradient points out of
-the box is held fixed, and a trial point, clipped to the box, is kept
-only if it lowers the cost, so the cost never rises above the grid
-seed's.
+A coarse seed starts a box-projected Levenberg-Marquardt solve on r,
+which steps sm alone when tau is fixed:
 
-The part of the seed grid that does not depend on the observation is
-built once per site and preset: the emissivities on the 64 sm points per
-(clay, incidence, h, dielectric, frequency), and for the dual-channel
-kinds the t_e-free factors of the tau-omega model (radiative.
-tau_omega_terms) over the 64 x 64 grid, per that key plus omega. Both
-are read-only arrays in bounded LRU caches, and a retrieval finishes the
-brightness temperatures with radiative.tb_from_terms, the same
-operations in the same order as an uncached evaluation, so the results
-are bit-identical. `evaluations` still counts every grid point.
+  * dual-channel kinds with omega = 0 and lam = 0 (DCA0/1/2): the 64 sm
+    points, each at its closed-form best opacity (_profiled_seed), whose
+    cost is never above that of any point of the 64 x 64 grid;
+  * the other dual-channel kinds (RDCA): the 64 x 64 (sm, tau) grid;
+  * single-channel kinds: the 64 sm points at tau_sca.
+
+The Jacobian takes d/dtau through gamma = exp(-tau / cos theta) and
+d/dsm from the analytic emissivity slope that every trial point's kernel
+call returns with its value (radiative.emissivity_slope_evaluator). A
+coordinate on a bound whose gradient points out of the box is held
+fixed, and a trial point, clipped to the box, is kept only if it lowers
+the cost, so the cost never rises above the seed's. `evaluations` is
+the number of seed points scored (64, or 4,096 on the grid) plus the
+kernel calls of the solve.
+
+The part of the seed that does not depend on the observation is built
+once per site and preset: the emissivities on the 64 sm points per
+(clay, incidence, h, dielectric, frequency), and for the grid the
+t_e-free factors of the tau-omega model (radiative.tau_omega_terms) over
+the 64 x 64 points, per that key plus omega. Both are read-only arrays
+in bounded LRU caches, and a grid retrieval finishes the brightness
+temperatures with radiative.tb_from_terms, the same operations in the
+same order as an uncached evaluation, so the results are bit-identical.
 
 Six named presets cover the operational algorithm configurations (SCAV,
 SCAH, RDCA, DCA0, DCA1, DCA2); they ship as key-value files under
@@ -49,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .kvconfig import parse_kv_text, read_kv_file
 from .radiative import (DielectricModel, L_BAND_GHZ, canopy_transmissivity,
-                        emissivity_evaluator, soil_emissivity_pair, tau_omega_tb,
+                        emissivity_slope_evaluator, soil_emissivity_pair, tau_omega_tb,
                         tau_omega_terms, tb_from_terms)
 
 SM_BOUNDS = (0.01, 0.70)
@@ -58,7 +66,6 @@ SM_TOL = 1e-5
 TAU_TOL = 1e-4
 SEED_GRID_N = 64          # coarse-grid points per dimension
 LM_MAX_STEPS = 100        # Levenberg-Marquardt Jacobians before giving up
-_SM_FD_STEP = 1e-7        # central-difference step of d(emissivity)/d(sm)
 # Marquardt damping mu scales the diagonal of J^T J by (1 + mu); it falls
 # by _LM_MU_FACTOR after an accepted step and rises by it after a rejected
 # trial. A trial rejected at mu > _LM_MU_MAX, a step of ~1e-8 of the
@@ -241,7 +248,9 @@ def _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     """Cost over the seed grid, with the grid's tau axis: the 64 x 64
     (sm, tau) rectangle for the dual-channel kinds, the 64 sm points at
     tau_sca for the single-channel kinds. A channel of weight 0.0 is not
-    simulated but scored at its observed value, a 0.0 term either way."""
+    simulated but scored at its observed value, a 0.0 term either way.
+    retrieve seeds the dual-channel kinds with omega = 0 and lam = 0 from
+    _profiled_seed instead."""
     site = (surface.clay_fraction, surface.incidence_deg, algo.h, algo.dielectric,
             frequency_ghz)
     weights = residual_weights(algo)
@@ -256,6 +265,35 @@ def _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
                   for t, w, obs in zip(terms, weights, (tb_obs.tb_h, tb_obs.tb_v)))
     res = residual(tb_h, tb_v, ts[None, :], tb_obs, weights, tau_sca)
     return squared_norm(res), ts
+
+
+def _profiled_seed(tb_obs, algo, surface, t_e, frequency_ghz):
+    """Seed (sm, tau) of a dual-channel kind with omega = 0 and lam = 0,
+    and the number of sm points scored: the seed grid's sm point whose
+    cost at its best opacity is least, ties to the smallest sm.
+
+    With omega = 0, tau_omega_tb is tb_p = t_e (1 - r_p u), r_p = 1 - e_p,
+    u = exp(-2 tau / cos theta), to within 1e-13 K. At fixed sm the cost
+    is then a quadratic in u with its minimum on the box at
+    u* = clip(sum r_p (t_e - obs_p) / (t_e sum r_p^2), exp(-6 / cos theta), 1),
+    and tau* = -(cos theta / 2) ln u*, clipped to TAU_BOUNDS (variable
+    projection: Golub & Pereyra 1973)."""
+    cos_theta = math.cos(math.radians(surface.incidence_deg))
+    e_h, e_v = _grid_emissivities(surface.clay_fraction, surface.incidence_deg, algo.h,
+                                  algo.dielectric, frequency_ghz)
+    r_h, r_v = 1.0 - e_h, 1.0 - e_v
+    # t_e u*, before and after clipping to the box
+    t_e_u = (r_h * (t_e - tb_obs.tb_h) + r_v * (t_e - tb_obs.tb_v)) / (r_h * r_h + r_v * r_v)
+    t_e_u_box = np.minimum(np.maximum(t_e_u, t_e * math.exp(-2.0 * TAU_BOUNDS[1] / cos_theta)),
+                           t_e)
+    res = residual(t_e - t_e_u_box * r_h, t_e - t_e_u_box * r_v, None, tb_obs,
+                   residual_weights(algo))
+    costs = squared_norm(res)
+    i = int(costs.argmin())
+    u = float(t_e_u[i]) / t_e
+    tau = -0.5 * cos_theta * math.log(u) if u > 0.0 else TAU_BOUNDS[1]
+    # 0.0 as the first operand turns the -0.0 of ln 1 into 0.0
+    return float(_SM_GRID[i]), min(max(TAU_BOUNDS[0], tau), TAU_BOUNDS[1]), costs.size
 
 
 # ----------------------------------------------------------------------
@@ -300,49 +338,50 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
     fit_tau = algo.kind in DUAL_KINDS
     cos_theta = math.cos(math.radians(surface.incidence_deg))
 
-    # Coarse seed; sm varies along rows so the first flat minimum has the
-    # smallest sm, then the smallest tau.
-    costs, ts = _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz)
-    i, j = np.unravel_index(int(np.argmin(costs)), costs.shape)
-    sm, tau = float(_SM_GRID[i]), float(ts[j])
-    evaluations = costs.size
-
-    # Box-projected Levenberg-Marquardt on the same residual vector.
-    e_pair = emissivity_evaluator(surface.clay_fraction, surface.incidence_deg,
-                                  algo.h, algo.dielectric, frequency_ghz)
     omega = algo.omega
     w = 1.0 - omega
 
-    def state(sm_trial, tau_trial):
-        e_hv = e_pair(sm_trial)
-        g = math.exp(-tau_trial / cos_theta)
-        res = residual(tau_omega_tb(e_hv[0], g, omega, t_e),
-                       tau_omega_tb(e_hv[1], g, omega, t_e), tau_trial, tb_obs,
-                       weights, tau_sca)
-        return e_hv, g, res, squared_norm(res)
+    # Coarse seed, profiled in tau where that has a closed form; on the
+    # grid, sm varies along rows so the first flat minimum has the
+    # smallest sm, then the smallest tau.
+    if fit_tau and not (lam or omega):
+        sm, tau, evaluations = _profiled_seed(tb_obs, algo, surface, t_e, frequency_ghz)
+    else:
+        costs, ts = _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz)
+        i, j = divmod(int(costs.argmin()), costs.shape[1])
+        sm, tau, evaluations = float(_SM_GRID[i]), float(ts[j]), costs.size
 
-    e_hv, g, res, cost = state(sm, tau)
+    # Box-projected Levenberg-Marquardt on the same residual vector.
+    e_pair = emissivity_slope_evaluator(surface.clay_fraction, surface.incidence_deg,
+                                        algo.h, algo.dielectric, frequency_ghz)
+
+    def state(sm_trial, tau_trial):
+        e_and_slope = e_pair(sm_trial)
+        (e_h, e_v), _ = e_and_slope
+        g = math.exp(-tau_trial / cos_theta)
+        res = residual(tau_omega_tb(e_h, g, omega, t_e), tau_omega_tb(e_v, g, omega, t_e),
+                       tau_trial, tb_obs, weights, tau_sca)
+        return e_and_slope, g, res, squared_norm(res)
+
+    e_and_slope, g, res, cost = state(sm, tau)
     evaluations += 1
     mu = _LM_MU_START
     converged = False
     small_steps = 0
     for _ in range(LM_MAX_STEPS):
-        # d tb / d sm: central difference of the emissivities, clipped to
-        # the box; d tb / d tau: chain rule through gamma = exp(-tau/cos).
-        sm_up, sm_dn = min(sm + _SM_FD_STEP, sm_hi), max(sm - _SM_FD_STEP, sm_lo)
-        e_up, e_dn = e_pair(sm_up), e_pair(sm_dn)
-        evaluations += 2
+        # d tb / d sm: the kernel's analytic emissivity slope; d tb / d tau:
+        # chain rule through gamma = exp(-tau/cos).
         tb_per_e = g * t_e * (1.0 - w * (1.0 - g))
         gamma_per_tau = -g / cos_theta
-        j_sm = [w_k * tb_per_e * (e_up[k] - e_dn[k]) / (sm_up - sm_dn)
-                for k, w_k in ((0, w_h), (1, w_v))]
-        j_tau = [w_k * t_e * (e_hv[k] - w + (1.0 - e_hv[k]) * w * (1.0 - 2.0 * g))
-                 * gamma_per_tau for k, w_k in ((0, w_h), (1, w_v))]
-        a11 = j_sm[0] * j_sm[0] + j_sm[1] * j_sm[1]
-        a12 = j_sm[0] * j_tau[0] + j_sm[1] * j_tau[1]
-        a22 = j_tau[0] * j_tau[0] + j_tau[1] * j_tau[1] + lam * lam
-        grad_sm = j_sm[0] * res[0] + j_sm[1] * res[1]
-        grad_tau = j_tau[0] * res[0] + j_tau[1] * res[1] + lam * res[2]
+        (e_h, e_v), (de_h, de_v) = e_and_slope
+        js_h, js_v = w_h * tb_per_e * de_h, w_v * tb_per_e * de_v
+        jt_h = w_h * t_e * (e_h - w + (1.0 - e_h) * w * (1.0 - 2.0 * g)) * gamma_per_tau
+        jt_v = w_v * t_e * (e_v - w + (1.0 - e_v) * w * (1.0 - 2.0 * g)) * gamma_per_tau
+        a11 = js_h * js_h + js_v * js_v
+        a12 = js_h * jt_h + js_v * jt_v
+        a22 = jt_h * jt_h + jt_v * jt_v + lam * lam
+        grad_sm = js_h * res[0] + js_v * res[1]
+        grad_tau = jt_h * res[0] + jt_v * res[1] + lam * res[2]
 
         # Active set: a coordinate on a bound whose descent direction
         # points out of the box stays where it is.
@@ -378,7 +417,7 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
 
         small = abs(sm_t - sm) <= SM_TOL / 100.0 and abs(tau_t - tau) <= TAU_TOL / 100.0
         small_steps = small_steps + 1 if small else 0
-        sm, tau, e_hv, g, res, cost = sm_t, tau_t, e_t, g_t, res_t, cost_t
+        sm, tau, e_and_slope, g, res, cost = sm_t, tau_t, e_t, g_t, res_t, cost_t
         mu /= _LM_MU_FACTOR
         if small_steps >= 2:
             converged = True

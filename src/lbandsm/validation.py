@@ -59,11 +59,6 @@ class MetricsReport:
     r_flag: str = "ok"   # ok | zero_variance | short_series
 
 
-def spatial_average(record):
-    """Arithmetic mean of the point measurements."""
-    return mean_std(record.point_sm)[0]
-
-
 def metrics(obs, ref):
     """MetricsReport for two aligned equal-length series (n >= 2).
 

@@ -360,6 +360,28 @@ def test_unwritable_rejected_leaves_output_untouched(tmp_path, capsys, monkeypat
     assert out.read_text() == "kept\n"
 
 
+def test_unwritable_rejected_removes_output_it_created(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "new.csv"
+    rejected = tmp_path / "no" / "such" / "r.csv"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(STREAM_INPUTS["filter"][1]))
+    err = _one_line_error(capsys, "filter", "--output", str(out), "--rejected", str(rejected))
+    assert err.startswith(f"error: {rejected}: cannot write: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_outputs_naming_one_file_are_a_data_error(existed, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x.csv"
+    if existed:
+        out.write_text("kept\n")
+    (tmp_path / "sub").mkdir()
+    same = tmp_path / "sub" / ".." / "x.csv"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(STREAM_INPUTS["filter"][1]))
+    err = _one_line_error(capsys, "filter", "--output", str(out), "--rejected", str(same))
+    assert err == f"error: {same}: same file as output {out}\n", err
+    assert out.read_text() == "kept\n" if existed else not out.exists()
+
+
 def test_outputs_replace_files_and_write_to_devices_and_fifos(tmp_path, capsys,
                                                              monkeypatch):
     text = STREAM_INPUTS["filter"][1]

@@ -12,7 +12,7 @@ import pytest
 
 from lbandsm import radiative as ra
 from lbandsm.errors import DomainError
-from lbandsm.retrieval import make_surface
+from lbandsm.retrieval import SM_BOUNDS, make_surface
 
 import oracles
 
@@ -316,6 +316,27 @@ def test_scalar_evaluator_matches_array_path():
         fast = np.array([evaluate(float(sm)) for sm in sms]).T
         slow = ra.soil_emissivity_pair(sms, 0.2, 40.0, 0.15, diel)
         assert np.max(np.abs(fast - slow)) <= bound, diel
+
+
+@pytest.mark.parametrize("diel", list(ra.DielectricModel))
+@pytest.mark.parametrize("clay", [0.13, 0.20])
+def test_analytic_slope_matches_central_difference(diel, clay):
+    # Mironov's slope jumps at mvt, so the sweep keeps a step away from it
+    # and must cover both sides; Topp's runs to the top of the sm box
+    step = 1e-6
+    mvt = ra._mironov_mixing_params(clay, F)[2]
+    evaluate = ra.emissivity_evaluator(clay, 40.0, 0.15, diel)
+    with_slope = ra.emissivity_slope_evaluator(clay, 40.0, 0.15, diel)
+    sms = [sm for sm in np.linspace(SM_BOUNDS[0] + step, SM_BOUNDS[1] - step, 139).tolist()
+           if abs(sm - mvt) > 2 * step] + [SM_BOUNDS[1] - step]
+    assert min(sms) < mvt < max(sms)
+    for sm in sms:
+        e_hv, slope = with_slope(sm)
+        assert e_hv == evaluate(sm)
+        up, down = evaluate(sm + step), evaluate(sm - step)
+        for k in (0, 1):
+            central = (up[k] - down[k]) / (2 * step)
+            assert slope[k] == pytest.approx(central, rel=1e-6), (diel, clay, sm, k)
 
 
 # ----------------------------------------------------------------------

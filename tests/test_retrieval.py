@@ -1,6 +1,7 @@
 """Inversion algorithms: residual, optimizer, presets."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -122,11 +123,13 @@ def test_rdca_grid_minimum_with_matching_target():
 # Seed-grid tables
 # ----------------------------------------------------------------------
 
-def _fresh_seed_costs(obs, algo, surface, t_e, tau_sca):
+def _fresh_seed_costs(obs, algo, surface, t_e, tau_sca, ts=None):
     """Seed-grid costs rebuilt from the forward model, with every weight
-    multiplied in and every residual term added."""
-    ts = np.linspace(*rt.TAU_BOUNDS, rt.SEED_GRID_N) if algo.kind in rt.DUAL_KINDS \
-        else np.array([tau_sca])
+    multiplied in and every residual term added; over the opacities ts
+    if given."""
+    if ts is None:
+        ts = np.linspace(*rt.TAU_BOUNDS, rt.SEED_GRID_N) if algo.kind in rt.DUAL_KINDS \
+            else np.array([tau_sca])
     e_h, e_v = ra.soil_emissivity_pair(np.linspace(*rt.SM_BOUNDS, rt.SEED_GRID_N),
                                        surface.clay_fraction, surface.incidence_deg,
                                        algo.h, algo.dielectric)
@@ -167,6 +170,46 @@ def test_cached_seed_grid_equals_fresh_grid(name, cover, surface):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+PROFILED = ("DCA0", "DCA1", "DCA2")
+
+
+@pytest.mark.parametrize("cover,surface", [("bare_soil", BARE), ("grassland", GRASS)])
+@pytest.mark.parametrize("name", PROFILED)
+def test_profiled_seed_never_above_grid_minimum(name, cover, surface):
+    # tau* is the best opacity at each sm on the whole tau box, and the
+    # grid's tau values lie in that box, so no grid point scores lower
+    # under the forward model itself (scored on the grid's array path,
+    # whose last bits the scalar path does not share)
+    algo = preset(name, cover)
+    rng = np.random.default_rng(314)
+    for _ in range(50):
+        t_e = rt.CONSTANT_T_E if algo.t_e_source == rt.TempSource.CONSTANT \
+            else rng.uniform(275.0, 305.0)
+        base = synth_obs(rng.uniform(0.02, 0.65), rng.uniform(0.0, 1.0), algo, surface, t_e)
+        obs = TbPair(base.tb_h + rng.normal(0.0, 2.0), base.tb_v + rng.normal(0.0, 2.0))
+        sm, tau, points = rt._profiled_seed(obs, algo, surface, t_e, ra.L_BAND_GHZ)
+        assert points == rt.SEED_GRID_N
+        row = int(np.flatnonzero(rt._SM_GRID == sm)[0])
+        at_seed = _fresh_seed_costs(obs, algo, surface, t_e, None, np.array([tau]))[row, 0]
+        grid = _fresh_seed_costs(obs, algo, surface, t_e, None)
+        assert at_seed <= grid.min(), (name, cover, obs, t_e)
+
+
+@pytest.mark.parametrize("name", PROFILED)
+def test_profiled_seed_opacity_lands_on_the_box(name):
+    # observations simulated beyond either end of the tau box put the
+    # seed's u* outside [exp(-6 / cos theta), 1], and tau* must then be
+    # the bound itself: +0.0 (not -0.0) below, 3.0 above
+    algo = preset(name, "grassland")
+    t_e = rt.CONSTANT_T_E if algo.t_e_source == rt.TempSource.CONSTANT else 290.0
+    for tau0, bound in ((-0.3, rt.TAU_BOUNDS[0]), (4.0, rt.TAU_BOUNDS[1])):
+        obs = synth_obs(0.3, tau0, algo, GRASS, t_e)
+        _, tau, _ = rt._profiled_seed(obs, algo, GRASS, t_e, ra.L_BAND_GHZ)
+        assert tau == bound and math.copysign(1.0, tau) == 1.0, (tau0, tau)
+    _, tau, _ = rt._profiled_seed(TbPair(t_e, t_e), algo, GRASS, t_e, ra.L_BAND_GHZ)
+    assert tau == rt.TAU_BOUNDS[1]   # u* = 0
 
 
 def test_results_independent_of_order_and_cache_state():
