@@ -28,20 +28,21 @@ site is a ConfigError here, not a fault in the middle of a run.
 from __future__ import annotations
 
 import glob
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ancillary import TauCoefficients, load_tau_coefficients
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .kvconfig import read_kv_file
 from .preprocess import CalibrationParams, Statistic
 from .retrieval import (SurfaceConfig, TAU_SCA_KINDS, make_surface, parse_preset,
                         read_preset)
 from .radiative import L_BAND_GHZ, MIRONOV_FREQ_RANGE_GHZ
+from .validation import ALIGN_WINDOW_S
 
 CONFIG_ENV_VAR = "LBANDSM_CONFIG"
-DEFAULT_ALIGN_WINDOW_S = 1800.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class CampaignConfig:
     frequency_ghz: float = L_BAND_GHZ
     statistic: Statistic = Statistic.MEDIAN
     skip_leading: int = 0
-    align_window_s: float = DEFAULT_ALIGN_WINDOW_S
+    align_window_s: float = ALIGN_WINDOW_S
     warnings: tuple = field(default=())
 
 
@@ -116,12 +117,15 @@ def load_campaign(path) -> CampaignConfig:
         if tau_raw else None)
 
     cal_kv = kv.section("calibration")
-    calibration = CalibrationParams(
-        gain_h=cal_kv.get_float("gain_h", 1.0),
-        gain_v=cal_kv.get_float("gain_v", 1.0),
-        offset_h=cal_kv.get_float("offset_h", 0.0),
-        offset_v=cal_kv.get_float("offset_v", 0.0),
-    ) if cal_kv.keys() else None
+    try:
+        calibration = CalibrationParams(
+            gain_h=cal_kv.get_float("gain_h", 1.0),
+            gain_v=cal_kv.get_float("gain_v", 1.0),
+            offset_h=cal_kv.get_float("offset_h", 0.0),
+            offset_v=cal_kv.get_float("offset_v", 0.0),
+        ) if cal_kv.keys() else None
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     frequency_ghz = kv.get_float("frequency_ghz", L_BAND_GHZ)
     lo, hi = MIRONOV_FREQ_RANGE_GHZ   # the screening floor always uses Mironov
@@ -135,13 +139,16 @@ def load_campaign(path) -> CampaignConfig:
         clay = sv.get_float("clay_fraction")
         if clay is None:
             raise ConfigError(f"site {name}: missing clay_fraction")
-        surface = make_surface(
-            clay_fraction=clay,
-            land_cover=land_cover,
-            incidence_deg=sv.get_float("incidence_deg", 40.0),
-            h=sv.get_float("h"),
-            omega=sv.get_float("omega"),
-        )
+        try:
+            surface = make_surface(
+                clay_fraction=clay,
+                land_cover=land_cover,
+                incidence_deg=sv.get_float("incidence_deg", 40.0),
+                h=sv.get_float("h"),
+                omega=sv.get_float("omega"),
+            )
+        except DomainError as exc:
+            raise ConfigError(f"{path}: site {name}: {exc}") from None
         presets = sorted((parse_preset(preset_kv, land_cover) for preset_kv in preset_kvs),
                          key=lambda algo: algo.name)
         session_paths = _expand_sessions(base_dir, sv.get_list("sessions"), name)
@@ -185,6 +192,11 @@ def load_campaign(path) -> CampaignConfig:
     if skip_leading < 0:
         raise ConfigError(f"{path}: skip_leading must be >= 0")
 
+    align_window_s = kv.get_float("align_window_s", ALIGN_WINDOW_S)
+    if not 0.0 <= align_window_s < math.inf:
+        raise ConfigError(f"{path}: align_window_s must be finite and >= 0, "
+                          f"got {align_window_s}")
+
     return CampaignConfig(
         output_dir=output_dir,
         sites=tuple(sites),
@@ -193,6 +205,6 @@ def load_campaign(path) -> CampaignConfig:
         frequency_ghz=frequency_ghz,
         statistic=statistic,
         skip_leading=skip_leading,
-        align_window_s=kv.get_float("align_window_s", DEFAULT_ALIGN_WINDOW_S),
+        align_window_s=align_window_s,
         warnings=tuple(warnings),
     )

@@ -236,6 +236,7 @@ _SEPARATORS = ([4, 7, 10, 13, 16], np.frombuffer(b"--T::", np.uint8))
 # first byte of each two-digit group of a stamp: YY YY MM DD hh mm ss ff ff ff
 _PAIRS = np.array([0, 2, 5, 8, 11, 14, 17, 20, 22, 24])
 _UNEVEN = "\0\x1c\x1d\x1e\x1f"    # characters loadtxt and float() read differently
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 def parse_utc_timestamp(text):
@@ -281,13 +282,16 @@ def _canonical_micros(stamps):
             | (second > 59)).any():
         return None
     # the calendar check and day number of each run of one date: each
-    # distinct date once when time increases
+    # distinct date once when time increases. datetime.date, not a bytes
+    # to datetime64 cast, which crashes numpy 2.4 on a bad date in more
+    # than 500 stamps
     first = np.flatnonzero(np.concatenate(([True], date[1:] != date[:-1])))
     try:
-        days = stamps[first].astype("S10").astype("datetime64[D]").view(np.int64)
+        days = [dt.date(d // 10000, d // 100 % 100, d % 100).toordinal() - _EPOCH_ORDINAL
+                for d in date[first].tolist()]
     except ValueError:      # no such day, as 2023-02-29
         return None
-    day = np.repeat(days, np.diff(np.append(first, len(date))))
+    day = np.repeat(np.array(days, dtype=np.int64), np.diff(np.append(first, len(date))))
     seconds = day * 86400 + hour * 3600 + minute * 60 + second
     micro = (pair[:, 7] * 100 + pair[:, 8]) * 100 + pair[:, 9]
     return seconds * 1_000_000 + np.where(fraction, micro, 0)

@@ -19,10 +19,9 @@ its math functions as parameters: numpy's for arrays
 (soil_emissivity_pair, which checks its inputs) and cmath/math/builtins
 for scalar calls (emissivity_evaluator). For the optimizer the same
 kernel also returns the analytic slope d(e_h, e_v)/dsm next to the value
-(emissivity_slope_evaluator). The vegetation formula is split into its
-t_e-free factors (tau_omega_terms) and the step that multiplies t_e in
-(tb_from_terms), so the retrieval can cache the factors over its seed
-grid.
+(emissivity_slope_evaluator). The vegetation formula (tau_omega_tb) is
+one expression for floats and arrays alike, so the seed grid and the
+optimizer evaluate the same operations.
 """
 
 import cmath
@@ -241,27 +240,13 @@ def canopy_transmissivity(tau_nadir, incidence_deg):
     return np.exp(-np.asarray(tau_nadir, dtype=float) / math.cos(theta))
 
 
-def tau_omega_terms(e_p, gamma, omega):
-    """The factors of tau_omega_tb that do not involve t_e:
-    (gamma e_p, gamma (1 - e_p), (1 - omega)(1 - gamma))."""
-    return gamma * e_p, gamma * (1.0 - e_p), (1.0 - omega) * (1.0 - gamma)
-
-
-def tb_from_terms(terms, t_e):
-    """tau_omega_tb from its tau_omega_terms. The operations and their
-    order are those of the unsplit formula, so precomputed terms give the
-    same bits."""
-    soil, soil_loss, canopy = terms
-    veg = canopy * t_e
-    return soil * t_e + veg + soil_loss * veg
-
-
 def tau_omega_tb(e_p, gamma, omega, t_e):
     """Zeroth-order vegetation-over-soil emission for one polarization.
 
     Pure arithmetic; works unchanged for floats and broadcastable arrays.
     """
-    return tb_from_terms(tau_omega_terms(e_p, gamma, omega), t_e)
+    veg = (1.0 - omega) * (1.0 - gamma) * t_e
+    return gamma * e_p * t_e + veg + gamma * (1.0 - e_p) * veg
 
 
 # (sqrt, minimum, maximum, sinh, asinh, complex) of the emission kernel;

@@ -30,14 +30,11 @@ the cost, so the cost never rises above the seed's. `evaluations` is
 the number of seed points scored (64, or 4,096 on the grid) plus the
 kernel calls of the solve.
 
-The part of the seed that does not depend on the observation is built
-once per site and preset: the emissivities on the 64 sm points per
-(clay, incidence, h, dielectric, frequency), and for the grid the
-t_e-free factors of the tau-omega model (radiative.tau_omega_terms) over
-the 64 x 64 points, per that key plus omega. Both are read-only arrays
-in bounded LRU caches, and a grid retrieval finishes the brightness
-temperatures with radiative.tb_from_terms, the same operations in the
-same order as an uncached evaluation, so the results are bit-identical.
+The emissivities on the 64 sm points depend on the site and preset only,
+so they are built once per (clay, incidence, h, dielectric, frequency)
+as read-only arrays in a bounded LRU cache, which both seeds read. The
+grid seed scores them through radiative.tau_omega_tb, the one forward
+formula that the optimizer evaluates too.
 
 Six named presets cover the operational algorithm configurations (SCAV,
 SCAH, RDCA, DCA0, DCA1, DCA2); they ship as key-value files under
@@ -57,8 +54,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .kvconfig import parse_kv_text, read_kv_file
 from .radiative import (DielectricModel, L_BAND_GHZ, canopy_transmissivity,
-                        emissivity_slope_evaluator, soil_emissivity_pair, tau_omega_tb,
-                        tau_omega_terms, tb_from_terms)
+                        emissivity_slope_evaluator, soil_emissivity_pair, tau_omega_tb)
 
 SM_BOUNDS = (0.01, 0.70)
 TAU_BOUNDS = (0.0, 3.0)
@@ -233,17 +229,6 @@ def _grid_emissivities(clay_fraction, incidence_deg, h, dielectric, frequency_gh
                                            dielectric, frequency_ghz))
 
 
-@functools.lru_cache(maxsize=32)
-def _dual_seed_terms(clay_fraction, incidence_deg, h, dielectric, frequency_ghz, omega):
-    """Read-only tau_omega_terms of each polarization over the 64 x 64
-    dual-channel seed grid, (sm axis) x (tau axis). They depend on the site
-    and preset only, so one table serves every session. A table is four
-    64 x 64 arrays (128 KiB), so the cache holds at most 4 MiB."""
-    gamma = canopy_transmissivity(_TAU_GRID, incidence_deg)[None, :]
-    return tuple(_read_only(tau_omega_terms(e[:, None], gamma, omega)) for e in
-                 _grid_emissivities(clay_fraction, incidence_deg, h, dielectric, frequency_ghz))
-
-
 def _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     """Cost over the seed grid, with the grid's tau axis: the 64 x 64
     (sm, tau) rectangle for the dual-channel kinds, the 64 sm points at
@@ -251,18 +236,13 @@ def _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     simulated but scored at its observed value, a 0.0 term either way.
     retrieve seeds the dual-channel kinds with omega = 0 and lam = 0 from
     _profiled_seed instead."""
-    site = (surface.clay_fraction, surface.incidence_deg, algo.h, algo.dielectric,
-            frequency_ghz)
     weights = residual_weights(algo)
-    if algo.kind in DUAL_KINDS:
-        ts, terms = _TAU_GRID, _dual_seed_terms(*site, algo.omega)
-    else:
-        ts = np.array([tau_sca])
-        gamma = canopy_transmissivity(ts, surface.incidence_deg)[None, :]
-        terms = [tau_omega_terms(e[:, None], gamma, algo.omega) if w else None
-                 for e, w in zip(_grid_emissivities(*site), weights)]
-    tb_h, tb_v = (tb_from_terms(t, t_e) if w else obs
-                  for t, w, obs in zip(terms, weights, (tb_obs.tb_h, tb_obs.tb_v)))
+    ts = _TAU_GRID if algo.kind in DUAL_KINDS else np.array([tau_sca])
+    gamma = canopy_transmissivity(ts, surface.incidence_deg)[None, :]
+    e_hv = _grid_emissivities(surface.clay_fraction, surface.incidence_deg, algo.h,
+                              algo.dielectric, frequency_ghz)
+    tb_h, tb_v = (tau_omega_tb(e[:, None], gamma, algo.omega, t_e) if w else obs
+                  for e, w, obs in zip(e_hv, weights, (tb_obs.tb_h, tb_obs.tb_v)))
     res = residual(tb_h, tb_v, ts[None, :], tb_obs, weights, tau_sca)
     return squared_norm(res), ts
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lbandsm import kvconfig
+from lbandsm import kvconfig, validation
 from lbandsm.config import load_campaign
 from lbandsm.errors import ConfigError
 from lbandsm.preprocess import Statistic
@@ -182,6 +182,39 @@ def test_site_needs_clay(tmp_path):
                          "presets = DCA0\nsite.a.land_cover = bare_soil\n")
     with pytest.raises(ConfigError, match="clay_fraction"):
         load_campaign(path)
+
+
+@pytest.mark.parametrize("values,message", [
+    ("site.a.clay_fraction = 1.5\n", "clay_fraction must be in [0, 1], got 1.5"),
+    ("site.a.clay_fraction = 0.2\nsite.a.incidence_deg = 95\n",
+     "incidence_deg must be in [0, 90), got 95.0"),
+], ids=["clay_fraction", "incidence_deg"])
+def test_site_value_out_of_range_names_file_and_site(tmp_path, values, message):
+    path = _write_config(tmp_path, "presets = DCA0\nsite.a.land_cover = bare_soil\n" + values)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: site a: {message}")):
+        load_campaign(path)
+
+
+def test_calibration_value_out_of_range_names_file(tmp_path):
+    path = _write_config(tmp_path, "presets = DCA0\ncalibration.gain_h = 0\n" + MINIMAL_SITE)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: calibration gains must be nonzero")):
+        load_campaign(path)
+
+
+@pytest.mark.parametrize("window", ["-5", "nan", "inf", "-inf"])
+def test_align_window_must_be_finite_and_not_negative(tmp_path, window):
+    path = _write_config(tmp_path, f"presets = DCA0\nalign_window_s = {window}\n"
+                         + MINIMAL_SITE)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: align_window_s must be")):
+        load_campaign(path)
+
+
+def test_align_window_default_and_zero(tmp_path):
+    path = _write_config(tmp_path, "presets = DCA0\n" + MINIMAL_SITE)
+    assert load_campaign(path).align_window_s == validation.ALIGN_WINDOW_S == 1800.0
+    path = _write_config(tmp_path, "presets = DCA0\nalign_window_s = 0\n" + MINIMAL_SITE)
+    assert load_campaign(path).align_window_s == 0.0
 
 
 def test_calibration_only_when_configured(tmp_path):

@@ -422,24 +422,15 @@ def test_report_csvs_quote_a_session_name_with_a_comma(tmp_path):
 
 
 def test_seed_tables_built_once_per_site_and_preset(campaign_config, tmp_path):
-    """The pipeline builds one seed table per distinct site surface and
-    preset parameters, not one per retrieval; DCA1 and DCA2 share their
-    emissivities. Only RDCA scores the 64 x 64 table: DCA0/1/2 profile
-    the opacity on the emissivities alone."""
-    grid_keys, dual_keys = set(), set()
-    for site in campaign_config.sites:
-        for algo in site.presets:
-            key = (site.surface.clay_fraction, site.surface.incidence_deg, algo.h,
-                   algo.dielectric)
-            grid_keys.add(key)
-            if algo.kind == retrieval.AlgorithmKind.RDCA:
-                dual_keys.add(key + (algo.omega,))
-    retrieval._dual_seed_terms.cache_clear()
+    """The pipeline builds the seed emissivities once per distinct site
+    surface and preset parameters, not once per retrieval; DCA1 and DCA2
+    share theirs."""
+    grid_keys = {(site.surface.clay_fraction, site.surface.incidence_deg, algo.h,
+                  algo.dielectric)
+                 for site in campaign_config.sites for algo in site.presets}
     retrieval._grid_emissivities.cache_clear()
     report = pipeline.run_pipeline(campaign_config, output_dir=tmp_path)
 
     dual = [r for r in report.retrievals if r.result is not None and r.result.tau is not None]
     assert len(dual) == 40
-    assert len(dual_keys) == 2
-    assert retrieval._dual_seed_terms.cache_info().misses == len(dual_keys)
     assert retrieval._grid_emissivities.cache_info().misses == len(grid_keys) == 8

@@ -1,11 +1,16 @@
 """Screening, representative statistics and session ingestion."""
 
 import csv
+import datetime as dt
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +498,32 @@ def test_bad_stamp_named_like_per_row_parse(tmp_path, stamp):
     with pytest.raises(DataError) as exc:
         pp.load_session(path)
     assert str(exc.value) == f"{path}:4: {per_row.value}"
+
+
+def test_bad_date_in_a_long_session_is_a_data_error(tmp_path):
+    # one record a day: more than 500 runs of one date, the size at which
+    # a bytes -> datetime64 cast of a bad date crashed the interpreter;
+    # run in a child process, so that a crash fails this test only
+    day = dt.date(2020, 1, 1)
+    rows = [f"{day + dt.timedelta(days=k)}T14:00:00Z,250,260" for k in range(1200)]
+    rows[1000] = "2023-02-29T14:00:00Z,250,260"
+    path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + "\n".join(rows) + "\n")
+    code = ("import sys\n"
+            "from lbandsm.errors import DataError\n"
+            "from lbandsm.preprocess import load_session\n"
+            "try:\n"
+            "    load_session(sys.argv[1])\n"
+            "except DataError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(pp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code, str(path)],
+                         capture_output=True, text=True, env=env)
+    with pytest.raises(ValueError) as per_row:
+        pp.parse_utc_timestamp("2023-02-29T14:00:00Z")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == f"{path}:1002: {per_row.value}\n"
 
 
 @pytest.mark.parametrize("lines,want", [

@@ -209,8 +209,8 @@ def test_vegetation_transmissivity():
 
 
 def test_tau_omega_tb_split_keeps_the_bits():
-    # the retrieval caches tau_omega_terms; through tb_from_terms they must
-    # round exactly like the formula written as one expression
+    # on arrays and on floats, tau_omega_tb must round exactly like the
+    # formula written out, so the seed grid and the optimizer agree
     rng = np.random.default_rng(23)
     e_p = rng.uniform(0.3, 1.0, (50, 1))
     gamma = ra.canopy_transmissivity(rng.uniform(0.0, 3.0, (1, 40)), 40.0)

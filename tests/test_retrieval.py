@@ -141,11 +141,6 @@ def _fresh_seed_costs(obs, algo, surface, t_e, tau_sca, ts=None):
     return r_h * r_h + r_v * r_v + r_tau * r_tau
 
 
-def _clear_seed_tables():
-    rt._dual_seed_terms.cache_clear()
-    rt._grid_emissivities.cache_clear()
-
-
 @pytest.mark.parametrize("cover,surface", [("bare_soil", BARE), ("grassland", GRASS)])
 @pytest.mark.parametrize("name", rt.PRESET_NAMES)
 def test_cached_seed_grid_equals_fresh_grid(name, cover, surface):
@@ -163,10 +158,7 @@ def test_cached_seed_grid_equals_fresh_grid(name, cover, surface):
 
     site = (surface.clay_fraction, surface.incidence_deg, algo.h, algo.dielectric,
             ra.L_BAND_GHZ)
-    cached = [rt._SM_GRID, rt._TAU_GRID, *rt._grid_emissivities(*site)]
-    if algo.kind in rt.DUAL_KINDS:
-        cached += [a for terms in rt._dual_seed_terms(*site, algo.omega) for a in terms]
-    for array in cached:
+    for array in (rt._SM_GRID, rt._TAU_GRID, *rt._grid_emissivities(*site)):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -213,10 +205,9 @@ def test_profiled_seed_opacity_lands_on_the_box(name):
 
 
 def test_results_independent_of_order_and_cache_state():
-    # retrievals share the cached tables, so neither the order of the
-    # calls nor what the cache holds may change a result; the third site
-    # has the bare site's soil under grass, so its RDCA table differs
-    # from the bare one's in omega alone
+    # retrievals share the cached emissivities, so neither the order of
+    # the calls nor what the cache holds may change a result; the third
+    # site has the bare site's soil under grass
     rng = np.random.default_rng(606)
     sites = (("bare_soil", BARE), ("grassland", GRASS),
              ("grassland", rt.make_surface(0.20, "grassland", 40.0)))
@@ -229,12 +220,12 @@ def test_results_independent_of_order_and_cache_state():
         return [repr(rt.retrieve(obs, algo, surface, t_e, tau_sca=tau_sca))
                 for obs, algo, surface, t_e, tau_sca in order]
 
-    _clear_seed_tables()
+    rt._grid_emissivities.cache_clear()
     in_order = solve(problems)
-    _clear_seed_tables()
+    rt._grid_emissivities.cache_clear()
     backwards = solve(problems[::-1])[::-1]
     assert backwards == in_order
-    assert solve(problems) == in_order   # on the tables the reversed run built
+    assert solve(problems) == in_order   # on the cache the reversed run built
 
 
 # ----------------------------------------------------------------------
