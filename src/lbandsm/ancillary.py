@@ -12,6 +12,7 @@ config data; defaults for the supported land covers ship with the
 package and can be replaced wholesale by a user table.
 """
 
+import bisect
 import datetime as dt
 from dataclasses import dataclass
 from importlib import resources
@@ -75,25 +76,32 @@ def ndvi(red, nir):
 
 
 class NdviSeries:
-    """Daily NDVI series over a closed date range; flat outside it."""
+    """Daily NDVI, linear between (date, ndvi) knots of strictly
+    increasing date, over the closed range from the first knot to the
+    last; flat outside it."""
 
-    def __init__(self, dates, values):
-        self.dates = list(dates)
-        self.values = [float(v) for v in values]
+    def __init__(self, knots):
+        self.dates = [day for day, _ in knots]
+        self.values = [float(value) for _, value in knots]
 
     def value_on(self, day):
         if day <= self.dates[0]:
             return self.values[0]
         if day >= self.dates[-1]:
             return self.values[-1]
-        offset = (day - self.dates[0]).days
-        return self.values[offset]
+        k = bisect.bisect_right(self.dates, day)    # dates[k - 1] <= day < dates[k]
+        da, db = self.dates[k - 1], self.dates[k]
+        va, vb = self.values[k - 1], self.values[k]
+        if day == da:
+            return va
+        return va + (vb - va) * ((day - da).days / (db - da).days)
 
     def items(self):
-        return list(zip(self.dates, self.values))
+        days = (self.dates[0] + dt.timedelta(days=k) for k in range(len(self)))
+        return [(day, self.value_on(day)) for day in days]
 
     def __len__(self):
-        return len(self.dates)
+        return (self.dates[-1] - self.dates[0]).days + 1
 
 
 def interpolate_daily(samples):
@@ -109,25 +117,7 @@ def interpolate_daily(samples):
     for (d0, _), (d1, _) in zip(knots, knots[1:]):
         if d1 == d0:
             raise DomainError(f"duplicate sample date {d0}")
-
-    dates, values = [], []
-    seg = 0
-    day = knots[0][0]
-    while day <= knots[-1][0]:
-        while day > knots[seg + 1][0]:
-            seg += 1
-        (da, va), (db, vb) = knots[seg], knots[seg + 1]
-        if day == da:
-            value = va
-        elif day == db:
-            value = vb
-        else:
-            frac = (day - da).days / (db - da).days
-            value = va + (vb - va) * frac
-        dates.append(day)
-        values.append(value)
-        day += dt.timedelta(days=1)
-    return NdviSeries(dates, values)
+    return NdviSeries(knots)
 
 
 def ndvi_to_tau(value, coeffs, land_cover):

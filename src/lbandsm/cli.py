@@ -37,15 +37,16 @@ from .config import CONFIG_ENV_VAR, load_campaign
 from .errors import (ConfigError, DataError, DomainError, csv_records, decode_text,
                      read_text, split_header)
 from .geometry import footprint
-from .pipeline import run_pipeline
+from .pipeline import (METRICS_COLUMNS, RESULT_COLUMNS, metrics_fields, result_fields,
+                       run_pipeline)
 from .preprocess import (CalibrationParams, FilterThresholds, Statistic,
                          TB_HEADER, TB_MAX_DEFAULT, VOLTAGE_HEADER, filter_tb,
                          format_utc_timestamp, parse_utc_timestamp,
                          representative, session_from_text, session_stats,
                          write_session)
 from .radiative import L_BAND_GHZ, TbPair, simulate_tb
-from .retrieval import (CONSTANT_T_E, PRESET_NAMES, TAU_SCA_KINDS, TempSource,
-                        load_preset, make_surface, retrieve)
+from .retrieval import (CONSTANT_T_E, PRESET_NAMES, TAU_SCA_KINDS, SurfaceConfig,
+                        load_preset, retrieve)
 from .synth import SAMPLE_PERIOD_S
 from .validation import metrics
 
@@ -102,6 +103,12 @@ def _outputs(*paths):
         yield files
 
 
+def _write_rows(path, rows):
+    """Write CSV `rows` to an --output path, or to stdout for '-'."""
+    with _outputs(path) as (out,):
+        csv.writer(out).writerows(rows)
+
+
 def _body(path, expected_header, what):
     """The CSV text of an input after a header that must match."""
     header, body = split_header(_read_input(path))
@@ -137,26 +144,30 @@ def _read_session(path, expected_header, what, calibration=None):
         raise DataError(f"{what}: {exc}") from None
 
 
-def _surface_from_args(args, parser):
+def _preset_and_surface(args, parser):
+    """(algo, surface, t_e) of `retrieve` and `forward`: the preset for the
+    site's land cover, the site surface of --config/--site or, without
+    them, the --clay-fraction/--land-cover/--incidence surface with the
+    preset's h and omega, and the temperature the preset inverts at."""
+    if args.preset not in PRESET_NAMES and not Path(args.preset).is_file():
+        parser.error(f"unknown preset {args.preset!r}: expected one of "
+                     f"{', '.join(PRESET_NAMES)} or an existing preset file")
     if args.config:
         campaign = load_campaign(args.config)
         if not args.site:
             parser.error("--site is required with --config")
-        for site in campaign.sites:
-            if site.name == args.site:
-                return site.surface, campaign
-        parser.error(f"unknown site {args.site!r} in {args.config}")
-    if args.clay_fraction is None:
-        parser.error("either --config/--site or --clay-fraction is required")
-    return make_surface(args.clay_fraction, args.land_cover, args.incidence,
-                        h=args.h, omega=args.omega), None
-
-
-def _check_preset(parser, name):
-    candidate = Path(name)
-    if name not in PRESET_NAMES and not candidate.is_file():
-        parser.error(f"unknown preset {name!r}: expected one of "
-                     f"{', '.join(PRESET_NAMES)} or an existing preset file")
+        surface = next((site.surface for site in campaign.sites if site.name == args.site),
+                       None)
+        if surface is None:
+            parser.error(f"unknown site {args.site!r} in {args.config}")
+        algo = load_preset(args.preset, surface.land_cover)
+    else:
+        if args.clay_fraction is None:
+            parser.error("either --config/--site or --clay-fraction is required")
+        algo = load_preset(args.preset, args.land_cover)
+        surface = SurfaceConfig(args.clay_fraction, args.land_cover, args.incidence,
+                                algo.h, algo.omega)
+    return algo, surface, algo.t_e(args.t_e)
 
 
 # ----------------------------------------------------------------------
@@ -209,85 +220,64 @@ def cmd_represent(args, _parser):
     session = _read_session(args.input, TB_HEADER, "represent")
     rep = representative(session, Statistic(args.statistic))
     summary = session_stats(session)
-    with _outputs(args.output) as (out,):
-        writer = csv.writer(out)
-        writer.writerow(["tb_h", "tb_v", "n", "std_h", "std_v"])
-        writer.writerow([f"{rep.tb_h:.6f}", f"{rep.tb_v:.6f}", len(session),
-                         f"{summary.stats_h.std:.6f}", f"{summary.stats_v.std:.6f}"])
+    _write_rows(args.output, [
+        ["tb_h", "tb_v", "n", "std_h", "std_v"],
+        [f"{rep.tb_h:.6f}", f"{rep.tb_v:.6f}", len(session),
+         f"{summary.stats_h.std:.6f}", f"{summary.stats_v.std:.6f}"]])
     return 0
 
 
 def cmd_retrieve(args, parser):
-    _check_preset(parser, args.preset)
-    surface, _campaign = _surface_from_args(args, parser)
-    algo = load_preset(args.preset, surface.land_cover)
+    algo, surface, t_e = _preset_and_surface(args, parser)
     if algo.kind in TAU_SCA_KINDS and args.tau_sca is None:
         parser.error(f"preset {algo.name} requires --tau-sca")
-    t_e = CONSTANT_T_E if algo.t_e_source == TempSource.CONSTANT else args.t_e
-    rows = [["sm", "tau", "cost", "converged", "boundary_hit", "evaluations"]]
+    rows = [RESULT_COLUMNS]
     for line, pair in _read_floats(args.input, ("tb_h", "tb_v"), "retrieve"):
         try:
             result = retrieve(TbPair(*pair), algo, surface, t_e, tau_sca=args.tau_sca,
                               frequency_ghz=args.frequency)
         except DomainError as exc:
             raise DomainError(f"retrieve: line {line}: {exc}") from None
-        rows.append([f"{result.sm:.6f}",
-                     "" if result.tau is None else f"{result.tau:.6f}",
-                     f"{result.cost:.6e}",
-                     "true" if result.converged else "false",
-                     "true" if result.boundary_hit else "false",
-                     result.evaluations])
-    with _outputs(args.output) as (out,):
-        csv.writer(out).writerows(rows)
+        rows.append(result_fields(result))
+    _write_rows(args.output, rows)
     return 0
 
 
 def cmd_forward(args, parser):
-    _check_preset(parser, args.preset)
-    surface, _campaign = _surface_from_args(args, parser)
-    algo = load_preset(args.preset, surface.land_cover)
-    t_e = CONSTANT_T_E if algo.t_e_source == TempSource.CONSTANT else args.t_e
+    algo, surface, t_e = _preset_and_surface(args, parser)
     tb_h, tb_v = simulate_tb(args.sm, args.tau, algo.omega, algo.h,
                              surface.clay_fraction, surface.incidence_deg,
                              t_e, algo.dielectric, args.frequency)
     tb_h, tb_v = float(tb_h), float(tb_v)
-    with _outputs(args.output) as (out,):
-        writer = csv.writer(out)
-        if args.samples:
-            rng = np.random.default_rng(args.seed)
-            t0 = parse_utc_timestamp(args.start)
-            writer.writerow(["timestamp", "tb_h", "tb_v"])
-            noise = rng.normal(0.0, args.noise_k, size=(args.samples, 2)) \
-                if args.noise_k > 0 else np.zeros((args.samples, 2))
-            for k in range(args.samples):
-                writer.writerow([format_utc_timestamp(t0 + k * SAMPLE_PERIOD_S),
-                                 f"{tb_h + noise[k, 0]:.4f}", f"{tb_v + noise[k, 1]:.4f}"])
-        else:
-            writer.writerow(["tb_h", "tb_v"])
-            writer.writerow([f"{tb_h:.6f}", f"{tb_v:.6f}"])
+    if args.samples:
+        rng = np.random.default_rng(args.seed)
+        t0 = parse_utc_timestamp(args.start)
+        noise = rng.normal(0.0, args.noise_k, size=(args.samples, 2)) \
+            if args.noise_k > 0 else np.zeros((args.samples, 2))
+        rows = [["timestamp", "tb_h", "tb_v"]]
+        rows += [[format_utc_timestamp(t0 + k * SAMPLE_PERIOD_S),
+                  f"{tb_h + noise[k, 0]:.4f}", f"{tb_v + noise[k, 1]:.4f}"]
+                 for k in range(args.samples)]
+    else:
+        rows = [["tb_h", "tb_v"], [f"{tb_h:.6f}", f"{tb_v:.6f}"]]
+    _write_rows(args.output, rows)
     return 0
 
 
 def cmd_metrics(args, _parser):
     pairs = _read_floats(args.input, ("sm_obs", "sm_ref"), "metrics")
     report = metrics([obs for _, (obs, _) in pairs], [ref for _, (_, ref) in pairs])
-    with _outputs(args.output) as (out,):
-        writer = csv.writer(out)
-        writer.writerow(["bias", "rmse", "ubrmse", "r", "r_flag", "n"])
-        writer.writerow([f"{report.bias:.6f}", f"{report.rmse:.6f}",
-                         f"{report.ubrmse:.6f}",
-                         "" if report.r != report.r else f"{report.r:.6f}",
-                         report.r_flag, report.n])
+    _write_rows(args.output, [[*METRICS_COLUMNS, "n"],
+                              [*metrics_fields(report), report.n]])
     return 0
 
 
 def cmd_footprint(args, _parser):
     ellipse = footprint(args.height, args.incidence, args.beamwidth)
-    with _outputs(args.output) as (out,):
-        writer = csv.writer(out)
-        writer.writerow(["major_axis_m", "minor_axis_m", "center_offset_m"])
-        writer.writerow([f"{ellipse.major_axis_m:.6f}", f"{ellipse.minor_axis_m:.6f}",
-                         f"{ellipse.center_offset_m:.6f}"])
+    _write_rows(args.output, [
+        ["major_axis_m", "minor_axis_m", "center_offset_m"],
+        [f"{ellipse.major_axis_m:.6f}", f"{ellipse.minor_axis_m:.6f}",
+         f"{ellipse.center_offset_m:.6f}"]])
     return 0
 
 
@@ -304,8 +294,7 @@ def cmd_tau(args, parser):
             rows.append([day.isoformat(), f"{value:.6f}", f"{tau:.6f}"])
     else:
         parser.error("tau requires either --ndvi or --input")
-    with _outputs(args.output) as (out,):
-        csv.writer(out).writerows(rows)
+    _write_rows(args.output, rows)
     return 0
 
 
@@ -327,8 +316,6 @@ def _add_surface_args(sub):
     sub.add_argument("--land-cover", default="bare_soil", dest="land_cover")
     sub.add_argument("--incidence", type=float, default=40.0,
                      help="incidence angle, degrees")
-    sub.add_argument("--h", type=float, help="site roughness override")
-    sub.add_argument("--omega", type=float, help="site scattering albedo override")
     sub.add_argument("--t-e", type=float, default=CONSTANT_T_E, dest="t_e",
                      help="effective soil temperature, K")
     sub.add_argument("--frequency", type=float, default=L_BAND_GHZ,
@@ -379,7 +366,9 @@ def build_parser():
     _add_io(sub)
     sub.set_defaults(func=cmd_represent)
 
-    sub = commands.add_parser("retrieve", help="invert representative TB pairs")
+    # long options match exactly, so a removed --h is a usage error, not --help
+    sub = commands.add_parser("retrieve", help="invert representative TB pairs",
+                              allow_abbrev=False)
     sub.add_argument("--preset", required=True, help="preset name or file")
     sub.add_argument("--tau-sca", type=float, dest="tau_sca",
                      help="opacity from the ndvi chain")
@@ -387,7 +376,8 @@ def build_parser():
     _add_io(sub)
     sub.set_defaults(func=cmd_retrieve)
 
-    sub = commands.add_parser("forward", help="simulate brightness temperatures")
+    sub = commands.add_parser("forward", help="simulate brightness temperatures",
+                              allow_abbrev=False)
     sub.add_argument("--preset", required=True, help="preset name or file")
     sub.add_argument("--sm", type=float, required=True, help="soil moisture, m3/m3")
     sub.add_argument("--tau", type=float, default=0.0, help="nadir opacity")

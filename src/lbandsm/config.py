@@ -68,29 +68,26 @@ class CampaignConfig:
     warnings: tuple = field(default=())
 
 
-def _resolve_path(base_dir: Path, raw: str, *, must_exist: bool, what: str) -> Path:
+def _resolve_path(base_dir: Path, raw: str, what: str) -> Path:
     path = Path(raw)
     if not path.is_absolute():
         path = base_dir / path
-    if must_exist and not path.is_file():
+    if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
     return path
 
 
-def _expand_sessions(base_dir: Path, items, site: str):
+def _expand_sessions(base_dir: Path, items):
     paths = []
     for item in items:
         if any(ch in item for ch in "*?["):
             pattern = item if os.path.isabs(item) else str(base_dir / item)
             matches = sorted(glob.glob(pattern))
             if not matches:
-                raise ConfigError(f"site {site}: session pattern matched nothing: {item}")
+                raise ConfigError(f"session pattern matched nothing: {item}")
             paths.extend(Path(m) for m in matches)
         else:
-            paths.append(_resolve_path(base_dir, item, must_exist=True,
-                                       what=f"site {site} session file"))
-    if not paths:
-        return ()
+            paths.append(_resolve_path(base_dir, item, "session file"))
     return tuple(paths)
 
 
@@ -113,7 +110,7 @@ def load_campaign(path) -> CampaignConfig:
 
     tau_raw = kv.get_str("tau_coefficients")
     tau_table = load_tau_coefficients(
-        _resolve_path(base_dir, tau_raw, must_exist=True, what="tau coefficient file")
+        _resolve_path(base_dir, tau_raw, "tau coefficient file")
         if tau_raw else None)
 
     cal_kv = kv.section("calibration")
@@ -134,42 +131,34 @@ def load_campaign(path) -> CampaignConfig:
 
     sites = []
     for name in kv.group_names("site"):
+        # the site map's own errors name it: "<campaign>[site.<name>]: ..."
         sv = kv.section(f"site.{name}")
         land_cover = sv.require("land_cover")
         clay = sv.get_float("clay_fraction")
-        if clay is None:
-            raise ConfigError(f"site {name}: missing clay_fraction")
+        incidence_deg = sv.get_float("incidence_deg", 40.0)
+        h, omega = sv.get_float("h"), sv.get_float("omega")
+        session_items = sv.get_list("sessions")
+        ref_raw, refl_raw = sv.get_str("reference"), sv.get_str("reflectance")
         try:
-            surface = make_surface(
-                clay_fraction=clay,
-                land_cover=land_cover,
-                incidence_deg=sv.get_float("incidence_deg", 40.0),
-                h=sv.get_float("h"),
-                omega=sv.get_float("omega"),
-            )
-        except DomainError as exc:
+            if clay is None:
+                raise ConfigError("missing clay_fraction")
+            surface = make_surface(clay, land_cover, incidence_deg, h=h, omega=omega)
+            presets = sorted((parse_preset(preset_kv, land_cover) for preset_kv in preset_kvs),
+                             key=lambda algo: algo.name)
+            session_paths = _expand_sessions(base_dir, session_items)
+            reference_path = (_resolve_path(base_dir, ref_raw, "reference file")
+                              if ref_raw else None)
+            reflectance_path = (_resolve_path(base_dir, refl_raw, "reflectance file")
+                                if refl_raw else None)
+            if any(algo.kind in TAU_SCA_KINDS for algo in presets):
+                entry = tau_table.for_cover(land_cover)  # raises when missing
+                if entry.b > 0.0 and reflectance_path is None:
+                    raise ConfigError(f"selected presets need ndvi-based opacity for "
+                                      f"{land_cover!r}; set site.{name}.reflectance")
+        except (ConfigError, DomainError) as exc:
             raise ConfigError(f"{path}: site {name}: {exc}") from None
-        presets = sorted((parse_preset(preset_kv, land_cover) for preset_kv in preset_kvs),
-                         key=lambda algo: algo.name)
-        session_paths = _expand_sessions(base_dir, sv.get_list("sessions"), name)
         if not session_paths:
             warnings.append(f"site {name}: no session files configured")
-
-        ref_raw = sv.get_str("reference")
-        reference_path = (_resolve_path(base_dir, ref_raw, must_exist=True,
-                                        what=f"site {name} reference file")
-                          if ref_raw else None)
-        refl_raw = sv.get_str("reflectance")
-        reflectance_path = (_resolve_path(base_dir, refl_raw, must_exist=True,
-                                          what=f"site {name} reflectance file")
-                            if refl_raw else None)
-
-        if any(algo.kind in TAU_SCA_KINDS for algo in presets):
-            entry = tau_table.for_cover(land_cover)  # raises when missing
-            if entry.b > 0.0 and reflectance_path is None:
-                raise ConfigError(
-                    f"site {name}: selected presets need ndvi-based opacity for "
-                    f"{land_cover!r}; set site.{name}.reflectance")
         sites.append(SiteConfig(name=name, surface=surface, presets=tuple(presets),
                                 session_paths=session_paths,
                                 reference_path=reference_path,

@@ -36,13 +36,15 @@ from .preprocess import (FilterThresholds, QualityFlag, TB_MAX_DEFAULT,
                          filter_tb, format_utc_timestamp, load_session, mean_std,
                          min_threshold, rejection_counts, representative,
                          session_stats, sorted_median)
-from .retrieval import CONSTANT_T_E, TAU_SCA_KINDS, TempSource, retrieve
+from .retrieval import CONSTANT_T_E, TAU_SCA_KINDS, retrieve
 from .validation import metrics, nearest_reference, load_reference_csv
 
 logger = logging.getLogger(__name__)
 
-FLAG_ORDER = (QualityFlag.MAX_EXCEEDED, QualityFlag.MIN_VIOLATED,
-              QualityFlag.POL_ORDER_VIOLATED)
+# fields of a RetrievalResult and of a MetricsReport, as both the report
+# CSVs and the CLI's retrieve/metrics rows print them
+RESULT_COLUMNS = ("sm", "tau", "cost", "converged", "boundary_hit", "evaluations")
+METRICS_COLUMNS = ("bias", "rmse", "ubrmse", "r", "r_flag")
 
 
 @dataclass
@@ -68,10 +70,9 @@ class SessionRow:
 class RetrievalRow:
     site: str
     session_id: str
-    t_mid: float
     preset: str
+    session: SessionRow     # the session row it inverts
     t_e_used: float = None
-    tau_sca: float = None
     result: object = None
     error: str = None
 
@@ -130,7 +131,7 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
     row.flag_counts = rejection_counts(flags)
     logger.info("site %s session %s: %d/%d accepted, rejections %s",
                 site.name, session_id, row.n_accepted, row.n_total,
-                {f.value: row.flag_counts.get(f, 0) for f in FLAG_ORDER})
+                {f.value: row.flag_counts.get(f, 0) for f in QualityFlag})
     if not row.n_accepted:
         row.error = "no valid observations in session"
         return row
@@ -149,13 +150,9 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
 
 def _retrieve_session(cfg, site, session_row, algo):
     out = RetrievalRow(site=site.name, session_id=session_row.session_id,
-                       t_mid=session_row.t_mid, preset=algo.name,
-                       tau_sca=session_row.tau_sca)
-    if algo.t_e_source == TempSource.CONSTANT:
-        out.t_e_used = CONSTANT_T_E
-    elif session_row.t_e_measured is not None:
-        out.t_e_used = session_row.t_e_measured
-    else:
+                       preset=algo.name, session=session_row,
+                       t_e_used=algo.t_e(session_row.t_e_measured))
+    if out.t_e_used is None:
         out.error = "no reference temperature within the alignment window"
         return out
     if algo.kind in TAU_SCA_KINDS and session_row.tau_sca is None:
@@ -231,7 +228,7 @@ def run_pipeline(cfg, output_dir=None):
                                            n=len(series_obs), report=report))
 
     sessions.sort(key=lambda r: (r.site, r.t_mid, r.session_id))
-    retrievals.sort(key=lambda r: (r.site, r.t_mid, r.session_id, r.preset))
+    retrievals.sort(key=lambda r: (r.site, r.session.t_mid, r.session_id, r.preset))
     metrics_rows.sort(key=lambda r: (r.site, r.preset))
 
     report = PipelineReport(sessions=sessions, retrievals=retrievals,
@@ -273,6 +270,22 @@ def _fmt(value, spec="{:.6f}"):
     return spec.format(value)
 
 
+def result_fields(result):
+    """The RESULT_COLUMNS fields of a RetrievalResult; empty for None."""
+    if result is None:
+        return [""] * len(RESULT_COLUMNS)
+    return [_fmt(result.sm), _fmt(result.tau), _fmt(result.cost, "{:.6e}"),
+            _fmt(result.converged), _fmt(result.boundary_hit), result.evaluations]
+
+
+def metrics_fields(report):
+    """The METRICS_COLUMNS fields of a MetricsReport; empty for None."""
+    if report is None:
+        return [""] * len(METRICS_COLUMNS)
+    return [_fmt(report.bias), _fmt(report.rmse), _fmt(report.ubrmse),
+            "" if math.isnan(report.r) else f"{report.r:.6f}", report.r_flag]
+
+
 def _atomic_write(path, rows, text=False):
     """Write `rows` to `path` through a temporary file: CSV records, each
     field quoted where it needs to be, or lines of `text`."""
@@ -305,7 +318,7 @@ def write_artifacts(report):
         rows.append([
             r.site, r.session_id, format_utc_timestamp(r.t_mid),
             r.n_total, r.n_accepted,
-            *(r.flag_counts.get(f, 0) for f in FLAG_ORDER),
+            *(r.flag_counts.get(f, 0) for f in QualityFlag),
             *stats,
             _fmt(r.tb_min_h, "{:.4f}"), _fmt(r.tb_min_v, "{:.4f}"),
             _fmt(r.t_e_measured, "{:.4f}"), _fmt(r.sm_ref), _fmt(r.sm_ref_std),
@@ -314,34 +327,22 @@ def write_artifacts(report):
 
     rows = [["site", "session", "flag", "count"]]
     for r in report.sessions:
-        for flag in FLAG_ORDER:
+        for flag in QualityFlag:
             rows.append([r.site, r.session_id, flag.value, r.flag_counts.get(flag, 0)])
     _atomic_write(out / "rejections.csv", rows)
 
-    rows = [("site,session,t_mid,preset,t_e_used,tau_sca,"
-              "sm,tau,cost,converged,boundary_hit,evaluations,error").split(",")]
+    rows = [["site", "session", "t_mid", "preset", "t_e_used", "tau_sca",
+             *RESULT_COLUMNS, "error"]]
     for r in report.retrievals:
-        res = r.result
         rows.append([
-            r.site, r.session_id, format_utc_timestamp(r.t_mid), r.preset,
-            _fmt(r.t_e_used, "{:.4f}"), _fmt(r.tau_sca),
-            _fmt(res.sm if res else None), _fmt(res.tau if res else None),
-            _fmt(res.cost if res else None, "{:.6e}"),
-            _fmt(res.converged if res else None),
-            _fmt(res.boundary_hit if res else None),
-            res.evaluations if res else "",
-            r.error or ""])
+            r.site, r.session_id, format_utc_timestamp(r.session.t_mid), r.preset,
+            _fmt(r.t_e_used, "{:.4f}"), _fmt(r.session.tau_sca),
+            *result_fields(r.result), r.error or ""])
     _atomic_write(out / "retrievals.csv", rows)
 
-    rows = [["site", "preset", "n", "bias", "rmse", "ubrmse", "r", "r_flag"]]
+    rows = [["site", "preset", "n", *METRICS_COLUMNS]]
     for m in report.metrics_rows:
-        rep = m.report
-        r_text = "" if rep is None or math.isnan(rep.r) else f"{rep.r:.6f}"
-        rows.append([
-            m.site, m.preset, m.n,
-            _fmt(rep.bias if rep else None), _fmt(rep.rmse if rep else None),
-            _fmt(rep.ubrmse if rep else None), r_text,
-            rep.r_flag if rep else ""])
+        rows.append([m.site, m.preset, m.n, *metrics_fields(m.report)])
     _atomic_write(out / "metrics.csv", rows)
     _atomic_write(out / "metrics.txt", render_metrics_table(report.metrics_rows), text=True)
 
@@ -359,19 +360,17 @@ def write_artifacts(report):
     _atomic_write(out / "plot_tb_series.csv", rows)
 
     rows = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi".split(",")]
-    # reversed, so a repeated (site, session) maps to its first row
-    session_rows = {(s.site, s.session_id): s for s in reversed(report.sessions)}
     for r in report.retrievals:
         if r.result is None:
             continue
-        match = session_rows.get((r.site, r.session_id))
+        s = r.session
         ref = lo = hi = None
-        if match is not None and match.sm_ref is not None:
-            ref = match.sm_ref
-            lo = max(ref - 2.0 * match.sm_ref_std, 0.0)
-            hi = ref + 2.0 * match.sm_ref_std
+        if s.sm_ref is not None:
+            ref = s.sm_ref
+            lo = max(ref - 2.0 * s.sm_ref_std, 0.0)
+            hi = ref + 2.0 * s.sm_ref_std
         rows.append([
-            r.site, r.session_id, format_utc_timestamp(r.t_mid), r.preset,
+            r.site, r.session_id, format_utc_timestamp(s.t_mid), r.preset,
             _fmt(r.result.sm), _fmt(ref), _fmt(lo), _fmt(hi)])
     _atomic_write(out / "plot_sm_series.csv", rows)
 

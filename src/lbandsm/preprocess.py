@@ -66,6 +66,9 @@ class CalibrationParams:
     offset_v: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"calibration {name} must be finite, got {value}")
         if self.gain_h == 0.0 or self.gain_v == 0.0:
             raise DomainError("calibration gains must be nonzero")
 

@@ -158,6 +158,11 @@ class AlgorithmConfig:
             if self.h != 0.0 or self.omega != 0.0:
                 raise ConfigError("DCA0 sets h and omega to zero")
 
+    def t_e(self, measured):
+        """The effective temperature this preset inverts at: CONSTANT_T_E,
+        or the measured one (None when there is none)."""
+        return CONSTANT_T_E if self.t_e_source == TempSource.CONSTANT else measured
+
 
 @dataclass(frozen=True)
 class RetrievalResult:

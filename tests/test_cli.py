@@ -108,6 +108,32 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["forward", "--sm", "0.2"], ["retrieve"]])
+@pytest.mark.parametrize("flag", ["--h", "--omega"])
+def test_surface_overrides_are_usage_errors(command, flag):
+    """h and omega come from the preset; the flags that once overrode them
+    are gone, and --h does not abbreviate --help."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--preset", "DCA1", "--clay-fraction", "0.2", flag, "0.3"])
+    assert exc.value.code == 2
+
+
+def test_forward_takes_h_and_omega_from_the_preset(capsys):
+    code, out = run_cli(["forward", "--preset", "DCA1", "--sm", "0.2", "--clay-fraction",
+                         "0.2", "--land-cover", "forest"], capsys=capsys)
+    assert code == 0
+    # DCA1 sets h and omega to zero for every cover, as on bare soil
+    assert out == run_cli(["forward", "--preset", "DCA1", "--sm", "0.2",
+                           "--clay-fraction", "0.2"], capsys=capsys)[1]
+
+
+def test_calibrate_non_finite_value_is_data_error(capsys, monkeypatch):
+    code, _ = run_cli(["calibrate", "--gain-h", "nan", "--offset-v", "inf"],
+                      "timestamp,v_h,v_v\n2023-11-11T14:00:00Z,2.5,2.6\n", monkeypatch)
+    assert code == 1
+    assert "calibration gain_h must be finite" in capsys.readouterr().err
+
+
 def test_missing_input_is_data_error(capsys):
     code = cli.main(["metrics", "--input", "/nonexistent/file.csv"])
     assert code == 1

@@ -184,21 +184,43 @@ def test_site_needs_clay(tmp_path):
         load_campaign(path)
 
 
+BARE_SITE = "presets = DCA0\nsite.a.land_cover = bare_soil\n"
+FOREST_SITE = ("site.a.land_cover = forest\nsite.a.clay_fraction = 0.2\n"
+               "site.a.h = 0.1\nsite.a.omega = 0.05\n")
+
+
 @pytest.mark.parametrize("values,message", [
-    ("site.a.clay_fraction = 1.5\n", "clay_fraction must be in [0, 1], got 1.5"),
-    ("site.a.clay_fraction = 0.2\nsite.a.incidence_deg = 95\n",
+    (BARE_SITE + "site.a.clay_fraction = 1.5\n", "clay_fraction must be in [0, 1], got 1.5"),
+    (BARE_SITE + "site.a.clay_fraction = 0.2\nsite.a.incidence_deg = 95\n",
      "incidence_deg must be in [0, 90), got 95.0"),
-], ids=["clay_fraction", "incidence_deg"])
+    ("presets = DCA0\nsite.a.land_cover = forest\nsite.a.clay_fraction = 0.2\n",
+     "land cover 'forest' has no default h/omega"),
+    (BARE_SITE, "missing clay_fraction"),
+    (BARE_SITE + "site.a.clay_fraction = 0.2\nsite.a.sessions = sessions/*.csv\n",
+     "session pattern matched nothing: sessions/*.csv"),
+    ("presets = SCAV\nsite.a.land_cover = grassland\nsite.a.clay_fraction = 0.2\n",
+     "selected presets need ndvi-based opacity for 'grassland'"),
+    ("presets = SCAV\n" + FOREST_SITE, "SCAV.cfg: no h for land cover 'forest'"),
+    ("presets = MY.cfg\n" + FOREST_SITE, "no opacity coefficients for land cover 'forest'"),
+], ids=["clay_fraction", "incidence_deg", "cover_without_h_omega", "no_clay_fraction",
+        "empty_session_pattern", "no_reflectance", "preset_without_cover",
+        "no_opacity_coefficients"])
 def test_site_value_out_of_range_names_file_and_site(tmp_path, values, message):
-    path = _write_config(tmp_path, "presets = DCA0\nsite.a.land_cover = bare_soil\n" + values)
+    _write_preset(tmp_path, "MY.cfg", "kind = SCAV\nh = 0.1\nomega = 0.05\n")
+    path = _write_config(tmp_path, values)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: site a: {message}")):
         load_campaign(path)
 
 
-def test_calibration_value_out_of_range_names_file(tmp_path):
-    path = _write_config(tmp_path, "presets = DCA0\ncalibration.gain_h = 0\n" + MINIMAL_SITE)
-    with pytest.raises(ConfigError, match=re.escape(
-            f"{path}: calibration gains must be nonzero")):
+@pytest.mark.parametrize("values,message", [
+    ("calibration.gain_h = 0\n", "calibration gains must be nonzero"),
+    ("calibration.gain_h = nan\n", "calibration gain_h must be finite, got nan"),
+    ("calibration.offset_v = inf\n", "calibration offset_v must be finite, got inf"),
+    ("calibration.gain_v = -inf\n", "calibration gain_v must be finite, got -inf"),
+], ids=["gain_h_zero", "gain_h_nan", "offset_v_inf", "gain_v_-inf"])
+def test_calibration_value_out_of_range_names_file(tmp_path, values, message):
+    path = _write_config(tmp_path, "presets = DCA0\n" + values + MINIMAL_SITE)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         load_campaign(path)
 
 

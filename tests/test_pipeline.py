@@ -434,3 +434,65 @@ def test_seed_tables_built_once_per_site_and_preset(campaign_config, tmp_path):
     dual = [r for r in report.retrievals if r.result is not None and r.result.tau is not None]
     assert len(dual) == 40
     assert retrieval._grid_emissivities.cache_info().misses == len(grid_keys) == 8
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_session_without_reference_temperature_is_a_retrieval_error(tmp_path):
+    """Without probes at a site, the measured-temperature presets record a
+    retrieval error per session and warn once per row; the constant-
+    temperature presets still retrieve, with no reference to plot."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=3, n_samples=30, voltage_site=None)
+    _rewrite(root / "campaign.cfg",
+             lambda lines: [line for line in lines if not line.startswith("site.bare.reference")])
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "out")
+    assert report.ok
+    out = tmp_path / "out"
+    message = "no reference temperature within the alignment window"
+
+    bare = [r for r in _read_rows(out / "retrievals.csv") if r["site"] == "bare"]
+    failed = [r for r in bare if r["preset"] in ("SCAV", "SCAH", "RDCA", "DCA2")]
+    assert len(failed) == 12
+    for row in failed:
+        assert row["error"] == message and row["t_e_used"] == ""
+        assert all(row[name] == "" for name in pipeline.RESULT_COLUMNS)
+    assert all(r["error"] == "" for r in bare if r not in failed)
+    warnings = (out / "run_warnings.txt").read_text().splitlines()
+    assert sum(message in line for line in warnings) == len(failed)
+
+    for row in _read_rows(out / "metrics.csv"):
+        if row["site"] == "bare":
+            assert row["n"] == "0"
+            assert all(row[name] == "" for name in pipeline.METRICS_COLUMNS)
+    plotted = [r for r in _read_rows(out / "plot_sm_series.csv") if r["site"] == "bare"]
+    assert sorted(r["preset"] for r in plotted) == ["DCA0"] * 3 + ["DCA1"] * 3
+    assert all(r["sm_ref"] == "" and r["sm_retrieved"] != "" for r in plotted)
+
+
+def test_plot_reference_follows_its_session_when_stems_repeat(tmp_path):
+    """Two session files with one stem at one site each plot against
+    their own probes."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30, voltage_site=None)
+    for folder, day in (("d1", "2023-11-11"), ("d2", "2023-11-12")):
+        (root / folder).mkdir()
+        (root / "sessions" / f"bare_{day}.csv").rename(root / folder / "x.csv")
+    _rewrite(root / "campaign.cfg", lambda lines: [
+        "site.bare.sessions = d1/x.csv, d2/x.csv" if line.startswith("site.bare.sessions")
+        else line for line in lines])
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "out")
+    assert report.ok
+    sm_ref = {(r["t_mid"], r["session"]): r["sm_ref"]
+              for r in _read_rows(tmp_path / "out" / "sessions.csv") if r["site"] == "bare"}
+    assert len(sm_ref) == 2 and len(set(sm_ref.values())) == 2
+    plotted = [r for r in _read_rows(tmp_path / "out" / "plot_sm_series.csv")
+               if r["site"] == "bare"]
+    assert len(plotted) == 12
+    for row in plotted:
+        assert row["sm_ref"] == sm_ref[row["t_mid"], row["session"]]

@@ -84,9 +84,13 @@ def test_calibrate_matches_scalar_affine():
         assert tb_v == cal.gain_v * b + cal.offset_v
 
 
-def test_calibrate_zero_gain_rejected():
+@pytest.mark.parametrize("values", [
+    (0.0, 1.0, 0.0, 0.0), (float("nan"), 1.0, 0.0, 0.0), (1.0, float("inf"), 0.0, 0.0),
+    (1.0, 1.0, float("-inf"), 0.0), (1.0, 1.0, 0.0, float("nan")),
+], ids=["gain_h_zero", "gain_h_nan", "gain_v_inf", "offset_h_-inf", "offset_v_nan"])
+def test_calibrate_zero_gain_rejected(values):
     with pytest.raises(DomainError):
-        pp.CalibrationParams(0.0, 1.0, 0.0, 0.0)
+        pp.CalibrationParams(*values)
 
 
 # ----------------------------------------------------------------------
