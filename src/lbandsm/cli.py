@@ -145,14 +145,18 @@ def _read_session(path, expected_header, what, calibration=None):
 
 
 def _preset_and_surface(args, parser):
-    """(algo, surface, t_e) of `retrieve` and `forward`: the preset for the
-    site's land cover, the site surface of --config/--site or, without
-    them, the --clay-fraction/--land-cover/--incidence surface with the
-    preset's h and omega, and the temperature the preset inverts at."""
+    """(algo, surface, t_e, frequency_ghz) of `retrieve` and `forward`: the
+    preset for the site's land cover, the site surface and frequency of
+    --config/--site or, without them, the --clay-fraction/--land-cover/
+    --incidence surface with the preset's h and omega and the --frequency,
+    and the temperature the preset inverts at."""
     if args.preset not in PRESET_NAMES and not Path(args.preset).is_file():
         parser.error(f"unknown preset {args.preset!r}: expected one of "
                      f"{', '.join(PRESET_NAMES)} or an existing preset file")
     if args.config:
+        if args.frequency is not None:
+            parser.error("--frequency cannot be used with --config, whose "
+                         "frequency_ghz applies")
         campaign = load_campaign(args.config)
         if not args.site:
             parser.error("--site is required with --config")
@@ -161,13 +165,15 @@ def _preset_and_surface(args, parser):
         if surface is None:
             parser.error(f"unknown site {args.site!r} in {args.config}")
         algo = load_preset(args.preset, surface.land_cover)
+        frequency_ghz = campaign.frequency_ghz
     else:
         if args.clay_fraction is None:
             parser.error("either --config/--site or --clay-fraction is required")
         algo = load_preset(args.preset, args.land_cover)
         surface = SurfaceConfig(args.clay_fraction, args.land_cover, args.incidence,
                                 algo.h, algo.omega)
-    return algo, surface, algo.t_e(args.t_e)
+        frequency_ghz = L_BAND_GHZ if args.frequency is None else args.frequency
+    return algo, surface, algo.t_e(args.t_e), frequency_ghz
 
 
 # ----------------------------------------------------------------------
@@ -228,14 +234,14 @@ def cmd_represent(args, _parser):
 
 
 def cmd_retrieve(args, parser):
-    algo, surface, t_e = _preset_and_surface(args, parser)
+    algo, surface, t_e, frequency_ghz = _preset_and_surface(args, parser)
     if algo.kind in TAU_SCA_KINDS and args.tau_sca is None:
         parser.error(f"preset {algo.name} requires --tau-sca")
     rows = [RESULT_COLUMNS]
     for line, pair in _read_floats(args.input, ("tb_h", "tb_v"), "retrieve"):
         try:
             result = retrieve(TbPair(*pair), algo, surface, t_e, tau_sca=args.tau_sca,
-                              frequency_ghz=args.frequency)
+                              frequency_ghz=frequency_ghz)
         except DomainError as exc:
             raise DomainError(f"retrieve: line {line}: {exc}") from None
         rows.append(result_fields(result))
@@ -244,10 +250,10 @@ def cmd_retrieve(args, parser):
 
 
 def cmd_forward(args, parser):
-    algo, surface, t_e = _preset_and_surface(args, parser)
+    algo, surface, t_e, frequency_ghz = _preset_and_surface(args, parser)
     tb_h, tb_v = simulate_tb(args.sm, args.tau, algo.omega, algo.h,
                              surface.clay_fraction, surface.incidence_deg,
-                             t_e, algo.dielectric, args.frequency)
+                             t_e, algo.dielectric, frequency_ghz)
     tb_h, tb_v = float(tb_h), float(tb_v)
     if args.samples:
         rng = np.random.default_rng(args.seed)
@@ -318,8 +324,9 @@ def _add_surface_args(sub):
                      help="incidence angle, degrees")
     sub.add_argument("--t-e", type=float, default=CONSTANT_T_E, dest="t_e",
                      help="effective soil temperature, K")
-    sub.add_argument("--frequency", type=float, default=L_BAND_GHZ,
-                     help="frequency, GHz")
+    sub.add_argument("--frequency", type=float,
+                     help=f"frequency, GHz, without --config (default {L_BAND_GHZ}); "
+                          "with --config the campaign's frequency_ghz applies")
 
 
 def build_parser():

@@ -14,15 +14,21 @@ reruns are byte-identical:
     rejections.csv      per-session histogram of rejection flags
     retrievals.csv      one row per session x preset
     metrics.csv         one row per site x preset
+    metrics.txt         metrics.csv as an aligned table
     plot_tb_series.csv  representative TB series with quartiles
     plot_sm_series.csv  retrieved vs reference moisture with a 2-sigma band
     run_warnings.txt    skipped sessions and data errors, when any
+
+Each file is written to <name>.tmp and renamed into place, so an
+interrupted run leaves every artifact whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
+import io
 import logging
 import math
 import os
@@ -287,93 +293,96 @@ def metrics_fields(report):
 
 
 def _atomic_write(path, rows, text=False):
-    """Write `rows` to `path` through a temporary file: CSV records, each
-    field quoted where it needs to be, or lines of `text`."""
+    """Write `rows` to `path`: CSV records, each field quoted where it
+    needs to be, or lines of `text`. The file's text is built in memory
+    and written as UTF-8 to `<name>.tmp`, which is then renamed over
+    `path`, so an interrupted run leaves the previous file whole; on any
+    failure the .tmp file is removed and the error re-raised."""
+    if text:
+        body = "\n".join(rows) + "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        body = buf.getvalue()
+    data = memoryview(body.encode("utf-8"))
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        if text:
-            fh.write("\n".join(rows) + "\n")
-        else:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-    os.replace(tmp, path)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:     # os.write may write less than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_artifacts(report):
+    """Write the report files in one pass over the sessions (sessions.csv,
+    rejections.csv, plot_tb_series.csv) and one over the retrievals
+    (retrievals.csv, plot_sm_series.csv), formatting each value once."""
     out = report.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = [("site,session,t_mid,n_total,n_accepted,"
-              "n_max_exceeded,n_min_violated,n_pol_order_violated,"
-              "tb_h_rep,tb_v_rep,mean_h,std_h,p25_h,p50_h,p75_h,"
-              "mean_v,std_v,p25_v,p50_v,p75_v,tb_min_h,tb_min_v,"
-              "t_e_measured,sm_ref,sm_ref_std,tau_sca,error").split(",")]
+    sessions = [("site,session,t_mid,n_total,n_accepted,"
+                 "n_max_exceeded,n_min_violated,n_pol_order_violated,"
+                 "tb_h_rep,tb_v_rep,mean_h,std_h,p25_h,p50_h,p75_h,"
+                 "mean_v,std_v,p25_v,p50_v,p75_v,tb_min_h,tb_min_v,"
+                 "t_e_measured,sm_ref,sm_ref_std,tau_sca,error").split(",")]
+    rejections = [["site", "session", "flag", "count"]]
+    tb_series = [("site,session,t_mid,tb_h_p25,tb_h_p50,tb_h_p75,tb_h_mean,"
+                  "tb_v_p25,tb_v_p50,tb_v_p75,tb_v_mean").split(",")]
+    # id(session row) -> its t_mid, sm_ref, sm_ref_lo, sm_ref_hi fields
+    plotted = {}
     for r in report.sessions:
-        s = r.summary
+        t_mid = format_utc_timestamp(r.t_mid)
+        counts = [r.flag_counts.get(f, 0) for f in QualityFlag]
         stats = [""] * 12
-        if s is not None:
-            stats = [_fmt(v, "{:.4f}") for v in (
-                r.rep.tb_h, r.rep.tb_v,
-                s.stats_h.mean, s.stats_h.std, s.stats_h.p25, s.stats_h.p50, s.stats_h.p75,
-                s.stats_v.mean, s.stats_v.std, s.stats_v.p25, s.stats_v.p50, s.stats_v.p75)]
-        rows.append([
-            r.site, r.session_id, format_utc_timestamp(r.t_mid),
-            r.n_total, r.n_accepted,
-            *(r.flag_counts.get(f, 0) for f in QualityFlag),
-            *stats,
-            _fmt(r.tb_min_h, "{:.4f}"), _fmt(r.tb_min_v, "{:.4f}"),
-            _fmt(r.t_e_measured, "{:.4f}"), _fmt(r.sm_ref), _fmt(r.sm_ref_std),
-            _fmt(r.tau_sca), r.error or ""])
-    _atomic_write(out / "sessions.csv", rows)
-
-    rows = [["site", "session", "flag", "count"]]
-    for r in report.sessions:
-        for flag in QualityFlag:
-            rows.append([r.site, r.session_id, flag.value, r.flag_counts.get(flag, 0)])
-    _atomic_write(out / "rejections.csv", rows)
-
-    rows = [["site", "session", "t_mid", "preset", "t_e_used", "tau_sca",
-             *RESULT_COLUMNS, "error"]]
-    for r in report.retrievals:
-        rows.append([
-            r.site, r.session_id, format_utc_timestamp(r.session.t_mid), r.preset,
-            _fmt(r.t_e_used, "{:.4f}"), _fmt(r.session.tau_sca),
-            *result_fields(r.result), r.error or ""])
-    _atomic_write(out / "retrievals.csv", rows)
-
-    rows = [["site", "preset", "n", *METRICS_COLUMNS]]
-    for m in report.metrics_rows:
-        rows.append([m.site, m.preset, m.n, *metrics_fields(m.report)])
-    _atomic_write(out / "metrics.csv", rows)
-    _atomic_write(out / "metrics.txt", render_metrics_table(report.metrics_rows), text=True)
-
-    rows = [("site,session,t_mid,tb_h_p25,tb_h_p50,tb_h_p75,tb_h_mean,"
-              "tb_v_p25,tb_v_p50,tb_v_p75,tb_v_mean").split(",")]
-    for r in report.sessions:
-        if r.summary is None:
-            continue
         s = r.summary
-        rows.append([
-            r.site, r.session_id, format_utc_timestamp(r.t_mid),
-            *(_fmt(v, "{:.4f}") for v in (
-                s.stats_h.p25, s.stats_h.p50, s.stats_h.p75, s.stats_h.mean,
-                s.stats_v.p25, s.stats_v.p50, s.stats_v.p75, s.stats_v.mean))])
-    _atomic_write(out / "plot_tb_series.csv", rows)
+        if s is not None:
+            h, v = ([f"{x:.4f}" for x in (c.mean, c.std, c.p25, c.p50, c.p75)]
+                    for c in (s.stats_h, s.stats_v))
+            stats = [f"{r.rep.tb_h:.4f}", f"{r.rep.tb_v:.4f}", *h, *v]
+            tb_series.append([r.site, r.session_id, t_mid, *h[2:], h[0], *v[2:], v[0]])
+        sm_ref = _fmt(r.sm_ref)
+        sessions.append([
+            r.site, r.session_id, t_mid, r.n_total, r.n_accepted, *counts, *stats,
+            _fmt(r.tb_min_h, "{:.4f}"), _fmt(r.tb_min_v, "{:.4f}"),
+            _fmt(r.t_e_measured, "{:.4f}"), sm_ref, _fmt(r.sm_ref_std),
+            _fmt(r.tau_sca), r.error or ""])
+        rejections += ([r.site, r.session_id, flag.value, n]
+                       for flag, n in zip(QualityFlag, counts))
+        lo = hi = ""
+        if r.sm_ref is not None:
+            lo = _fmt(max(r.sm_ref - 2.0 * r.sm_ref_std, 0.0))
+            hi = _fmt(r.sm_ref + 2.0 * r.sm_ref_std)
+        plotted[id(r)] = (t_mid, sm_ref, lo, hi)
 
-    rows = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi".split(",")]
+    retrievals = [["site", "session", "t_mid", "preset", "t_e_used", "tau_sca",
+                   *RESULT_COLUMNS, "error"]]
+    sm_series = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi".split(",")]
     for r in report.retrievals:
-        if r.result is None:
-            continue
-        s = r.session
-        ref = lo = hi = None
-        if s.sm_ref is not None:
-            ref = s.sm_ref
-            lo = max(ref - 2.0 * s.sm_ref_std, 0.0)
-            hi = ref + 2.0 * s.sm_ref_std
-        rows.append([
-            r.site, r.session_id, format_utc_timestamp(s.t_mid), r.preset,
-            _fmt(r.result.sm), _fmt(ref), _fmt(lo), _fmt(hi)])
-    _atomic_write(out / "plot_sm_series.csv", rows)
+        t_mid, *ref = plotted[id(r.session)]
+        fields = result_fields(r.result)
+        retrievals.append([r.site, r.session_id, t_mid, r.preset,
+                           _fmt(r.t_e_used, "{:.4f}"), _fmt(r.session.tau_sca),
+                           *fields, r.error or ""])
+        if r.result is not None:
+            sm_series.append([r.site, r.session_id, t_mid, r.preset, fields[0], *ref])
 
+    metrics_rows = [["site", "preset", "n", *METRICS_COLUMNS]]
+    metrics_rows += ([m.site, m.preset, m.n, *metrics_fields(m.report)]
+                     for m in report.metrics_rows)
+
+    for name, rows in (("sessions.csv", sessions), ("rejections.csv", rejections),
+                       ("retrievals.csv", retrievals), ("metrics.csv", metrics_rows),
+                       ("plot_tb_series.csv", tb_series),
+                       ("plot_sm_series.csv", sm_series)):
+        _atomic_write(out / name, rows)
+    _atomic_write(out / "metrics.txt", render_metrics_table(report.metrics_rows), text=True)
     if report.warnings or report.data_errors:
         lines = [f"error: {e}" for e in report.data_errors]
         lines += [f"warning: {w}" for w in report.warnings]

@@ -29,12 +29,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DataError, DomainError, csv_records, read_text, split_header
-from .radiative import TbPair, simulate_tb
+from .radiative import DielectricModel, TbPair, soil_emissivity_pair, tau_omega_tb
 
 TB_MAX_DEFAULT = 320.0  # K, ceiling applied to both polarizations
 
@@ -123,16 +123,27 @@ class SessionSummary:
     stats_v: ChannelStats
 
 
+@lru_cache(maxsize=64)
+def _saturated_emissivities(clay_fraction, incidence_deg, h, frequency_ghz):
+    """Rough-soil (e_h, e_v) at sm = 1 under the Mironov dielectric."""
+    e_h, e_v = soil_emissivity_pair(1.0, clay_fraction, incidence_deg, h,
+                                    DielectricModel.MIRONOV, frequency_ghz)
+    return float(e_h), float(e_v)
+
+
 def min_threshold(surface, t_e, frequency_ghz):
     """Physical floor (tb_min_h, tb_min_v): the forward model at
     saturation moisture sm = 1 with the site's roughness and albedo, the
     Mironov dielectric and no canopy, the most permissive (lowest) floor.
+    With tau = 0 the transmissivity exp(-0 / cos theta) is exactly 1.0,
+    so these are the operations of simulate_tb(1.0, 0.0, ...).
     """
     if not t_e > 0.0:
         raise DomainError(f"t_e must be positive, got {t_e}")
-    tb_h, tb_v = simulate_tb(1.0, 0.0, surface.omega, surface.h, surface.clay_fraction,
-                             surface.incidence_deg, t_e, frequency_ghz=frequency_ghz)
-    return float(tb_h), float(tb_v)
+    e_h, e_v = _saturated_emissivities(surface.clay_fraction, surface.incidence_deg,
+                                       surface.h, frequency_ghz)
+    return (float(tau_omega_tb(e_h, 1.0, surface.omega, t_e)),
+            float(tau_omega_tb(e_v, 1.0, surface.omega, t_e)))
 
 
 def filter_tb(session, thresholds):

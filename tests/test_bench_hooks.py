@@ -3,19 +3,23 @@
 bench/run.py patches lbandsm.pipeline attributes by name to trace each
 layer and skips a name that no longer exists, and it times the radiative
 kernel through emissivity_evaluator and soil_emissivity_pair. A refactor
-that renames any of these would leave traced runs silently incomplete,
-so tier-1 checks them here without running the benchmark.
+that renames any of these, or stops calling one, would leave traced runs
+silently incomplete, so tier-1 checks them here without running the
+benchmark.
 """
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lbandsm import pipeline
+from lbandsm import pipeline, synth
+from lbandsm.config import load_campaign
 from lbandsm.radiative import DielectricModel, emissivity_evaluator, soil_emissivity_pair
+from lbandsm.retrieval import PRESET_NAMES
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -36,6 +40,24 @@ def bench_run():
 def test_pipeline_calls_resolve(bench_run):
     missing = [name for name in bench_run.PIPELINE_CALLS if not hasattr(pipeline, name)]
     assert not missing, f"bench/run.py patches missing lbandsm.pipeline attributes {missing}"
+
+
+def test_pipeline_calls_are_called(bench_run, tmp_path, monkeypatch):
+    """A run of a two-day campaign under every preset calls each name the
+    benchmark patches, so no traced layer reads zero because a refactor
+    kept a name but stopped calling it."""
+    synth.generate_campaign(tmp_path / "camp", seed=7, n_days=2, n_samples=30)
+    calls = Counter()
+    for name in bench_run.PIPELINE_CALLS:
+        def counted(*args, _name=name, _call=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    cfg = load_campaign(tmp_path / "camp" / "campaign.cfg")
+    assert {algo.name for site in cfg.sites for algo in site.presets} == set(PRESET_NAMES)
+    report = pipeline.run_pipeline(cfg, output_dir=tmp_path / "out")
+    assert report.ok
+    assert [name for name in bench_run.PIPELINE_CALLS if not calls[name]] == []
 
 
 @pytest.mark.parametrize("model", list(DielectricModel))

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import lbandsm
-from lbandsm import cli, pipeline
+from lbandsm import cli, pipeline, synth
+from lbandsm.config import load_campaign
 from lbandsm.preprocess import min_threshold
 
 
@@ -250,6 +251,53 @@ def test_pipe_composability_matches_pipeline(synthetic_campaign, campaign_config
     assert f"{want.result.sm:.6f}" == got["sm"]
     assert f"{want.result.tau:.6f}" == got["tau"]
     assert got["converged"] == "true"
+
+
+def test_stage_chain_takes_the_campaign_frequency(tmp_path, capsys, monkeypatch):
+    """With --config/--site, retrieve inverts at the campaign's
+    frequency_ghz, so filter | represent | retrieve prints the sm of
+    retrievals.csv on a campaign away from 1.41 GHz."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=777, n_days=12)
+    cfg_path = root / "campaign.cfg"
+    cfg_path.write_text(cfg_path.read_text().replace("frequency_ghz = 1.41",
+                                                     "frequency_ghz = 1.2"))
+    cfg = load_campaign(cfg_path)
+    assert cfg.frequency_ghz == 1.2
+    report = pipeline.run_pipeline(cfg, output_dir=tmp_path / "out")
+    with open(tmp_path / "out" / "retrievals.csv", newline="") as fh:
+        want = next(r for r in csv.DictReader(fh)
+                    if r["session"] == "grass_2023-11-13" and r["preset"] == "DCA1")
+    assert want["sm"] == "0.215272"
+
+    site = next(s for s in cfg.sites if s.name == "grass")
+    session_row = next(s for s in report.sessions if s.session_id == "grass_2023-11-13")
+    tb_min_h, tb_min_v = min_threshold(site.surface, session_row.t_e_measured, 1.2)
+    code, filtered = run_cli([
+        "filter", "--input", str(root / "sessions" / "grass_2023-11-13.csv"),
+        "--tb-min-h", f"{tb_min_h}", "--tb-min-v", f"{tb_min_v}"], capsys=capsys)
+    assert code == 0
+    code, represented = run_cli(["represent"], stdin_text=filtered,
+                                monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    rep = list(csv.DictReader(io.StringIO(represented)))[0]
+    code, retrieved = run_cli(
+        ["retrieve", "--preset", "DCA1", "--config", str(cfg_path), "--site", "grass"],
+        stdin_text=f"tb_h,tb_v\n{rep['tb_h']},{rep['tb_v']}\n",
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(retrieved)))[0]["sm"] == want["sm"]
+
+
+@pytest.mark.parametrize("command", [["forward", "--sm", "0.2"], ["retrieve"]])
+def test_frequency_with_config_is_usage_error(command, synthetic_campaign):
+    """--config sets the frequency through the campaign's frequency_ghz, so
+    --frequency beside it is refused rather than silently overriding it."""
+    root, _ = synthetic_campaign
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--preset", "DCA1", "--config", str(root / "campaign.cfg"),
+                  "--site", "grass", "--frequency", "1.41"])
+    assert exc.value.code == 2
 
 
 def test_filter_splits_stream_and_flags_rejected(tmp_path, capsys, monkeypatch):

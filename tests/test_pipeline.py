@@ -1,6 +1,9 @@
 """Batch pipeline over the forward-generated synthetic campaign."""
 
 import csv
+import errno
+import hashlib
+import os
 
 import pytest
 
@@ -228,6 +231,50 @@ def _set_field(lines, index, field, value):
     return lines
 
 
+def _artifact_digests(out_dir, root):
+    """SHA-256 of every file in `out_dir`, with the campaign directory
+    `root` that data errors name written as <campaign>."""
+    return {path.name: hashlib.sha256(
+                path.read_bytes().replace(str(root).encode(), b"<campaign>")).hexdigest()
+            for path in sorted(out_dir.iterdir())}
+
+
+# every file the writer produced for three campaigns, frozen before it
+# formatted each session once and wrote each file in one call: the
+# fault-injection corpus (data errors, an empty session), a session name
+# with a comma, and a site without probes (retrieval errors, sessions
+# plotted without a reference)
+FAULT_CORPUS_DIGESTS = {
+    "metrics.csv": "28437b19c8204850cb33c4650db2c8123ac993b4b8954fd806f9c19a4665acc2",
+    "metrics.txt": "7c95f4e74b8d9ac17f0d861a057bfb06368a764dec1d8a82ac0e956e8e4daeb9",
+    "plot_sm_series.csv": "74eb9330a4bc5e0f09d6a59fa2979ee59c03ac2bf82ed028ac3640a735b0d623",
+    "plot_tb_series.csv": "88e90cc0214c19cf3eba48bf938099a51fdd7a4d2f1c46df41d9c70e32f5b55c",
+    "rejections.csv": "683487ae30d55be316092d0a281102b96e0de985c0938b8664de329d139f929c",
+    "retrievals.csv": "6fe400d5b239c480aac7aa14ea18686b0d9dc7d1a063722410b033a4c089400b",
+    "run_warnings.txt": "208ccde00b1f95c44a46392f2026ea71cf045a41400545a488291c4f8c42a40c",
+    "sessions.csv": "1526a9cb2d7e33d5e4a32674e9c02b9a2530b3a34226a3a0c46c773e2ca00b91",
+}
+COMMA_SESSION_DIGESTS = {
+    "metrics.csv": "45809f79067e221110207722bd2ad618360c71ae476fd6bbd49d70542a82e1e8",
+    "metrics.txt": "0ad5d62b325a6137a58b00b6d32ee18b100068377ad0ec1c573470f4794bdea5",
+    "plot_sm_series.csv": "136e49e73a9e1f3e63e6c0904db8155c1f36d0d836b8ed81568e57f61d7166fd",
+    "plot_tb_series.csv": "5ea747398c94d593929c54ec420d84b0c6033d97450925fdde5674e59923cdfb",
+    "rejections.csv": "c57757bc6fd7fb507b1b6476275830ee437c544497f0385a591fae75081ff0a1",
+    "retrievals.csv": "d69bde90f022521844f0f1ebfb92d6c3ecab8361189d2963eeeceb259ef7ab8e",
+    "sessions.csv": "ce59c1d88ac6a61da99d79b229c7ba276c1b049f0d390c740ff9bfefbb6a8b99",
+}
+NO_REFERENCE_DIGESTS = {
+    "metrics.csv": "234728ed858b8649a6e9d48ba840c0d542204b243acb64d0f02182ea67b22fb9",
+    "metrics.txt": "ef49ed7c334ed1c6087c7f42614d9e7e495139c571d1ee8004e76671e4451d77",
+    "plot_sm_series.csv": "d75f9ede0d7d2053dc6b6031d83cfc522387cff712845376981df649e95251cc",
+    "plot_tb_series.csv": "8534e9e563af7c2c2f3f2519be3d81d13aced2f18c46fb4f23bdbdac5b0a76e7",
+    "rejections.csv": "439de4c9c8ec1400db7045af8c6b094c69cebe7acc2af593c86190ee8239dbc7",
+    "retrievals.csv": "653f9bc6eb3af514fa068b635728ae817963bee5b73d0992b15305bb9398d130",
+    "run_warnings.txt": "7ea010bacd236009bb4d4c20a931f0c420dc3ad1817080138ba428c564e2e926",
+    "sessions.csv": "0dc472ed699fc375056f5ada4c3d3d8639a51d34fd06cf3ef60507d7e422d3d2",
+}
+
+
 def test_fault_injection_corpus(tmp_path):
     """One defect per session or site; the run completes, every data
     error names its file (and line where one exists), and the rows of
@@ -351,6 +398,7 @@ def test_fault_injection_corpus(tmp_path):
             assert after.get(key) == lines, key
             compared += len(lines)
     assert compared > 100
+    assert _artifact_digests(tmp_path / "bad", root) == FAULT_CORPUS_DIGESTS
 
 
 @pytest.mark.parametrize("target", ["session", "reference", "reflectance"])
@@ -419,6 +467,37 @@ def test_report_csvs_quote_a_session_name_with_a_comma(tmp_path):
         if "session" in header:
             sessions = {row[header.index("session")] for row in rows}
             assert "bare_x,y" in sessions, name
+    assert _artifact_digests(tmp_path / "out", root) == COMMA_SESSION_DIGESTS
+
+
+def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
+    """Each artifact is written whole: a write the system cuts short is
+    continued, and a write that fails part way leaves the file it was to
+    replace as it was, with no .tmp file beside it."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30, voltage_site=None)
+    out = tmp_path / "out"
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"), output_dir=out)
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    real_write = os.write
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        pipeline.write_artifacts(report)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+    def full_disk(fd, data):
+        if bytes(data).startswith(b"site,session,t_mid,preset,t_e_used"):   # retrievals.csv
+            real_write(fd, data[:100])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data)
+    (out / "retrievals.csv").write_bytes(b"previous\n")
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "write", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            pipeline.write_artifacts(report)
+    assert (out / "retrievals.csv").read_bytes() == b"previous\n"
+    assert sorted(path.name for path in out.iterdir()) == sorted(written)
 
 
 def test_seed_tables_built_once_per_site_and_preset(campaign_config, tmp_path):
@@ -472,6 +551,7 @@ def test_session_without_reference_temperature_is_a_retrieval_error(tmp_path):
     plotted = [r for r in _read_rows(out / "plot_sm_series.csv") if r["site"] == "bare"]
     assert sorted(r["preset"] for r in plotted) == ["DCA0"] * 3 + ["DCA1"] * 3
     assert all(r["sm_ref"] == "" and r["sm_retrieved"] != "" for r in plotted)
+    assert _artifact_digests(out, root) == NO_REFERENCE_DIGESTS
 
 
 def test_plot_reference_follows_its_session_when_stems_repeat(tmp_path):

@@ -119,6 +119,30 @@ def test_min_threshold_tightens_with_canopy():
     assert veg_h > floor[0] and veg_v > floor[1]
 
 
+def test_min_threshold_is_the_forward_model_bit_for_bit():
+    """The floor from the cached sm = 1 emissivities equals simulate_tb at
+    sm = 1 and tau = 0 bit for bit over 14,400 (surface, frequency, t_e)
+    cases, from the smallest subnormal temperature to infinity."""
+    t_es = [5e-324, 1e-300, 1e-3, 180.0, 273.15, 292.15, 350.0, 1e300,
+            sys.float_info.max, math.inf]
+    cases = 0
+    for clay in np.linspace(0.0, 1.0, 10).tolist():
+        for incidence in (0.0, 10.0, 30.0, 40.0, 55.0, 70.0):
+            for h in (0.0, 0.1, 0.4612, 1.2):
+                for omega in (0.0, 0.05, 0.5):
+                    surface = make_surface(clay, "bare_soil", incidence, h=h, omega=omega)
+                    for frequency in (1.2, L_BAND_GHZ):
+                        for t_e in t_es:
+                            with np.errstate(invalid="ignore"):   # 0 * inf
+                                want = simulate_tb(1.0, 0.0, omega, h, clay, incidence,
+                                                   t_e, frequency_ghz=frequency)
+                            got = pp.min_threshold(surface, t_e, frequency)
+                            assert np.array(got).tobytes() == np.array(want).tobytes(), \
+                                (surface, frequency, t_e)
+                            cases += 1
+    assert cases == 14_400
+
+
 @pytest.mark.parametrize("t_e", [0.0, float("nan")])
 def test_min_threshold_domain_checks(t_e):
     surface = make_surface(0.20, "grassland", 40.0)
