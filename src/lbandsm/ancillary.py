@@ -55,9 +55,6 @@ class TauCoefficients:
     def __init__(self, entries):
         self.entries = dict(entries)
 
-    def __contains__(self, land_cover):
-        return land_cover in self.entries
-
     def for_cover(self, land_cover):
         try:
             return self.entries[land_cover]
@@ -147,6 +144,10 @@ def ndvi_to_tau(value, coeffs, land_cover):
 REFLECTANCE_HEADER = ("date", "red", "nir")
 
 
+def _reflectance_sample(fields):
+    return ReflectanceSample(dt.date.fromisoformat(fields[0].strip()), *map(float, fields[1:]))
+
+
 def load_reflectance_csv(path):
     """Read `date,red,nir` rows into ReflectanceSamples."""
     header, body = split_header(read_text(path), path)
@@ -155,14 +156,7 @@ def load_reflectance_csv(path):
     if header != REFLECTANCE_HEADER:
         raise DataError(f"expected header {','.join(REFLECTANCE_HEADER)!r}",
                         path=path, line=1)
-    samples = []
-    for line, (date, red, nir) in csv_records(body, 3, path):
-        try:
-            samples.append(ReflectanceSample(
-                dt.date.fromisoformat(date.strip()), float(red), float(nir)))
-        except (ValueError, DomainError) as exc:
-            raise DataError(str(exc), path=path, line=line) from None
-    return samples
+    return [sample for _, sample in csv_records(body, 3, _reflectance_sample, path)]
 
 
 def daily_ndvi_series(samples):

@@ -120,19 +120,14 @@ def _body(path, expected_header, what):
     return body
 
 
-def _read_floats(path, expected_header, what):
-    """(line, values) of each record of an input, each field read by
-    float()."""
+def _read_records(path, expected_header, what, parse):
+    """parse(fields) of each record of an input, in file order; the first
+    bad record is a DataError naming its line."""
     body = _body(path, expected_header, what)
-    rows = []
     try:
-        for line, fields in csv_records(body, len(expected_header)):
-            rows.append((line, [float(field) for field in fields]))
-    except ValueError as exc:
-        raise DataError(f"{what}: line {line}: {exc}") from None
+        return [value for _, value in csv_records(body, len(expected_header), parse)]
     except DataError as exc:
         raise DataError(f"{what}: {exc}") from None
-    return rows
 
 
 def _read_session(path, expected_header, what, calibration=None):
@@ -237,15 +232,13 @@ def cmd_retrieve(args, parser):
     algo, surface, t_e, frequency_ghz = _preset_and_surface(args, parser)
     if algo.kind in TAU_SCA_KINDS and args.tau_sca is None:
         parser.error(f"preset {algo.name} requires --tau-sca")
-    rows = [RESULT_COLUMNS]
-    for line, pair in _read_floats(args.input, ("tb_h", "tb_v"), "retrieve"):
-        try:
-            result = retrieve(TbPair(*pair), algo, surface, t_e, tau_sca=args.tau_sca,
-                              frequency_ghz=frequency_ghz)
-        except DomainError as exc:
-            raise DomainError(f"retrieve: line {line}: {exc}") from None
-        rows.append(result_fields(result))
-    _write_rows(args.output, rows)
+
+    def invert(fields):
+        return result_fields(retrieve(TbPair(*map(float, fields)), algo, surface, t_e,
+                                      tau_sca=args.tau_sca, frequency_ghz=frequency_ghz))
+
+    rows = _read_records(args.input, ("tb_h", "tb_v"), "retrieve", invert)
+    _write_rows(args.output, [RESULT_COLUMNS, *rows])
     return 0
 
 
@@ -271,8 +264,9 @@ def cmd_forward(args, parser):
 
 
 def cmd_metrics(args, _parser):
-    pairs = _read_floats(args.input, ("sm_obs", "sm_ref"), "metrics")
-    report = metrics([obs for _, (obs, _) in pairs], [ref for _, (_, ref) in pairs])
+    pairs = _read_records(args.input, ("sm_obs", "sm_ref"), "metrics",
+                          lambda fields: [float(field) for field in fields])
+    report = metrics([obs for obs, _ in pairs], [ref for _, ref in pairs])
     _write_rows(args.output, [[*METRICS_COLUMNS, "n"],
                               [*metrics_fields(report), report.n]])
     return 0

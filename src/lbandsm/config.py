@@ -150,7 +150,8 @@ def load_campaign(path) -> CampaignConfig:
                               if ref_raw else None)
             reflectance_path = (_resolve_path(base_dir, refl_raw, "reflectance file")
                                 if refl_raw else None)
-            if any(algo.kind in TAU_SCA_KINDS for algo in presets):
+            # a reflectance file becomes opacity whatever the presets
+            if reflectance_path or any(algo.kind in TAU_SCA_KINDS for algo in presets):
                 entry = tau_table.for_cover(land_cover)  # raises when missing
                 if entry.b > 0.0 and reflectance_path is None:
                     raise ConfigError(f"selected presets need ndvi-based opacity for "

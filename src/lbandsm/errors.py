@@ -77,20 +77,23 @@ def split_header(text, path=None):
     return tuple(col.strip() for col in header), text[buf.tell():]
 
 
-def csv_records(body, n_fields, path=None):
-    """(line, fields) of each record of the CSV text that follows a header
-    line, the first record being line 2 of `path`. A blank record (no
-    field, or one of whitespace only) is skipped. A record of other than
-    `n_fields` fields, or one that csv cannot read, is a DataError at its
-    line."""
+def csv_records(body, n_fields, parse, path=None):
+    """(line, parse(fields)) of each record of the CSV text that follows a
+    header line, the first record being line 2 of `path`; a blank record
+    (no field, or one of whitespace only) is skipped. A record of other
+    than `n_fields` fields, one that csv cannot read, or one that parse
+    rejects with a ValueError (DomainError included) is a DataError at its line."""
     line = 1
     try:
         for line, fields in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
             if not fields or (len(fields) == 1 and not fields[0].strip()):
                 continue
-            if len(fields) != n_fields:
-                raise DataError(f"expected {n_fields} fields, got {len(fields)}",
-                                path=path, line=line)
-            yield line, fields
+            try:
+                if len(fields) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+                value = parse(fields)
+            except ValueError as exc:
+                raise DataError(str(exc), path=path, line=line) from None
+            yield line, value
     except csv.Error as exc:    # raised reading the record after `line`
         raise DataError(str(exc), path=path, line=line + 1) from None

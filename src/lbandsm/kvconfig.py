@@ -15,9 +15,6 @@ class KeyValueMap:
         self.entries = dict(entries)
         self.source = source
 
-    def __contains__(self, key):
-        return key in self.entries
-
     def raw(self, key, default=None):
         return self.entries.get(key, default)
 

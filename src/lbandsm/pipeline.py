@@ -17,10 +17,10 @@ reruns are byte-identical:
     metrics.txt         metrics.csv as an aligned table
     plot_tb_series.csv  representative TB series with quartiles
     plot_sm_series.csv  retrieved vs reference moisture with a 2-sigma band
-    run_warnings.txt    skipped sessions and data errors, when any
+    run_warnings.txt    skipped sessions and data errors; removed when none
 
-Each file is written to <name>.tmp and renamed into place, so an
-interrupted run leaves every artifact whole.
+Every file is written to <name>.tmp before any is renamed into place, so
+a failed write is a DataError that leaves the previous artifacts whole.
 """
 
 from __future__ import annotations
@@ -292,31 +292,43 @@ def metrics_fields(report):
             "" if math.isnan(report.r) else f"{report.r:.6f}", report.r_flag]
 
 
-def _atomic_write(path, rows, text=False):
-    """Write `rows` to `path`: CSV records, each field quoted where it
-    needs to be, or lines of `text`. The file's text is built in memory
-    and written as UTF-8 to `<name>.tmp`, which is then renamed over
-    `path`, so an interrupted run leaves the previous file whole; on any
-    failure the .tmp file is removed and the error re-raised."""
-    if text:
-        body = "\n".join(rows) + "\n"
-    else:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        body = buf.getvalue()
-    data = memoryview(body.encode("utf-8"))
-    tmp = path.with_suffix(path.suffix + ".tmp")
+def _csv_text(rows):
+    """CSV records of `rows`, each field quoted where it needs to be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _write_set(out, files, stale=()):
+    """Write the (name, text) `files` into directory `out` as one set: all
+    to `<name>.tmp` as UTF-8 before any is renamed over `<name>`, then
+    remove the `stale` names. On any failure the .tmp files are removed,
+    and an OSError is a DataError naming the path."""
+    path, written = out, []
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            while data:     # os.write may write less than it is given
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            path = out / name
+            tmp = out / (name + ".tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            written.append((tmp, path))
+            try:
+                data = memoryview(text.encode("utf-8"))
+                while data:     # os.write may write less than it is given
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+        for tmp, path in written:
+            os.replace(tmp, path)
+        for name in stale:
+            path = out / name
+            path.unlink(missing_ok=True)
+    except BaseException as exc:
+        for tmp, _ in written:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write: {exc.strerror}", path=path) from None
         raise
 
 
@@ -324,9 +336,6 @@ def write_artifacts(report):
     """Write the report files in one pass over the sessions (sessions.csv,
     rejections.csv, plot_tb_series.csv) and one over the retrievals
     (retrievals.csv, plot_sm_series.csv), formatting each value once."""
-    out = report.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     sessions = [("site,session,t_mid,n_total,n_accepted,"
                  "n_max_exceeded,n_min_violated,n_pol_order_violated,"
                  "tb_h_rep,tb_v_rep,mean_h,std_h,p25_h,p50_h,p75_h,"
@@ -377,13 +386,13 @@ def write_artifacts(report):
     metrics_rows += ([m.site, m.preset, m.n, *metrics_fields(m.report)]
                      for m in report.metrics_rows)
 
-    for name, rows in (("sessions.csv", sessions), ("rejections.csv", rejections),
-                       ("retrievals.csv", retrievals), ("metrics.csv", metrics_rows),
-                       ("plot_tb_series.csv", tb_series),
-                       ("plot_sm_series.csv", sm_series)):
-        _atomic_write(out / name, rows)
-    _atomic_write(out / "metrics.txt", render_metrics_table(report.metrics_rows), text=True)
-    if report.warnings or report.data_errors:
-        lines = [f"error: {e}" for e in report.data_errors]
-        lines += [f"warning: {w}" for w in report.warnings]
-        _atomic_write(out / "run_warnings.txt", lines, text=True)
+    files = [(name, _csv_text(rows)) for name, rows in (
+        ("sessions.csv", sessions), ("rejections.csv", rejections),
+        ("retrievals.csv", retrievals), ("metrics.csv", metrics_rows),
+        ("plot_tb_series.csv", tb_series), ("plot_sm_series.csv", sm_series))]
+    files.append(("metrics.txt", "\n".join(render_metrics_table(report.metrics_rows)) + "\n"))
+    lines = [f"error: {e}" for e in report.data_errors]
+    lines += [f"warning: {w}" for w in report.warnings]
+    if lines:
+        files.append(("run_warnings.txt", "\n".join(lines) + "\n"))
+    _write_set(report.output_dir, files, stale=() if lines else ("run_warnings.txt",))

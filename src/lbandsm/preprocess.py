@@ -344,26 +344,22 @@ def _session(timestamp, a, b, calibration):
 
 def session_from_records(body, calibration=None, increasing=False, path=None):
     """Session of the CSV text that follows a header line, whose first
-    line is line 2 of `path`, parsed record by record (csv_records) with
-    each stamp read by parse_utc_timestamp and each value by float(). The
-    values are voltages when `calibration` is given, else brightness
-    temperatures.
+    line is line 2 of `path`, parsed record by record (csv_records) by
+    parse_utc_timestamp and float(). The values are voltages when
+    `calibration` is given, else brightness temperatures.
 
     The first bad line in file order is a DataError: a wrong field count,
     a value or timestamp that does not parse, or, with `increasing`, a
     timestamp not after the one before it.
     """
     timestamp, a, b = [], [], []
-    for line, (stamp, x, y) in csv_records(body, 3, path):
-        try:
-            ts = parse_utc_timestamp(stamp)
-            a.append(float(x))
-            b.append(float(y))
-        except ValueError as exc:
-            raise DataError(str(exc), path=path, line=line) from None
+    for line, (ts, x, y) in csv_records(
+            body, 3, lambda f: (parse_utc_timestamp(f[0]), float(f[1]), float(f[2])), path):
         if increasing and timestamp and ts <= timestamp[-1]:
             raise DataError("timestamps must be strictly increasing", path=path, line=line)
         timestamp.append(ts)
+        a.append(x)
+        b.append(y)
     return _session(*(np.array(col, dtype=float) for col in (timestamp, a, b)), calibration)
 
 

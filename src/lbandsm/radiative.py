@@ -122,7 +122,6 @@ def _debye_refraction(eps0, tau_s, sigma, freq_hz):
     return np.sqrt((mag + eps_r) / 2.0), np.sqrt((mag - eps_r) / 2.0)
 
 
-@functools.lru_cache(maxsize=64)
 def _mironov_mixing_params(clay_fraction, frequency_ghz):
     """Clay/frequency-dependent constants of the spectroscopic model as
     plain floats: (n_dry, k_dry, mvt, n_bound, k_bound, n_free, k_free)."""

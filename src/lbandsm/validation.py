@@ -108,6 +108,12 @@ def nearest_reference(records, timestamp, window_s=ALIGN_WINDOW_S):
 # Reference CSV ingestion
 # ----------------------------------------------------------------------
 
+def _reference_record(fields):
+    return ReferenceRecord(timestamp=parse_utc_timestamp(fields[0]),
+                           point_sm=tuple(float(v) for v in fields[1:-1]),
+                           point_temperature_k=float(fields[-1]))
+
+
 def load_reference_csv(path):
     """Read `timestamp,sm_1..sm_k,soil_temp_k` rows into ReferenceRecords."""
     header, body = split_header(read_text(path), path)
@@ -117,14 +123,4 @@ def load_reference_csv(path):
             or any(not col.startswith("sm_") for col in header[1:-1])):
         raise DataError(
             "expected header 'timestamp,sm_1..sm_k,soil_temp_k'", path=path, line=1)
-    records = []
-    for line, fields in csv_records(body, len(header), path):
-        try:
-            records.append(ReferenceRecord(
-                timestamp=parse_utc_timestamp(fields[0]),
-                point_sm=tuple(float(v) for v in fields[1:-1]),
-                point_temperature_k=float(fields[-1]),
-            ))
-        except (ValueError, DomainError) as exc:
-            raise DataError(str(exc), path=path, line=line) from None
-    return records
+    return [record for _, record in csv_records(body, len(header), _reference_record, path)]

@@ -137,7 +137,7 @@ def test_tau_ndvi_range_checked(table):
 
 def test_default_table_covers():
     table = anc.load_tau_coefficients()
-    assert "grassland" in table and "bare_soil" in table and "cropland" in table
+    assert all(table.for_cover(cover) for cover in ("grassland", "bare_soil", "cropland"))
     assert table.for_cover("bare_soil").b == 0.0
 
 

@@ -60,6 +60,21 @@ def test_pipeline_calls_are_called(bench_run, tmp_path, monkeypatch):
     assert [name for name in bench_run.PIPELINE_CALLS if not calls[name]] == []
 
 
+def test_checker_passes_two_runs(bench_run, tmp_path):
+    """The benchmark's own correctness gate passes two runs of a two-day
+    campaign under every preset, so a loader or writer change that would
+    make every benchmark run fail shows here first."""
+    truth = synth.generate_campaign(tmp_path / "camp", seed=7, n_days=2, n_samples=30)
+    checker = bench_run.Checker(truth, bench_run.ALL_PRESETS)
+    for run in ("a", "b"):
+        cfg = load_campaign(tmp_path / "camp" / "campaign.cfg")
+        checker.check(pipeline.run_pipeline(cfg, output_dir=tmp_path / run))
+    assert checker.problems == []
+    assert (checker.attempted, checker.failed) == (48, 0)
+    assert checker.digests == {name: bench_run.sha256_of(tmp_path / "b" / name)
+                               for name in bench_run.DIGESTED}
+
+
 @pytest.mark.parametrize("model", list(DielectricModel))
 def test_kernel_entries_agree(bench_run, model):
     grid = np.linspace(0.01, 0.70, 50)

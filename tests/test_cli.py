@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, composability."""
 
 import csv
+import errno
 import io
 import os
 import shutil
@@ -159,6 +160,17 @@ def test_run_via_env_var(synthetic_campaign, tmp_path, capsys, monkeypatch):
 def test_run_missing_config_is_data_error(capsys):
     code = cli.main(["run", "--config", "/nonexistent/campaign.cfg"])
     assert code == 1
+
+
+def test_run_to_unwritable_output_is_one_error_line(synthetic_campaign, tmp_path, capsys):
+    """An output directory that cannot be made is a data error naming it,
+    not a traceback."""
+    root, _ = synthetic_campaign
+    (tmp_path / "file").write_text("not a directory\n")
+    out = tmp_path / "file" / "out"
+    err = _one_line_error(capsys, "run", "--config", str(root / "campaign.cfg"),
+                          "--output", str(out))
+    assert err == f"error: {out}: cannot write: {os.strerror(errno.ENOTDIR)}\n"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -486,6 +498,15 @@ def test_retrieve_names_line_of_pair_outside_domain(tmp_path, capsys, monkeypatc
     assert err.startswith("error: retrieve: line 3: observed brightness temperatures "
                           "must be finite"), err
     assert not out.exists()
+
+
+def test_retrieve_reports_first_bad_line_in_file_order(capsys, monkeypatch):
+    """Each pair is inverted as it is read, so a pair outside the domain
+    on line 3 is reported ahead of a value that does not parse on line 4."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("tb_h,tb_v\n200,250\nnan,260\n210,x\n"))
+    err = _one_line_error(capsys, "retrieve", "--preset", "DCA1", "--clay-fraction", "0.2")
+    assert err.startswith("error: retrieve: line 3: observed brightness temperatures "
+                          "must be finite"), err
 
 
 @pytest.mark.parametrize("kind", ["campaign", "preset", "coefficients"])

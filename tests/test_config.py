@@ -27,7 +27,7 @@ def test_parse_kv_basics():
     assert kv.get_list("list") == ["a", "b", "c"]
     sub = kv.section("section")
     assert sub.get_float("y") == 2.5
-    assert "x" in sub
+    assert "x" in sub.keys()
 
 
 def test_parse_kv_duplicate_key():
@@ -210,6 +210,22 @@ def test_site_value_out_of_range_names_file_and_site(tmp_path, values, message):
     path = _write_config(tmp_path, values)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: site a: {message}")):
         load_campaign(path)
+
+
+def test_reflectance_file_needs_opacity_coefficients_for_its_cover(tmp_path):
+    """A site's reflectance file becomes opacity whatever the presets, so
+    a cover without coefficients is a site error at load, not a fault in
+    the middle of the run."""
+    (tmp_path / "refl.csv").write_text("date,red,nir\n2023-11-11,0.08,0.22\n"
+                                       "2023-11-20,0.07,0.27\n", encoding="utf-8")
+    path = _write_config(tmp_path, "presets = DCA1, DCA2\n" + FOREST_SITE
+                         + "site.a.reflectance = refl.csv\n")
+    message = f"{path}: site a: no opacity coefficients for land cover 'forest'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_campaign(path)
+    # without the reflectance file the dual-channel presets need no opacity
+    path = _write_config(tmp_path, "presets = DCA1, DCA2\n" + FOREST_SITE)
+    assert load_campaign(path).sites[0].reflectance_path is None
 
 
 @pytest.mark.parametrize("values,message", [

@@ -9,6 +9,7 @@ import pytest
 
 from lbandsm import pipeline, preprocess, retrieval, synth
 from lbandsm.config import load_campaign
+from lbandsm.errors import DataError
 from lbandsm.radiative import TbPair
 
 
@@ -471,9 +472,10 @@ def test_report_csvs_quote_a_session_name_with_a_comma(tmp_path):
 
 
 def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
-    """Each artifact is written whole: a write the system cuts short is
-    continued, and a write that fails part way leaves the file it was to
-    replace as it was, with no .tmp file beside it."""
+    """The artifacts are written whole and as one set: a write the system
+    cuts short is continued, and a write that fails part way is a
+    DataError that leaves every file it was to replace as it was, with no
+    .tmp file beside them."""
     root = tmp_path / "camp"
     synth.generate_campaign(root, seed=7, n_days=2, n_samples=30, voltage_site=None)
     out = tmp_path / "out"
@@ -491,13 +493,34 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
             real_write(fd, data[:100])
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return real_write(fd, data)
-    (out / "retrievals.csv").write_bytes(b"previous\n")
+    previous = {name: f"previous {name}\n".encode() for name in written}
+    for name, data in previous.items():
+        (out / name).write_bytes(data)
     with monkeypatch.context() as mp:
         mp.setattr(os, "write", full_disk)
-        with pytest.raises(OSError, match="No space left"):
+        with pytest.raises(DataError, match=r"retrievals\.csv: cannot write: No space left"):
             pipeline.write_artifacts(report)
-    assert (out / "retrievals.csv").read_bytes() == b"previous\n"
-    assert sorted(path.name for path in out.iterdir()) == sorted(written)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
+
+
+def test_clean_rerun_removes_stale_run_warnings(tmp_path):
+    """A rerun into the same directory with no warnings or data errors
+    removes the run_warnings.txt of the run before it."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30, voltage_site=None)
+    session = root / "sessions" / "bare_2023-11-12.csv"
+    good = session.read_text()
+    session.write_text(good + "2023-11-12T15:00:00Z,x,260.0\n")
+    out = tmp_path / "out"
+    first = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"), output_dir=out)
+    assert not first.ok
+    assert (out / "run_warnings.txt").read_text().startswith(f"error: {session}:")
+    session.write_text(good)
+    second = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"), output_dir=out)
+    assert second.ok and not second.warnings
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        ["sessions.csv", "rejections.csv", "retrievals.csv", "metrics.csv", "metrics.txt",
+         "plot_tb_series.csv", "plot_sm_series.csv"])
 
 
 def test_seed_tables_built_once_per_site_and_preset(campaign_config, tmp_path):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from lbandsm import preprocess as pp, synth
-from lbandsm.errors import DataError, DomainError, read_text
+from lbandsm.errors import DataError, DomainError, csv_records, read_text
 from lbandsm.radiative import L_BAND_GHZ, TbPair, simulate_tb
 from lbandsm.retrieval import make_surface
 
@@ -582,6 +582,24 @@ def test_blank_lines_skipped(tmp_path):
                   "2023-11-11T14:00:01Z,251,261\n\n")
     session = pp.load_session(path)
     assert session.tb_h.tolist() == [250.0, 251.0]
+
+
+def test_csv_records_ties_a_parse_fault_to_its_line():
+    """A ValueError raised by parse, a DomainError among them, is a
+    DataError at the line of its record; the records before it come
+    first."""
+    records = csv_records("1,2\n\n3,x\n5,6\n", 2, lambda fields: [float(v) for v in fields],
+                          "p.csv")
+    assert next(records) == (2, [1.0, 2.0])
+    with pytest.raises(DataError) as exc:
+        next(records)
+    assert (exc.value.line, str(exc.value)) == (
+        4, "p.csv:4: could not convert string to float: 'x'")
+
+    def reject(fields):
+        raise DomainError(f"{fields[0]} out of range")
+    with pytest.raises(DataError, match="^line 2: 7 out of range$"):
+        list(csv_records("7,8\n", 2, reject))
 
 
 def test_load_session_header_only(tmp_path):
