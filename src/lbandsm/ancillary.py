@@ -15,10 +15,9 @@ package and can be replaced wholesale by a user table.
 import bisect
 import datetime as dt
 from dataclasses import dataclass
-from importlib import resources
 
 from .errors import ConfigError, DataError, DomainError, csv_records, read_text, split_header
-from .kvconfig import parse_kv_text, read_kv_file
+from .kvconfig import parse_kv_text, read_kv_file, read_package_text
 
 
 @dataclass(frozen=True)
@@ -166,12 +165,7 @@ def daily_ndvi_series(samples):
 
 def _table_from_kv(kv):
     entries = {}
-    covers = []
-    for key in kv.keys():
-        cover = key.split(".", 1)[0]
-        if cover not in covers:
-            covers.append(cover)
-    for cover in covers:
+    for cover in kv.group_names():
         sub = kv.section(cover)
         poly = sub.get_floats("vwc_poly")
         if not poly:
@@ -188,6 +182,6 @@ def load_tau_coefficients(path=None):
     """Load an opacity-coefficient table; with no path, the packaged
     defaults (bare_soil, grassland, cropland)."""
     if path is None:
-        text = resources.files("lbandsm").joinpath("data/tau_defaults.cfg").read_text()
+        text = read_package_text("data/tau_defaults.cfg")
         return _table_from_kv(parse_kv_text(text, source="tau_defaults.cfg"))
     return _table_from_kv(read_kv_file(path))

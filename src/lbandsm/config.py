@@ -12,17 +12,24 @@ site is a ConfigError here, not a fault in the middle of a run.
     statistic = median
     skip_leading = 0
     align_window_s = 1800
-    tau_coefficients = tau_coeffs.cfg        # optional, packaged defaults otherwise
+    # optional, packaged defaults otherwise
+    tau_coefficients = tau_coeffs.cfg
 
-    calibration.gain_h = 1.0                 # needed by voltage sessions only;
-    calibration.offset_h = 0.0               # unset keys are 1 (gain) and 0 (offset)
+    # needed by voltage sessions only; unset keys are 1 (gain) and 0 (offset)
+    calibration.gain_h = 1.0
+    calibration.offset_h = 0.0
 
     site.grass.land_cover = grassland
     site.grass.clay_fraction = 0.13
     site.grass.incidence_deg = 40.0
     site.grass.sessions = sessions/grass_*.csv
-    site.grass.reference = ref_grass.csv     # optional
-    site.grass.reflectance = refl_grass.csv  # needed for ndvi-based opacity
+    # optional
+    site.grass.reference = ref_grass.csv
+    # needed for ndvi-based opacity
+    site.grass.reflectance = refl_grass.csv
+
+A key that load_campaign does not read (a misspelled one, say) is a
+ConfigError, as is a session file listed twice.
 """
 
 from __future__ import annotations
@@ -69,26 +76,29 @@ class CampaignConfig:
 
 
 def _resolve_path(base_dir: Path, raw: str, what: str) -> Path:
-    path = Path(raw)
-    if not path.is_absolute():
-        path = base_dir / path
+    if not raw:
+        return None
+    path = base_dir / raw    # an absolute raw path is kept as it is
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
     return path
 
 
 def _expand_sessions(base_dir: Path, items):
-    paths = []
+    paths = {}   # normalized absolute path -> path as listed
     for item in items:
         if any(ch in item for ch in "*?["):
-            pattern = item if os.path.isabs(item) else str(base_dir / item)
-            matches = sorted(glob.glob(pattern))
+            matches = [Path(m) for m in sorted(glob.glob(str(base_dir / item)))]
             if not matches:
                 raise ConfigError(f"session pattern matched nothing: {item}")
-            paths.extend(Path(m) for m in matches)
         else:
-            paths.append(_resolve_path(base_dir, item, "session file"))
-    return tuple(paths)
+            matches = [_resolve_path(base_dir, item, "session file")]
+        for path in matches:
+            key = os.path.normpath(path)
+            if key in paths:
+                raise ConfigError(f"session file listed twice: {path}")
+            paths[key] = path
+    return tuple(paths.values())
 
 
 def load_campaign(path) -> CampaignConfig:
@@ -108,10 +118,8 @@ def load_campaign(path) -> CampaignConfig:
         candidate = base_dir / name
         preset_kvs.append(read_preset(candidate if candidate.is_file() else name))
 
-    tau_raw = kv.get_str("tau_coefficients")
     tau_table = load_tau_coefficients(
-        _resolve_path(base_dir, tau_raw, "tau coefficient file")
-        if tau_raw else None)
+        _resolve_path(base_dir, kv.raw("tau_coefficients"), "tau coefficient file"))
 
     cal_kv = kv.section("calibration")
     try:
@@ -137,19 +145,15 @@ def load_campaign(path) -> CampaignConfig:
         clay = sv.get_float("clay_fraction")
         incidence_deg = sv.get_float("incidence_deg", 40.0)
         h, omega = sv.get_float("h"), sv.get_float("omega")
-        session_items = sv.get_list("sessions")
-        ref_raw, refl_raw = sv.get_str("reference"), sv.get_str("reflectance")
         try:
             if clay is None:
                 raise ConfigError("missing clay_fraction")
             surface = make_surface(clay, land_cover, incidence_deg, h=h, omega=omega)
             presets = sorted((parse_preset(preset_kv, land_cover) for preset_kv in preset_kvs),
                              key=lambda algo: algo.name)
-            session_paths = _expand_sessions(base_dir, session_items)
-            reference_path = (_resolve_path(base_dir, ref_raw, "reference file")
-                              if ref_raw else None)
-            reflectance_path = (_resolve_path(base_dir, refl_raw, "reflectance file")
-                                if refl_raw else None)
+            session_paths = _expand_sessions(base_dir, sv.get_list("sessions"))
+            reference_path = _resolve_path(base_dir, sv.raw("reference"), "reference file")
+            reflectance_path = _resolve_path(base_dir, sv.raw("reflectance"), "reflectance file")
             # a reflectance file becomes opacity whatever the presets
             if reflectance_path or any(algo.kind in TAU_SCA_KINDS for algo in presets):
                 entry = tau_table.for_cover(land_cover)  # raises when missing
@@ -167,17 +171,8 @@ def load_campaign(path) -> CampaignConfig:
     if not sites:
         raise ConfigError(f"{path}: no sites configured")
 
-    out_raw = kv.get_str("output_dir", "out")
-    output_dir = Path(out_raw)
-    if not output_dir.is_absolute():
-        output_dir = base_dir / output_dir
-
-    statistic_raw = kv.get_str("statistic", Statistic.MEDIAN.value)
-    try:
-        statistic = Statistic(statistic_raw.lower())
-    except ValueError:
-        raise ConfigError(f"{path}: unknown statistic {statistic_raw!r}") from None
-
+    output_dir = base_dir / kv.raw("output_dir", "out")
+    statistic = kv.get_enum("statistic", Statistic, Statistic.MEDIAN)
     skip_leading = kv.get_int("skip_leading", 0)
     if skip_leading < 0:
         raise ConfigError(f"{path}: skip_leading must be >= 0")
@@ -186,6 +181,10 @@ def load_campaign(path) -> CampaignConfig:
     if not 0.0 <= align_window_s < math.inf:
         raise ConfigError(f"{path}: align_window_s must be finite and >= 0, "
                           f"got {align_window_s}")
+
+    unknown = [key for key in kv.keys() if key not in kv.looked_up]
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
 
     return CampaignConfig(
         output_dir=output_dir,

@@ -42,7 +42,7 @@ from .preprocess import (FilterThresholds, QualityFlag, TB_MAX_DEFAULT,
                          filter_tb, format_utc_timestamp, load_session, mean_std,
                          min_threshold, rejection_counts, representative,
                          session_stats, sorted_median)
-from .retrieval import CONSTANT_T_E, TAU_SCA_KINDS, retrieve
+from .retrieval import CONSTANT_T_E, retrieve
 from .validation import metrics, nearest_reference, load_reference_csv
 
 logger = logging.getLogger(__name__)
@@ -161,9 +161,6 @@ def _retrieve_session(cfg, site, session_row, algo):
     if out.t_e_used is None:
         out.error = "no reference temperature within the alignment window"
         return out
-    if algo.kind in TAU_SCA_KINDS and session_row.tau_sca is None:
-        out.error = "no ndvi-based opacity available"
-        return out
     try:
         out.result = retrieve(session_row.rep, algo, site.surface, out.t_e_used,
                               tau_sca=session_row.tau_sca,
@@ -177,9 +174,14 @@ def run_pipeline(cfg, output_dir=None):
     """Execute a campaign; returns a PipelineReport after writing all
     artifacts. Malformed files, and sessions whose values fall outside a
     model's domain, are recorded as data errors and the affected session
-    or site skipped; everything else still runs.
+    or site skipped; everything else still runs. An output directory that
+    cannot be made is a DataError before any site is read.
     """
     out_dir = Path(output_dir) if output_dir else cfg.output_dir
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write: {exc.strerror}", path=out_dir) from None
     sessions, retrievals, metrics_rows = [], [], []
     warnings = list(cfg.warnings)
     data_errors = []

@@ -46,13 +46,12 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kvconfig import parse_kv_text, read_kv_file
+from .kvconfig import parse_kv_text, read_kv_file, read_package_text
 from .radiative import (DielectricModel, L_BAND_GHZ, canopy_transmissivity,
                         emissivity_slope_evaluator, soil_emissivity_pair, tau_omega_tb)
 
@@ -425,24 +424,15 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
 PRESET_NAMES = ("DCA0", "DCA1", "DCA2", "RDCA", "SCAH", "SCAV")
 
 
-def _parse_enum(kv, key, enum_cls):
-    raw = kv.require(key)
-    try:
-        return enum_cls(raw.lower() if enum_cls is not AlgorithmKind else raw.upper())
-    except ValueError:
-        valid = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"{kv.source}: {key} must be one of {valid}, got {raw!r}") from None
-
-
 def parse_preset(kv, land_cover):
     """The AlgorithmConfig of a preset file's key-value map for one land
     cover, named after the file. h and omega are set for every cover
     (`h`) or per cover (`h.<cover>`, which wins); every value is parsed
     whichever cover is asked for. A preset that cannot serve the cover is
     a ConfigError naming the file and the cover."""
-    kind = _parse_enum(kv, "kind", AlgorithmKind)
-    t_e_source = _parse_enum(kv, "t_e_source", TempSource)
-    dielectric = _parse_enum(kv, "dielectric", DielectricModel)
+    kind = kv.get_enum("kind", AlgorithmKind)
+    t_e_source = kv.get_enum("t_e_source", TempSource)
+    dielectric = kv.get_enum("dielectric", DielectricModel)
     lam = kv.get_float("lambda", RDCA_LAMBDA)
     surface = {}
     for field in ("h", "omega"):
@@ -463,7 +453,7 @@ def read_preset(name_or_path):
     file by path."""
     name = str(name_or_path)
     if name in PRESET_NAMES:
-        text = resources.files("lbandsm").joinpath(f"presets/{name}.cfg").read_text()
+        text = read_package_text(f"presets/{name}.cfg")
         return parse_kv_text(text, source=f"{name}.cfg")
     path = Path(name_or_path)
     if not path.is_file():

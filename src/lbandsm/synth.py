@@ -62,7 +62,7 @@ def _session_rows(t0, tb_h, tb_v, n_samples, as_voltage, with_outliers):
         pair = outliers.get(k, (tb_h, tb_v))
         rows.append([format_utc_timestamp(t0 + k * SAMPLE_PERIOD_S),
                      fmt.format(pair[0] * scale), fmt.format(pair[1] * scale)])
-    return rows, len(outliers)
+    return rows
 
 
 def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
@@ -120,8 +120,7 @@ def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
             tb_h, tb_v = float(tb_h), float(tb_v)
 
             as_voltage = site_name == voltage_site
-            rows, _ = _session_rows(t0, tb_h, tb_v, n_samples, as_voltage,
-                                    with_outliers)
+            rows = _session_rows(t0, tb_h, tb_v, n_samples, as_voltage, with_outliers)
             session_id = f"{site_name}_{day.isoformat()}"
             header = ("timestamp", "v_h", "v_v") if as_voltage \
                 else ("timestamp", "tb_h", "tb_v")

@@ -173,6 +173,19 @@ def test_run_to_unwritable_output_is_one_error_line(synthetic_campaign, tmp_path
     assert err == f"error: {out}: cannot write: {os.strerror(errno.ENOTDIR)}\n"
 
 
+def test_unwritable_output_is_reported_before_any_session_is_read(synthetic_campaign,
+                                                                 tmp_path, capsys,
+                                                                 monkeypatch):
+    root, _ = synthetic_campaign
+    monkeypatch.setattr(pipeline, "load_session",
+                        lambda *args, **kwargs: pytest.fail("a session was loaded"))
+    (tmp_path / "file").write_text("not a directory\n")
+    out = tmp_path / "file" / "out"
+    err = _one_line_error(capsys, "run", "--config", str(root / "campaign.cfg"),
+                          "--output", str(out))
+    assert err == f"error: {out}: cannot write: {os.strerror(errno.ENOTDIR)}\n"
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # The console-script launcher an installer writes for "name = module:func"

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lbandsm import kvconfig, validation
+from lbandsm import config, kvconfig, synth, validation
 from lbandsm.config import load_campaign
 from lbandsm.errors import ConfigError
 from lbandsm.preprocess import Statistic
@@ -23,7 +23,7 @@ def test_parse_kv_basics():
         "section.y = 2.5\n"
         "list = a, b , c\n")
     assert kv.get_int("a") == 1
-    assert kv.get_str("section.x") == "hello world"
+    assert kv.raw("section.x") == "hello world"
     assert kv.get_list("list") == ["a", "b", "c"]
     sub = kv.section("section")
     assert sub.get_float("y") == 2.5
@@ -48,6 +48,14 @@ def test_parse_kv_typed_errors():
         kv.require("b")
 
 
+def test_campaign_docstring_example_keeps_comments_on_their_own_lines():
+    """A `#` after a value is part of the value."""
+    example = "\n".join(line for line in config.__doc__.splitlines() if line.startswith("    "))
+    kv = kvconfig.parse_kv_text(example)
+    assert kv.get_enum("statistic", Statistic) == Statistic.MEDIAN
+    assert not [key for key in kv.keys() if "#" in kv.raw(key)]
+
+
 def test_group_names_in_file_order():
     kv = kvconfig.parse_kv_text(
         "site.beta.x = 1\nsite.alpha.x = 2\nsite.beta.y = 3\n")
@@ -58,6 +66,20 @@ def test_get_floats_list():
     kv = kvconfig.parse_kv_text("p = 0.0, -0.3215, 1.9134\nq = 1 2 3\n")
     assert kv.get_floats("p") == [0.0, -0.3215, 1.9134]
     assert kv.get_floats("q") == [1.0, 2.0, 3.0]
+
+
+def test_typed_lookups_name_source_key_and_value():
+    kv = kvconfig.parse_kv_text("n = 1.5\np = 1, x\ns = Mode\n", source="f.cfg")
+    for lookup, message in [
+            (lambda: kv.get_int("n"), "f.cfg: key 'n' is not an integer: '1.5'"),
+            (lambda: kv.get_floats("p"), "f.cfg: key 'p' is not a number list: '1, x'"),
+            (lambda: kv.get_enum("s", Statistic),
+             "f.cfg: s must be one of median, mean, p25, p75, got 'Mode'"),
+            (lambda: kv.get_enum("t", Statistic), "f.cfg: missing required key 't'")]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            lookup()
+    assert kv.get_int("m", 7) == 7 and kv.get_floats("q") == []
+    assert kv.get_enum("t", Statistic, Statistic.MEAN) == Statistic.MEAN
 
 
 # ----------------------------------------------------------------------
@@ -262,3 +284,59 @@ def test_calibration_only_when_configured(tmp_path):
     calibration = load_campaign(path).calibration
     assert (calibration.gain_h, calibration.gain_v, calibration.offset_h,
             calibration.offset_v) == (2.0, 1.0, 0.0, 0.0)
+
+
+def _synth_campaign(tmp_path, n_days=2):
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=n_days, n_samples=30)
+    return root, root / "campaign.cfg"
+
+
+@pytest.mark.parametrize("key,typo", [
+    ("calibration.gain_h", "calibration.gain_hh"),
+    ("site.grass.reference", "site.grass.refernce"),
+])
+def test_misspelled_campaign_key_is_unknown(tmp_path, key, typo):
+    """A key that the campaign does not read would otherwise be ignored:
+    gain_h would fall back to 1 and grass would lose its reference."""
+    _, path = _synth_campaign(tmp_path)
+    text = path.read_text()
+    assert text.count(f"\n{key} = ") == 1
+    path.write_text(text.replace(f"\n{key} = ", f"\n{typo} = "))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown key {typo!r}")):
+        load_campaign(path)
+
+
+def test_statistic_matches_any_case_and_names_its_values(tmp_path):
+    path = _write_config(tmp_path, "presets = DCA0\nstatistic = P75\n" + MINIMAL_SITE)
+    assert load_campaign(path).statistic == Statistic.P75
+    path = _write_config(tmp_path, "presets = DCA0\nstatistic = mode\n" + MINIMAL_SITE)
+    message = f"{path}: statistic must be one of median, mean, p25, p75, got 'mode'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_campaign(path)
+
+
+def test_session_file_listed_twice(tmp_path):
+    root, path = _synth_campaign(tmp_path, n_days=3)
+    text = path.read_text()
+    path.write_text(text.replace(
+        "site.grass.sessions = sessions/grass_*.csv",
+        "site.grass.sessions = sessions/grass_*.csv, sessions/grass_2023-11-11.csv"))
+    twice = root / "sessions" / "grass_2023-11-11.csv"
+    message = f"{path}: site grass: session file listed twice: {twice}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_campaign(path)
+    # the same file spelt another way is still the same file
+    path.write_text(text.replace(
+        "site.grass.sessions = sessions/grass_*.csv",
+        "site.grass.sessions = sessions/../sessions/grass_2023-11-12.csv, sessions/grass_*.csv"))
+    with pytest.raises(ConfigError, match="session file listed twice: .*grass_2023-11-12.csv"):
+        load_campaign(path)
+
+
+def test_preset_file_still_ignores_retired_keys(tmp_path):
+    """Only campaign files reject keys they do not read."""
+    _write_preset(tmp_path, "OLD.cfg", "kind = DCA0\nh = 0.0\nomega = 0.0\n"
+                  "tau_source = retrieved\npolarization = dual\n")
+    path = _write_config(tmp_path, "presets = OLD.cfg\n" + MINIMAL_SITE)
+    assert [algo.name for algo in load_campaign(path).sites[0].presets] == ["OLD"]

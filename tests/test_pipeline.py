@@ -599,3 +599,28 @@ def test_plot_reference_follows_its_session_when_stems_repeat(tmp_path):
     assert len(plotted) == 12
     for row in plotted:
         assert row["sm_ref"] == sm_ref[row["t_mid"], row["session"]]
+
+
+def test_session_outside_the_screening_domain_is_a_data_error(tmp_path):
+    """A probe temperature that puts a session's screening floor above
+    tb_max is a data error of that session; the other site still runs
+    and the artifacts are written."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30)
+    _rewrite(root / "campaign.cfg", lambda lines: lines + [
+        "site.bare.h = 10", "site.bare.omega = 0.0"])
+    _rewrite(root / "ref_bare.csv", lambda lines: lines[:1] + [
+        ",".join(line.split(",")[:-1] + ["340"]) for line in lines[1:]])
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "out")
+    sessions = sorted(root.glob("sessions/bare_*.csv"))
+    assert len(sessions) == 2
+    assert report.data_errors == [f"{path}: minimum thresholds must lie below tb_max"
+                                  for path in sessions]
+    assert {s.site for s in report.sessions} == {"grass"}
+    grass = [r for r in report.retrievals if r.site == "grass"]
+    assert len(grass) == 12 and all(r.result is not None for r in grass)
+    names = {p.name for p in (tmp_path / "out").iterdir()}
+    assert {"sessions.csv", "retrievals.csv", "metrics.csv", "run_warnings.txt"} <= names
+    warnings = (tmp_path / "out" / "run_warnings.txt").read_text().splitlines()
+    assert warnings[:2] == [f"error: {e}" for e in report.data_errors]
