@@ -41,9 +41,8 @@ from .pipeline import (METRICS_COLUMNS, RESULT_COLUMNS, metrics_fields, result_f
                        run_pipeline)
 from .preprocess import (CalibrationParams, FilterThresholds, Statistic,
                          TB_HEADER, TB_MAX_DEFAULT, VOLTAGE_HEADER, filter_tb,
-                         format_utc_timestamp, parse_utc_timestamp,
-                         representative, session_from_text, session_stats,
-                         write_session)
+                         parse_utc_timestamp, representative, session_from_text,
+                         session_stats, session_text, write_session)
 from .radiative import L_BAND_GHZ, TbPair, simulate_tb
 from .retrieval import (CONSTANT_T_E, PRESET_NAMES, TAU_SCA_KINDS, SurfaceConfig,
                         load_preset, retrieve)
@@ -248,18 +247,18 @@ def cmd_forward(args, parser):
                              surface.clay_fraction, surface.incidence_deg,
                              t_e, algo.dielectric, frequency_ghz)
     tb_h, tb_v = float(tb_h), float(tb_v)
-    if args.samples:
-        rng = np.random.default_rng(args.seed)
-        t0 = parse_utc_timestamp(args.start)
-        noise = rng.normal(0.0, args.noise_k, size=(args.samples, 2)) \
-            if args.noise_k > 0 else np.zeros((args.samples, 2))
-        rows = [["timestamp", "tb_h", "tb_v"]]
-        rows += [[format_utc_timestamp(t0 + k * SAMPLE_PERIOD_S),
-                  f"{tb_h + noise[k, 0]:.4f}", f"{tb_v + noise[k, 1]:.4f}"]
-                 for k in range(args.samples)]
-    else:
-        rows = [["tb_h", "tb_v"], [f"{tb_h:.6f}", f"{tb_v:.6f}"]]
-    _write_rows(args.output, rows)
+    if not args.samples:
+        _write_rows(args.output, [["tb_h", "tb_v"], [f"{tb_h:.6f}", f"{tb_v:.6f}"]])
+        return 0
+    rng = np.random.default_rng(args.seed)
+    t0 = parse_utc_timestamp(args.start)
+    noise = rng.normal(0.0, args.noise_k, size=(args.samples, 2)) \
+        if args.noise_k > 0 else np.zeros((args.samples, 2))
+    text = session_text(TB_HEADER, t0 + np.arange(args.samples) * SAMPLE_PERIOD_S,
+                        map("{:.4f},{:.4f}".format, (tb_h + noise[:, 0]).tolist(),
+                            (tb_v + noise[:, 1]).tolist()))
+    with _outputs(args.output) as (out,):
+        out.write(text)
     return 0
 
 

@@ -39,7 +39,7 @@ from pathlib import Path
 from .ancillary import daily_ndvi_series, load_reflectance_csv, ndvi_to_tau
 from .errors import DataError, DomainError
 from .preprocess import (FilterThresholds, QualityFlag, TB_MAX_DEFAULT,
-                         filter_tb, format_utc_timestamp, load_session, mean_std,
+                         filter_tb, format_utc_timestamps, load_session, mean_std,
                          min_threshold, rejection_counts, representative,
                          session_stats, sorted_median)
 from .retrieval import CONSTANT_T_E, retrieve
@@ -135,9 +135,10 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
     accepted = session.select(flags == 0)
     row.n_accepted = len(accepted)
     row.flag_counts = rejection_counts(flags)
-    logger.info("site %s session %s: %d/%d accepted, rejections %s",
-                site.name, session_id, row.n_accepted, row.n_total,
-                {f.value: row.flag_counts.get(f, 0) for f in QualityFlag})
+    if logger.isEnabledFor(logging.INFO):
+        logger.info("site %s session %s: %d/%d accepted, rejections %s",
+                    site.name, session_id, row.n_accepted, row.n_total,
+                    {f.value: row.flag_counts.get(f, 0) for f in QualityFlag})
     if not row.n_accepted:
         row.error = "no valid observations in session"
         return row
@@ -348,8 +349,8 @@ def write_artifacts(report):
                   "tb_v_p25,tb_v_p50,tb_v_p75,tb_v_mean").split(",")]
     # id(session row) -> its t_mid, sm_ref, sm_ref_lo, sm_ref_hi fields
     plotted = {}
-    for r in report.sessions:
-        t_mid = format_utc_timestamp(r.t_mid)
+    t_mids = format_utc_timestamps([r.t_mid for r in report.sessions])
+    for r, t_mid in zip(report.sessions, t_mids):
         counts = [r.flag_counts.get(f, 0) for f in QualityFlag]
         stats = [""] * 12
         s = r.summary

@@ -22,7 +22,6 @@ The accepted records reduce per channel by index on columns sorted once
 population std from one sum, each equal to numpy's bit for bit.
 """
 
-import csv
 import datetime as dt
 import io
 import math
@@ -251,6 +250,9 @@ _SEPARATORS = ([4, 7, 10, 13, 16], np.frombuffer(b"--T::", np.uint8))
 _PAIRS = np.array([0, 2, 5, 8, 11, 14, 17, 20, 22, 24])
 _UNEVEN = "\0\x1c\x1d\x1e\x1f"    # characters loadtxt and float() read differently
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+# epoch seconds of 0001-01-01T00:00:00 and 9999-12-31T23:59:59
+_FIRST_SECOND = (dt.date(1, 1, 1).toordinal() - _EPOCH_ORDINAL) * 86400
+_LAST_SECOND = (dt.date(9999, 12, 31).toordinal() - _EPOCH_ORDINAL + 1) * 86400 - 1
 
 
 def parse_utc_timestamp(text):
@@ -265,9 +267,46 @@ def parse_utc_timestamp(text):
     return stamp.timestamp()
 
 
+def format_utc_timestamps(epoch_s):
+    """Canonical UTC stamps of a 1-D array of epoch seconds, as a list of
+    str: datetime.fromtimestamp(t, timezone.utc).isoformat() with Z for
+    +00:00, YYYY-MM-DDTHH:MM:SSZ on a whole second, else with .ffffff.
+    One numpy pass: microseconds rounded half to even with the carry into
+    the seconds, as fromtimestamp rounds, then datetime64[us] to text. A
+    non-finite epoch or a year outside 1-9999 is a ValueError."""
+    epoch = np.asarray(epoch_s, dtype=float)
+    if not np.isfinite(epoch).all():
+        raise ValueError(f"cannot format epoch {epoch[~np.isfinite(epoch)][0]} as a UTC stamp")
+    fraction, whole = np.modf(epoch)
+    carry, micro = np.divmod(np.rint(fraction * 1e6), 1e6)
+    whole += carry
+    outside = (whole < _FIRST_SECOND) | (whole > _LAST_SECOND)
+    if outside.any():
+        raise ValueError(f"cannot format epoch {epoch[outside][0]} as a UTC stamp: "
+                         "year outside 1-9999")
+    text = np.datetime_as_string((whole.astype(np.int64) * 1_000_000
+                                  + micro.astype(np.int64)).astype("datetime64[us]"))
+    # code points of each YYYY-MM-DDTHH:MM:SS.ffffff, one more for the Z;
+    # a str of the <U27 view ends at its first NUL
+    chars = text.view(np.uint32).reshape(len(text), text.itemsize // 4)[:, :27].copy()
+    chars[:, 26] = ord("Z")
+    whole_second = micro == 0
+    chars[whole_second, 19] = ord("Z")
+    chars[whole_second, 20:] = 0
+    return chars.view("<U27")[:, 0].tolist()
+
+
 def format_utc_timestamp(epoch_s):
-    stamp = dt.datetime.fromtimestamp(epoch_s, tz=dt.timezone.utc)
-    return stamp.isoformat().replace("+00:00", "Z")
+    """The canonical UTC stamp of one epoch (format_utc_timestamps)."""
+    return format_utc_timestamps([epoch_s])[0]
+
+
+def session_text(header, epoch_s, values):
+    """CSV text of a session: the `header` line, then per record its
+    canonical stamp and `values`, the record's other fields already joined
+    by commas; every line ends in CRLF, as csv.writer ends it."""
+    lines = map(",".join, zip(format_utc_timestamps(epoch_s), values))
+    return "\r\n".join([",".join(header), *lines, ""])
 
 
 def _canonical_micros(stamps):
@@ -318,7 +357,7 @@ def _bulk_columns(body, increasing):
     # loadtxt warns on an empty body, reads only ASCII digits where float()
     # reads any, drops the NULs that end a bytes field and, unlike float(),
     # strips the separators \x1c-\x1f around a value
-    if not body.strip() or not body.isascii() or any(c in body for c in _UNEVEN):
+    if not body or body.isspace() or not body.isascii() or any(c in body for c in _UNEVEN):
         return None
     try:
         records = np.loadtxt(io.StringIO(body), dtype=_BODY_DTYPE, delimiter=",",
@@ -410,13 +449,12 @@ def write_session(fh, session, flags=None):
     """Write a Session to an open text file in the TB session schema, with
     a flags column when `flags` (filter_tb's bitmasks of these records)
     has any set."""
-    writer = csv.writer(fh)
-    flagged = flags is not None and bool(np.any(flags))
-    writer.writerow(list(TB_HEADER) + (["flags"] if flagged else []))
-    for k, (ts, tb_h, tb_v) in enumerate(zip(session.timestamp.tolist(),
-                                              session.tb_h.tolist(),
-                                              session.tb_v.tolist())):
-        row = [format_utc_timestamp(ts), f"{tb_h:.6f}", f"{tb_v:.6f}"]
-        if flagged:
-            row.append("|".join(sorted(f.value for f in flags_of(flags[k]))))
-        writer.writerow(row)
+    header = TB_HEADER
+    values = map("{:.6f},{:.6f}".format, session.tb_h.tolist(), session.tb_v.tolist())
+    if flags is not None and np.any(flags):
+        # one label per distinct bitmask
+        labels = {bits: "|".join(sorted(f.value for f in flags_of(bits)))
+                  for bits in np.unique(flags).tolist()}
+        header = (*TB_HEADER, "flags")
+        values = map("{},{}".format, values, map(labels.__getitem__, flags.tolist()))
+    fh.write(session_text(header, session.timestamp, values))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ancillary import daily_ndvi_series, load_reflectance_csv, ndvi_to_tau
-from .preprocess import format_utc_timestamp
+from .preprocess import TB_HEADER, VOLTAGE_HEADER, format_utc_timestamps, session_text
 from .radiative import simulate_tb
 from .retrieval import make_surface
 
@@ -49,20 +49,18 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _session_rows(t0, tb_h, tb_v, n_samples, as_voltage, with_outliers):
+def _session_text(t0, tb_h, tb_v, n_samples, as_voltage, with_outliers):
+    """The session file: n_samples records from t0 at the sample period,
+    each distinct value pair formatted once."""
     scale = 1.0 / VOLTAGE_GAIN if as_voltage else 1.0
-    fmt = "{:.8f}" if as_voltage else "{:.4f}"
-    rows = []
-    outliers = {}
+    fmt = "{:.8f},{:.8f}" if as_voltage else "{:.4f},{:.4f}"
+    values = [fmt.format(tb_h * scale, tb_v * scale)] * n_samples
     if with_outliers and n_samples >= 20:
         # spread the three bad patterns through the stream
-        outliers = {5: OUTLIER_MAX, n_samples // 2: OUTLIER_POL,
-                    n_samples - 7: OUTLIER_MIN}
-    for k in range(n_samples):
-        pair = outliers.get(k, (tb_h, tb_v))
-        rows.append([format_utc_timestamp(t0 + k * SAMPLE_PERIOD_S),
-                     fmt.format(pair[0] * scale), fmt.format(pair[1] * scale)])
-    return rows
+        for k, (h, v) in ((5, OUTLIER_MAX), (n_samples // 2, OUTLIER_POL),
+                          (n_samples - 7, OUTLIER_MIN)):
+            values[k] = fmt.format(h * scale, v * scale)
+    return session_text(VOLTAGE_HEADER if as_voltage else TB_HEADER, t0 + np.arange(n_samples) * SAMPLE_PERIOD_S, values)
 
 
 def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
@@ -101,7 +99,7 @@ def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
     truth = []
     for site_name, surface in sorted(sites.items()):
         sm = 0.27
-        ref_rows = []
+        ref_times, ref_rows = [], []
         for day_idx in range(n_days):
             day = day0 + dt.timedelta(days=day_idx)
             sm = float(np.clip(sm + rng.normal(0.0, 0.03), 0.15, 0.42))
@@ -119,29 +117,29 @@ def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
                                      t_e)
             tb_h, tb_v = float(tb_h), float(tb_v)
 
-            as_voltage = site_name == voltage_site
-            rows = _session_rows(t0, tb_h, tb_v, n_samples, as_voltage, with_outliers)
             session_id = f"{site_name}_{day.isoformat()}"
-            header = ("timestamp", "v_h", "v_v") if as_voltage \
-                else ("timestamp", "tb_h", "tb_v")
-            _write_csv(root / "sessions" / f"{session_id}.csv", header, rows)
+            (root / "sessions" / f"{session_id}.csv").write_text(
+                _session_text(t0, tb_h, tb_v, n_samples, site_name == voltage_site,
+                              with_outliers), encoding="utf-8", newline="")
 
             points = np.clip(sm + rng.normal(0.0, 0.012, size=5), 0.0, 1.0)
-            ref_rows.append([format_utc_timestamp(t0 + 300.0),
-                             *(f"{p:.6f}" for p in points), f"{t_e:.6f}"])
+            ref_times.append(t0 + 300.0)
+            ref_rows.append([*(f"{p:.6f}" for p in points), f"{t_e:.6f}"])
             t_mid = t0 + (n_samples - 1) / 2.0 * SAMPLE_PERIOD_S
             truth.append(TruthRow(site_name, session_id, t_mid, sm, tau,
                                   t_e, tb_h, tb_v))
 
         _write_csv(root / f"ref_{site_name}.csv",
                    ("timestamp", "sm_1", "sm_2", "sm_3", "sm_4", "sm_5", "soil_temp_k"),
-                   ref_rows)
+                   [[stamp, *row] for stamp, row in zip(format_utc_timestamps(ref_times),
+                                                         ref_rows)])
 
     _write_csv(root / "truth.csv",
                ("site", "session", "t_mid", "sm_true", "tau_true", "t_e", "tb_h", "tb_v"),
-               [[t.site, t.session_id, format_utc_timestamp(t.t_mid),
+               [[t.site, t.session_id, stamp,
                  f"{t.sm_true:.8f}", f"{t.tau_true:.8f}", f"{t.t_e:.6f}",
-                 f"{t.tb_h:.6f}", f"{t.tb_v:.6f}"] for t in truth])
+                 f"{t.tb_h:.6f}", f"{t.tb_v:.6f}"]
+                for t, stamp in zip(truth, format_utc_timestamps([t.t_mid for t in truth]))])
 
     gain = VOLTAGE_GAIN
     config_text = [

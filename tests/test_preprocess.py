@@ -486,6 +486,72 @@ def test_bulk_timestamps_equal_per_row_parse():
     assert timestamp.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
 
 
+# ----------------------------------------------------------------------
+# Stamp codec: the columnar formatter against datetime, and back
+# ----------------------------------------------------------------------
+
+def _codec_epochs():
+    """Epochs from 1700 to 2199 (negative before 1970) of both stamp
+    widths, and exact half-microsecond ties: an odd multiple of 1/128 s
+    is an odd multiple of 7812.5 us."""
+    rng = np.random.default_rng(1811)
+    lo = pp.parse_utc_timestamp("1700-01-01T00:00:00Z")
+    hi = pp.parse_utc_timestamp("2200-01-01T00:00:00Z")
+    return np.concatenate([
+        np.round(rng.uniform(lo, hi, 400)),
+        rng.uniform(lo, hi, 2000),
+        np.floor(rng.uniform(lo, hi, 400)) + (2 * rng.integers(0, 64, 400) + 1) / 128,
+        rng.uniform(-5.0, 5.0, 200),
+        [-1.5, -2.5e-7, 0.0, 5e-7, 1.5e-6, 1.7e9 + 1 / 128, -1.7e9 - 3 / 128],
+    ])
+
+
+def test_stamps_format_as_datetime_isoformat():
+    epochs = _codec_epochs()
+    assert (epochs < 0).any() and (np.modf(epochs)[0] * 1e6 % 1 == 0.5).any()
+    want = [dt.datetime.fromtimestamp(t, dt.timezone.utc).isoformat().replace("+00:00", "Z")
+            for t in epochs.tolist()]
+    assert {len(s) for s in want} == {20, 27}
+    assert pp.format_utc_timestamps(epochs) == want
+    assert [pp.format_utc_timestamp(t) for t in epochs[::50].tolist()] == want[::50]
+    assert pp.format_utc_timestamps(np.array([])) == []
+
+
+def test_formatted_stamps_decode_as_parsed():
+    stamps = pp.format_utc_timestamps(_codec_epochs())
+    body = "".join(f"{s},250,260\n" for s in stamps)
+    assert pp._bulk_columns(body, increasing=False) is not None    # the bulk path
+    session = pp.session_from_text(body)
+    assert session.timestamp.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
+
+
+@pytest.mark.parametrize("year, leap", [(1900, False), (2000, True), (2023, False),
+                                        (2024, True)])
+def test_29_february_decodes_in_leap_years_only(tmp_path, year, leap):
+    stamps = [f"{year}-02-28T23:59:59Z", f"{year}-02-29T00:00:00.500000Z",
+              f"{year}-03-01T00:00:01Z"]
+    body = "".join(f"{s},250,260\n" for s in stamps)
+    path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + body)
+    if leap:
+        session = pp.load_session(path)
+        assert session.timestamp.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
+        assert pp.format_utc_timestamps(session.timestamp) == stamps
+    else:
+        with pytest.raises(DataError) as exc:
+            pp.load_session(path)
+        assert (exc.value.path, exc.value.line) == (path, 3)
+
+
+@pytest.mark.parametrize("epoch", [math.nan, math.inf, -math.inf,
+                                   pp.parse_utc_timestamp("0001-01-01T00:00:00Z") - 1.0,
+                                   pp.parse_utc_timestamp("9999-12-31T23:59:59Z") + 1.0])
+def test_unformattable_epoch_is_a_value_error(epoch):
+    with pytest.raises(ValueError):
+        pp.format_utc_timestamps([1.7e9, epoch])
+    with pytest.raises(ValueError):
+        pp.format_utc_timestamp(epoch)
+
+
 NON_CANONICAL = {
     "offset": "2023-11-11T16:00:0{k}+02:00",
     "naive": "2023-11-11T14:00:0{k}",
