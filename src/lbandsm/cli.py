@@ -242,6 +242,10 @@ def cmd_retrieve(args, parser):
 
 
 def cmd_forward(args, parser):
+    if not (np.isfinite(args.tau) and args.tau >= 0.0):
+        parser.error(f"--tau must be finite and non-negative, got {args.tau}")
+    if args.samples < 0:
+        parser.error(f"--samples must be non-negative, got {args.samples}")
     algo, surface, t_e, frequency_ghz = _preset_and_surface(args, parser)
     tb_h, tb_v = simulate_tb(args.sm, args.tau, algo.omega, algo.h,
                              surface.clay_fraction, surface.incidence_deg,
@@ -251,12 +255,15 @@ def cmd_forward(args, parser):
         _write_rows(args.output, [["tb_h", "tb_v"], [f"{tb_h:.6f}", f"{tb_v:.6f}"]])
         return 0
     rng = np.random.default_rng(args.seed)
-    t0 = parse_utc_timestamp(args.start)
     noise = rng.normal(0.0, args.noise_k, size=(args.samples, 2)) \
         if args.noise_k > 0 else np.zeros((args.samples, 2))
-    text = session_text(TB_HEADER, t0 + np.arange(args.samples) * SAMPLE_PERIOD_S,
-                        map("{:.4f},{:.4f}".format, (tb_h + noise[:, 0]).tolist(),
-                            (tb_v + noise[:, 1]).tolist()))
+    try:    # a --start that does not parse, or samples past 9999-12-31
+        t0 = parse_utc_timestamp(args.start)
+        text = session_text(TB_HEADER, t0 + np.arange(args.samples) * SAMPLE_PERIOD_S,
+                            map("{:.4f},{:.4f}".format, (tb_h + noise[:, 0]).tolist(),
+                                (tb_v + noise[:, 1]).tolist()))
+    except ValueError as exc:
+        parser.error(f"--start: {exc}")
     with _outputs(args.output) as (out,):
         out.write(text)
     return 0

@@ -112,11 +112,15 @@ def load_campaign(path) -> CampaignConfig:
     preset_names = kv.get_list("presets")
     if not preset_names:
         raise ConfigError(f"{path}: no presets selected")
-    preset_kvs = []
+    preset_kvs = {}
     for name in preset_names:
         # user presets may be file paths relative to the campaign file
         candidate = base_dir / name
-        preset_kvs.append(read_preset(candidate if candidate.is_file() else name))
+        preset_kv = read_preset(candidate if candidate.is_file() else name)
+        stem = Path(preset_kv.source).stem     # the preset's name
+        if stem in preset_kvs:
+            raise ConfigError(f"{path}: preset {stem!r} selected twice")
+        preset_kvs[stem] = preset_kv
 
     tau_table = load_tau_coefficients(
         _resolve_path(base_dir, kv.raw("tau_coefficients"), "tau coefficient file"))
@@ -149,8 +153,7 @@ def load_campaign(path) -> CampaignConfig:
             if clay is None:
                 raise ConfigError("missing clay_fraction")
             surface = make_surface(clay, land_cover, incidence_deg, h=h, omega=omega)
-            presets = sorted((parse_preset(preset_kv, land_cover) for preset_kv in preset_kvs),
-                             key=lambda algo: algo.name)
+            presets = [parse_preset(preset_kvs[stem], land_cover) for stem in sorted(preset_kvs)]
             session_paths = _expand_sessions(base_dir, sv.get_list("sessions"))
             reference_path = _resolve_path(base_dir, sv.raw("reference"), "reference file")
             reflectance_path = _resolve_path(base_dir, sv.raw("reflectance"), "reflectance file")

@@ -24,15 +24,11 @@ class DataError(Exception):
     def __init__(self, message, path=None, line=None):
         self.path = path
         self.line = line
-        prefix = ""
         if path is not None:
-            prefix = f"{path}:"
-            if line is not None:
-                prefix += f"{line}:"
-            prefix += " "
+            message = f"{path}: {message}" if line is None else f"{path}:{line}: {message}"
         elif line is not None:
-            prefix = f"line {line}: "
-        super().__init__(prefix + message)
+            message = f"line {line}: {message}"
+        super().__init__(message)
 
 
 def decode_text(data, path):

@@ -5,8 +5,8 @@ A session file holds a few thousand dual-polarization samples (either
 brightness temperatures or raw detector voltages plus a linear
 calibration), loaded as a `Session` of numpy columns. A body of
 canonical UTC stamps and plain numbers, the form this package writes,
-is tokenized in C by np.loadtxt and its stamps decoded as bytes; any
-other body is read record by record (errors.csv_records) and parsed
+is tokenized in C by np.loadtxt and its stamps parsed a minute at a time;
+any other body is read record by record (errors.csv_records) and parsed
 field by field, which gives the same columns or names the first bad
 line. Records are kept only when all three quality predicates hold:
 
@@ -242,17 +242,16 @@ VOLTAGE_HEADER = ("timestamp", "v_h", "v_v")
 # A session body as np.loadtxt tokenizes it: the stamp bytes and the two
 # values of each line. A canonical stamp, the form format_utc_timestamp
 # writes, is YYYY-MM-DDTHH:MM:SSZ (20 bytes) or YYYY-MM-DDTHH:MM:SS.ffffffZ
-# (27); the column holds one byte more, so that a longer stamp shows
-# instead of being cut to fit.
+# (27), its minute the first 16 bytes; the column holds one byte more, so
+# that a longer stamp shows instead of being cut to fit.
 _BODY_DTYPE = np.dtype([("stamp", "S28"), ("a", "f8"), ("b", "f8")])
 _SEPARATORS = ([4, 7, 10, 13, 16], np.frombuffer(b"--T::", np.uint8))
-# first byte of each two-digit group of a stamp: YY YY MM DD hh mm ss ff ff ff
-_PAIRS = np.array([0, 2, 5, 8, 11, 14, 17, 20, 22, 24])
+# first byte of each two-digit group read in bulk: YY ss ff ff ff
+_TWO_DIGITS = np.array([0, 17, 20, 22, 24])
 _UNEVEN = "\0\x1c\x1d\x1e\x1f"    # characters loadtxt and float() read differently
-_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 # epoch seconds of 0001-01-01T00:00:00 and 9999-12-31T23:59:59
-_FIRST_SECOND = (dt.date(1, 1, 1).toordinal() - _EPOCH_ORDINAL) * 86400
-_LAST_SECOND = (dt.date(9999, 12, 31).toordinal() - _EPOCH_ORDINAL + 1) * 86400 - 1
+_FIRST_SECOND = dt.datetime(1, 1, 1, tzinfo=dt.timezone.utc).timestamp()
+_LAST_SECOND = dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=dt.timezone.utc).timestamp()
 
 
 def parse_utc_timestamp(text):
@@ -309,45 +308,38 @@ def session_text(header, epoch_s, values):
     return "\r\n".join([",".join(header), *lines, ""])
 
 
-def _canonical_micros(stamps):
-    """int64 microseconds since the epoch of a column of canonical stamps
-    (bytes, as in _BODY_DTYPE, holding no NUL) from the years 1700-2199,
-    or None when any stamp is not one or names no calendar day. Those
-    years keep the microseconds below 2**53, where micros / 1e6 rounds
-    exactly as parse_utc_timestamp does."""
+def _canonical_epochs(stamps):
+    """UTC epoch seconds of a column of canonical stamps (bytes, as in
+    _BODY_DTYPE, holding no NUL) from the years 1700-2199, or None when
+    any stamp is not one; parse_utc_timestamp reads each run of one
+    minute. Those years keep the int64 microseconds below 2**53, where
+    micros / 1e6 rounds exactly as parse_utc_timestamp does."""
     raw = stamps.view(np.uint8).reshape(len(stamps), -1)
     digit = raw - np.uint8(ord("0"))    # wraps, so a non-digit reads above 9
     # a stamp ends at its first NUL, so these fix its width
     whole = (raw[:, 19] == ord("Z")) & (raw[:, 20] == 0)
     fraction = (raw[:, 19] == ord(".")) & (raw[:, 26] == ord("Z")) & (raw[:, 27] == 0)
     at, separators = _SEPARATORS
+    # 00-99 from two digits; only the fraction of a whole stamp, never
+    # used, holds no digits and wraps
+    pair = digit[:, _TWO_DIGITS] * np.uint8(10) + digit[:, _TWO_DIGITS + 1]
     # with every other byte fixed, the digit count leaves no room for a
-    # non-digit where a digit belongs
+    # non-digit where a digit belongs; a century below 17 wraps above 21
     if not ((whole | fraction).all() and (raw[:, at] == separators).all()
-            and np.count_nonzero(digit <= 9) == 14 * len(raw) + 6 * np.count_nonzero(fraction)):
+            and np.count_nonzero(digit <= 9) == 14 * len(raw) + 6 * np.count_nonzero(fraction)
+            and ((pair[:, 0] - np.uint8(17) <= 4) & (pair[:, 1] <= 59)).all()):
         return None
-    # 00-99 where both bytes are digits; only the fraction of a whole
-    # stamp, never used, can wrap
-    pair = (digit[:, _PAIRS] * np.uint8(10) + digit[:, _PAIRS + 1]).astype(np.int64)
-    date = ((pair[:, 0] * 100 + pair[:, 1]) * 100 + pair[:, 2]) * 100 + pair[:, 3]  # YYYYMMDD
-    hour, minute, second = pair[:, 4], pair[:, 5], pair[:, 6]
-    if ((date < 1700_00_00) | (date >= 2200_00_00) | (hour > 23) | (minute > 59)
-            | (second > 59)).any():
-        return None
-    # the calendar check and day number of each run of one date: each
-    # distinct date once when time increases. datetime.date, not a bytes
-    # to datetime64 cast, which crashes numpy 2.4 on a bad date in more
-    # than 500 stamps
-    first = np.flatnonzero(np.concatenate(([True], date[1:] != date[:-1])))
+    # each run of one YYYY-MM-DDTHH:MM, its 16 bytes read in place as two uint64
+    minute = np.ndarray((len(raw), 2), np.uint64, stamps, strides=(raw.strides[0], 8))
+    first = np.flatnonzero(np.concatenate(
+        ([True], (minute[1:, 0] != minute[:-1, 0]) | (minute[1:, 1] != minute[:-1, 1]))))
     try:
-        days = [dt.date(d // 10000, d // 100 % 100, d % 100).toordinal() - _EPOCH_ORDINAL
-                for d in date[first].tolist()]
-    except ValueError:      # no such day, as 2023-02-29
+        starts = [parse_utc_timestamp(s[:16].decode() + ":00Z") for s in stamps[first].tolist()]
+    except ValueError:      # no such date, hour or minute, as 2023-02-29
         return None
-    day = np.repeat(np.array(days, dtype=np.int64), np.diff(np.append(first, len(date))))
-    seconds = day * 86400 + hour * 3600 + minute * 60 + second
-    micro = (pair[:, 7] * 100 + pair[:, 8]) * 100 + pair[:, 9]
-    return seconds * 1_000_000 + np.where(fraction, micro, 0)
+    start = np.repeat(np.array(starts, dtype=np.int64), np.diff(np.append(first, len(raw))))
+    micro = (pair[:, 2].astype(np.int64) * 100 + pair[:, 3]) * 100 + pair[:, 4]
+    return ((start + pair[:, 1]) * 1_000_000 + np.where(fraction, micro, 0)) / 1e6
 
 
 def _bulk_columns(body, increasing):
@@ -364,10 +356,9 @@ def _bulk_columns(body, increasing):
                              comments=None, ndmin=1)
     except ValueError:
         return None
-    micros = _canonical_micros(np.ascontiguousarray(records["stamp"]))
-    if micros is None:
+    timestamp = _canonical_epochs(np.ascontiguousarray(records["stamp"]))
+    if timestamp is None:
         return None
-    timestamp = micros / 1e6
     if increasing and (timestamp[1:] <= timestamp[:-1]).any():
         return None
     return timestamp, np.ascontiguousarray(records["a"]), np.ascontiguousarray(records["b"])

@@ -296,9 +296,9 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
         algo: AlgorithmConfig, typically from load_preset.
         t_e: effective soil temperature in K, already resolved from the
             preset's temperature source.
-        tau_sca: opacity from the optical chain; required for the
-            single-channel kinds (fixed opacity) and RDCA (regularizer
-            target).
+        tau_sca: opacity from the optical chain, finite and non-negative;
+            required for the single-channel kinds (fixed opacity) and RDCA
+            (regularizer target).
 
     Returns:
         RetrievalResult, with tau None for the single-channel kinds,
@@ -315,6 +315,8 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
         raise DomainError(f"t_e must be positive, got {t_e}")
     if algo.kind in TAU_SCA_KINDS and tau_sca is None:
         raise DomainError(f"{algo.kind.value} requires tau_sca")
+    if tau_sca is not None and not 0.0 <= tau_sca < math.inf:
+        raise DomainError(f"tau_sca must be finite and non-negative, got {tau_sca}")
     sm_lo, sm_hi = SM_BOUNDS
     tau_lo, tau_hi = TAU_BOUNDS
     weights = residual_weights(algo)

@@ -120,6 +120,36 @@ def test_surface_overrides_are_usage_errors(command, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--samples", "-5"], "--samples must be non-negative, got -5"),
+    (["--samples", "3", "--start", "garbage"], "--start: bad timestamp 'garbage'"),
+    (["--samples", "20", "--start", "9999-12-31T23:59:59Z"],
+     "--start: cannot format epoch 253402300800.035 as a UTC stamp: year outside 1-9999"),
+    (["--tau", "-1"], "--tau must be finite and non-negative, got -1.0"),
+    (["--tau", "nan"], "--tau must be finite and non-negative, got nan"),
+    (["--tau", "inf"], "--tau must be finite and non-negative, got inf"),
+])
+def test_forward_argument_faults_are_usage_errors(flags, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["forward", "--preset", "SCAV", "--sm", "0.3", "--clay-fraction", "0.2",
+                  *flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith(f"lbandsm: error: {message}")
+
+
+@pytest.mark.parametrize("preset", ["SCAV", "RDCA"])
+@pytest.mark.parametrize("tau_sca", ["nan", "inf", "-1"])
+def test_retrieve_rejects_a_tau_sca_that_is_no_opacity(preset, tau_sca, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("tb_h,tb_v\n200,250\n"))
+    code = cli.main(["retrieve", "--preset", preset, "--clay-fraction", "0.2",
+                     "--tau-sca", tau_sca])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: retrieve: line 2: tau_sca must be finite and non-negative")
+
+
 def test_forward_takes_h_and_omega_from_the_preset(capsys):
     code, out = run_cli(["forward", "--preset", "DCA1", "--sm", "0.2", "--clay-fraction",
                          "0.2", "--land-cover", "forest"], capsys=capsys)

@@ -147,6 +147,16 @@ def test_unknown_preset_in_campaign(tmp_path):
         load_campaign(path)
 
 
+@pytest.mark.parametrize("presets", ["SCAV, DCA0, SCAV", "SCAV, SCAV.cfg"])
+def test_preset_selected_twice(tmp_path, presets):
+    """Presets are named by their file stem: a second SCAV, shipped or a
+    user file, would give every SCAV row twice."""
+    _write_preset(tmp_path, "SCAV.cfg", "kind = SCAV\nh = 0.1\nomega = 0.0\n")
+    path = _write_config(tmp_path, f"presets = {presets}\n" + MINIMAL_SITE)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: preset 'SCAV' selected twice")):
+        load_campaign(path)
+
+
 def _write_preset(tmp_path, name, text):
     path = tmp_path / name
     path.write_text("t_e_source = constant\ndielectric = topp\n" + text, encoding="utf-8")

@@ -716,6 +716,15 @@ BULK = {
     "leap_day": _body("2024-02-28T23:59:59Z", "2024-02-29T00:00:00Z", "2024-03-01T00:00:00Z"),
     "nan_inf": _body(*S, values=[("nan", "inf"), ("-inf", "NaN"), ("-nan", "Infinity")]),
     "exponents": _body(*S, values=[("2.5e2", "+2.6E+2"), ("1e999", ".5"), ("-0", "7.")]),
+    # each run of one minute is read once: runs that cross a minute, an
+    # hour, a day and a year
+    "next_minute": _body("2023-11-11T14:00:59.999999Z", "2023-11-11T14:01:00Z",
+                         "2023-11-11T14:01:00.000001Z"),
+    "next_hour": _body("2023-11-11T14:59:59.931000Z", "2023-11-11T15:00:00Z",
+                       "2023-11-11T15:00:00.069000Z"),
+    "next_day": _body("2023-11-11T23:59:59.999999Z", "2023-11-12T00:00:00Z",
+                      "2023-11-12T00:00:00.000001Z"),
+    "next_year": _body("2023-12-31T23:59:59.900000Z", "2024-01-01T00:00:00.100000Z"),
 }
 PER_FIELD = {
     "whitespace_lines": _body(S[0]) + "   \n\t\n" + _body(*S[1:]),
@@ -728,6 +737,11 @@ PER_FIELD = {
     "non_leap_day": _body("2023-02-28T23:59:59Z", "2023-02-29T00:00:00Z"),
     "hour_24": _body("2023-11-11T23:59:59Z", "2023-11-11T24:00:00Z"),
     "second_60": _body("2023-11-11T23:59:59Z", "2023-11-11T23:59:60Z"),
+    "minute_60": _body("2023-11-11T14:59:59Z", "2023-11-11T14:60:00Z"),
+    "month_13": _body("2023-12-31T23:59:59Z", "2023-13-01T00:00:00Z"),
+    "day_00": _body("2023-10-31T23:59:59Z", "2023-11-00T00:00:00Z"),
+    "bad_date_in_a_later_minute": _body("2023-11-30T23:58:59Z", "2023-11-30T23:59:00Z",
+                                        "2023-11-30T23:59:59.500000Z", "2023-11-31T00:00:00Z"),
     "quoted": _body(*S[:2], values=[('"250"', "260"), ("251", '"260.5"')]).replace(
         S[0], f'"{S[0]}"'),
     "underscore": _body(*S, values=[("1_0", "2_6_0")] * 3),
@@ -760,22 +774,33 @@ def test_per_field_parse_where_bulk_declines(name):
 
 
 # the parse of each body above as frozen before the per-field path was
-# rewritten: a digest of the column bytes, or the DataError text
+# rewritten (the minute-run bodies: before the bulk path read each run of
+# one minute by parse_utc_timestamp): a digest of the column bytes, or the
+# DataError text
 FROZEN = {
+    'bad_date_in_a_later_minute': (
+        "s.csv:5: bad timestamp '2023-11-31T00:00:00Z': day is out of range for month"),
     'bad_value': "s.csv:3: could not convert string to float: 'x'",
     'blank_lines': 'b9f5b6280a84e9a2',
     'blank_only': '3cdb74a99566c5be',
     'cr_endings': '9e54e8e591ccfd4f',
     'crlf': '9e54e8e591ccfd4f',
+    'day_00': "s.csv:3: bad timestamp '2023-11-00T00:00:00Z': day is out of range for month",
     'exponents': '5f66b9038f3b869c',
     'extra_field': 's.csv:5: expected 3 fields, got 4',
     'header_only': '3cdb74a99566c5be',
     'hour_24': "s.csv:3: bad timestamp '2023-11-11T24:00:00Z': hour must be in 0..23",
     'leap_day': 'ac9effb2529f2980',
     'lf': '9e54e8e591ccfd4f',
+    'minute_60': "s.csv:3: bad timestamp '2023-11-11T14:60:00Z': minute must be in 0..59",
     'missing_field': 's.csv:4: expected 3 fields, got 2',
     'mixed_endings': 'b9f5b6280a84e9a2',
+    'month_13': "s.csv:3: bad timestamp '2023-13-01T00:00:00Z': month must be in 1..12",
     'nan_inf': 'd0957b9a10d1f61e',
+    'next_day': 'f04ca364a9ed4175',
+    'next_hour': 'eeb8c88689ce410f',
+    'next_minute': 'd5175c7c6813bf75',
+    'next_year': 'cf2dc27cc56791ff',
     'no_trailing_newline': '9e54e8e591ccfd4f',
     'non_leap_day': "s.csv:3: bad timestamp '2023-02-29T00:00:00Z': day is out of range for month",
     'not_increasing': 's.csv:4: timestamps must be strictly increasing',
@@ -853,6 +878,27 @@ def test_synth_sessions_take_the_bulk_path(tmp_path):
         _, body = pp.split_header(read_text(path))
         assert pp._bulk_columns(body, increasing=True) is not None, path
         assert _result(pp.session_from_text, body) == _result(_per_field, body)
+
+
+def test_bulk_parse_reads_each_minute_once(tmp_path, monkeypatch):
+    """The bulk path hands parse_utc_timestamp the first stamp of each run
+    of one minute and nothing else: 7 or 8 calls for a session of 6,000
+    samples 0.069 s apart."""
+    synth.generate_campaign(tmp_path, seed=5, n_days=1, n_samples=6000)
+    parse, calls = pp.parse_utc_timestamp, []
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(pp, "parse_utc_timestamp", counted)
+    for path in sorted((tmp_path / "sessions").glob("*.csv")):
+        _, body = pp.split_header(read_text(path))
+        minutes = sorted({line[:16] for line in body.splitlines()})
+        calls.clear()
+        timestamp, _, _ = pp._bulk_columns(body, increasing=True)
+        assert len(timestamp) == 6000 and len(minutes) in (7, 8)
+        assert calls == [f"{minute}:00Z" for minute in minutes]
 
 
 @pytest.mark.parametrize("text", [

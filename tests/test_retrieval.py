@@ -369,6 +369,16 @@ def test_retrieve_input_validation():
         rt.retrieve(TbPair(200.0, 240.0), algo, BARE, -5.0)
 
 
+@pytest.mark.parametrize("name", ["SCAV", "RDCA", "DCA1"])
+@pytest.mark.parametrize("tau_sca", [float("nan"), float("inf"), -1.0, -1e-12])
+def test_retrieve_rejects_a_tau_sca_that_is_no_opacity(name, tau_sca):
+    """A non-finite or negative tau_sca once gave a NaN result reported as
+    converged, a ZeroDivisionError or a row at the sm floor."""
+    with pytest.raises(DomainError, match="tau_sca must be finite and non-negative"):
+        rt.retrieve(TbPair(200.0, 240.0), preset(name, "grassland"), GRASS, 290.0,
+                    tau_sca=tau_sca)
+
+
 # ----------------------------------------------------------------------
 # Presets and configuration types
 # ----------------------------------------------------------------------
