@@ -14,6 +14,7 @@ package and can be replaced wholesale by a user table.
 
 import bisect
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DataError, DomainError, csv_records, read_text, split_header
@@ -44,8 +45,12 @@ class LandCoverTau:
     ndvi_floor: float = 0.0   # at or below this the canopy is treated as absent
 
     def __post_init__(self):
-        if self.b < 0.0:
-            raise DomainError(f"b parameter must be >= 0, got {self.b}")
+        if not 0.0 <= self.b < math.inf:
+            raise DomainError(f"b parameter must be finite and >= 0, got {self.b}")
+        if not math.isfinite(self.ndvi_floor):
+            raise DomainError(f"ndvi_floor must be finite, got {self.ndvi_floor}")
+        if not all(map(math.isfinite, self.vwc_poly)):
+            raise DomainError(f"vwc_poly coefficients must be finite, got {self.vwc_poly}")
 
 
 class TauCoefficients:
@@ -173,8 +178,11 @@ def _table_from_kv(kv):
         b = sub.get_float("b")
         if b is None:
             raise ConfigError(f"{kv.source}: land cover {cover!r} missing b")
-        entries[cover] = LandCoverTau(
-            b=b, vwc_poly=tuple(poly), ndvi_floor=sub.get_float("ndvi_floor", 0.0))
+        try:
+            entries[cover] = LandCoverTau(
+                b=b, vwc_poly=tuple(poly), ndvi_floor=sub.get_float("ndvi_floor", 0.0))
+        except DomainError as exc:
+            raise ConfigError(f"{kv.source}: land cover {cover!r}: {exc}") from None
     return TauCoefficients(entries)
 
 

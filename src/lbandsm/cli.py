@@ -142,7 +142,7 @@ def _preset_and_surface(args, parser):
     """(algo, surface, t_e, frequency_ghz) of `retrieve` and `forward`: the
     preset for the site's land cover, the site surface and frequency of
     --config/--site or, without them, the --clay-fraction/--land-cover/
-    --incidence surface with the preset's h and omega and the --frequency,
+    --incidence surface with the preset's h and the --frequency,
     and the temperature the preset inverts at."""
     if args.preset not in PRESET_NAMES and not Path(args.preset).is_file():
         parser.error(f"unknown preset {args.preset!r}: expected one of "
@@ -164,8 +164,7 @@ def _preset_and_surface(args, parser):
         if args.clay_fraction is None:
             parser.error("either --config/--site or --clay-fraction is required")
         algo = load_preset(args.preset, args.land_cover)
-        surface = SurfaceConfig(args.clay_fraction, args.land_cover, args.incidence,
-                                algo.h, algo.omega)
+        surface = SurfaceConfig(args.clay_fraction, args.land_cover, args.incidence, algo.h)
         frequency_ghz = L_BAND_GHZ if args.frequency is None else args.frequency
     return algo, surface, algo.t_e(args.t_e), frequency_ghz
 
@@ -242,10 +241,14 @@ def cmd_retrieve(args, parser):
 
 
 def cmd_forward(args, parser):
+    if not 0.0 <= args.sm <= 1.0:
+        parser.error(f"--sm must be in [0, 1], got {args.sm}")
     if not (np.isfinite(args.tau) and args.tau >= 0.0):
         parser.error(f"--tau must be finite and non-negative, got {args.tau}")
     if args.samples < 0:
         parser.error(f"--samples must be non-negative, got {args.samples}")
+    if not (np.isfinite(args.noise_k) and args.noise_k >= 0.0):
+        parser.error(f"--noise-k must be finite and non-negative, got {args.noise_k}")
     algo, surface, t_e, frequency_ghz = _preset_and_surface(args, parser)
     tb_h, tb_v = simulate_tb(args.sm, args.tau, algo.omega, algo.h,
                              surface.clay_fraction, surface.incidence_deg,
@@ -255,8 +258,7 @@ def cmd_forward(args, parser):
         _write_rows(args.output, [["tb_h", "tb_v"], [f"{tb_h:.6f}", f"{tb_v:.6f}"]])
         return 0
     rng = np.random.default_rng(args.seed)
-    noise = rng.normal(0.0, args.noise_k, size=(args.samples, 2)) \
-        if args.noise_k > 0 else np.zeros((args.samples, 2))
+    noise = rng.normal(0.0, args.noise_k, size=(args.samples, 2))
     try:    # a --start that does not parse, or samples past 9999-12-31
         t0 = parse_utc_timestamp(args.start)
         text = session_text(TB_HEADER, t0 + np.arange(args.samples) * SAMPLE_PERIOD_S,

@@ -23,7 +23,8 @@ site is a ConfigError here, not a fault in the middle of a run.
     site.grass.clay_fraction = 0.13
     site.grass.incidence_deg = 40.0
     site.grass.sessions = sessions/grass_*.csv
-    # optional
+    # optional; h defaults per land cover
+    site.grass.h = 0.156
     site.grass.reference = ref_grass.csv
     # needed for ndvi-based opacity
     site.grass.reflectance = refl_grass.csv
@@ -148,11 +149,11 @@ def load_campaign(path) -> CampaignConfig:
         land_cover = sv.require("land_cover")
         clay = sv.get_float("clay_fraction")
         incidence_deg = sv.get_float("incidence_deg", 40.0)
-        h, omega = sv.get_float("h"), sv.get_float("omega")
+        h = sv.get_float("h")
         try:
             if clay is None:
                 raise ConfigError("missing clay_fraction")
-            surface = make_surface(clay, land_cover, incidence_deg, h=h, omega=omega)
+            surface = make_surface(clay, land_cover, incidence_deg, h=h)
             presets = [parse_preset(preset_kvs[stem], land_cover) for stem in sorted(preset_kvs)]
             session_paths = _expand_sessions(base_dir, sv.get_list("sessions"))
             reference_path = _resolve_path(base_dir, sv.raw("reference"), "reference file")

@@ -132,17 +132,17 @@ def _saturated_emissivities(clay_fraction, incidence_deg, h, frequency_ghz):
 
 def min_threshold(surface, t_e, frequency_ghz):
     """Physical floor (tb_min_h, tb_min_v): the forward model at
-    saturation moisture sm = 1 with the site's roughness and albedo, the
-    Mironov dielectric and no canopy, the most permissive (lowest) floor.
-    With tau = 0 the transmissivity exp(-0 / cos theta) is exactly 1.0,
-    so these are the operations of simulate_tb(1.0, 0.0, ...).
+    saturation moisture sm = 1 with the site's roughness, the Mironov
+    dielectric and no canopy, the most permissive (lowest) floor. With
+    tau = 0 the transmissivity is exactly 1.0 and the albedo scales a zero
+    canopy term, so these are the operations of simulate_tb(1.0, 0.0, omega, ...).
     """
     if not t_e > 0.0:
         raise DomainError(f"t_e must be positive, got {t_e}")
     e_h, e_v = _saturated_emissivities(surface.clay_fraction, surface.incidence_deg,
                                        surface.h, frequency_ghz)
-    return (float(tau_omega_tb(e_h, 1.0, surface.omega, t_e)),
-            float(tau_omega_tb(e_v, 1.0, surface.omega, t_e)))
+    return (float(tau_omega_tb(e_h, 1.0, 0.0, t_e)),
+            float(tau_omega_tb(e_v, 1.0, 0.0, t_e)))
 
 
 def filter_tb(session, thresholds):

@@ -91,23 +91,23 @@ class TempSource(str, Enum):
     CONSTANT = "constant"      # CONSTANT_T_E
 
 
-# Fallback roughness/albedo per land cover for sites that do not set
-# their own; other covers must configure h and omega explicitly.
+# Fallback roughness per land cover for sites that do not set their own
+# h; other covers must set it explicitly. The albedo is the preset's.
 LAND_COVER_DEFAULTS = {
-    "bare_soil": (0.15, 0.0),
-    "grassland": (0.156, 0.05),
+    "bare_soil": 0.15,
+    "grassland": 0.156,
 }
 
 
 @dataclass(frozen=True)
 class SurfaceConfig:
-    """Per-site surface description used by both filtering and retrieval."""
+    """Per-site surface: clay and incidence for inversion and screening, and
+    the roughness h of the screening floor. Retrievals use the preset's h."""
 
     clay_fraction: float
     land_cover: str
     incidence_deg: float
     h: float
-    omega: float
 
     def __post_init__(self):
         if not 0.0 <= self.clay_fraction <= 1.0:
@@ -116,22 +116,17 @@ class SurfaceConfig:
             raise DomainError(f"incidence_deg must be in [0, 90), got {self.incidence_deg}")
         if not self.h >= 0.0:
             raise DomainError(f"h must be >= 0, got {self.h}")
-        if not 0.0 <= self.omega < 1.0:
-            raise DomainError(f"omega must be in [0, 1), got {self.omega}")
 
 
-def make_surface(clay_fraction, land_cover, incidence_deg, h=None, omega=None):
-    """SurfaceConfig with land-cover defaults filled in for h and omega."""
-    if h is None or omega is None:
+def make_surface(clay_fraction, land_cover, incidence_deg, h=None):
+    """SurfaceConfig with the land cover's default h when h is None."""
+    if h is None:
         try:
-            default_h, default_omega = LAND_COVER_DEFAULTS[land_cover]
+            h = LAND_COVER_DEFAULTS[land_cover]
         except KeyError:
-            raise ConfigError(
-                f"land cover {land_cover!r} has no default h/omega; "
-                "set them explicitly") from None
-        h = default_h if h is None else h
-        omega = default_omega if omega is None else omega
-    return SurfaceConfig(clay_fraction, land_cover, incidence_deg, h, omega)
+            raise ConfigError(f"land cover {land_cover!r} has no default h; "
+                              "set it explicitly") from None
+    return SurfaceConfig(clay_fraction, land_cover, incidence_deg, h)
 
 
 @dataclass(frozen=True)
@@ -149,6 +144,12 @@ class AlgorithmConfig:
     lam: float = RDCA_LAMBDA   # regularization weight, RDCA only
 
     def __post_init__(self):
+        if not self.h >= 0.0:
+            raise ConfigError(f"h must be >= 0, got {self.h}")
+        if not 0.0 <= self.omega < 1.0:
+            raise ConfigError(f"omega must be in [0, 1), got {self.omega}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.kind == AlgorithmKind.DCA0:
             if self.dielectric != DielectricModel.TOPP:
                 raise ConfigError("DCA0 pairs with the Topp dielectric")

@@ -19,7 +19,7 @@ import numpy as np
 from .ancillary import daily_ndvi_series, load_reflectance_csv, ndvi_to_tau
 from .preprocess import TB_HEADER, VOLTAGE_HEADER, format_utc_timestamps, session_text
 from .radiative import simulate_tb
-from .retrieval import make_surface
+from .retrieval import load_preset, make_surface
 
 SAMPLE_PERIOD_S = 0.069      # detector switch cadence
 VOLTAGE_GAIN = 100.0         # K per volt for voltage-mode site files
@@ -98,6 +98,7 @@ def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
 
     truth = []
     for site_name, surface in sorted(sites.items()):
+        scav = load_preset("SCAV", surface.land_cover)   # so SCAV/SCAH recover truth
         sm = 0.27
         ref_times, ref_rows = [], []
         for day_idx in range(n_days):
@@ -112,9 +113,8 @@ def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
 
             t0 = dt.datetime(day.year, day.month, day.day, 14, 0,
                              tzinfo=dt.timezone.utc).timestamp()
-            tb_h, tb_v = simulate_tb(sm, tau, surface.omega, surface.h,
-                                     surface.clay_fraction, surface.incidence_deg,
-                                     t_e)
+            tb_h, tb_v = simulate_tb(sm, tau, scav.omega, scav.h, surface.clay_fraction,
+                                     surface.incidence_deg, t_e)
             tb_h, tb_v = float(tb_h), float(tb_v)
 
             session_id = f"{site_name}_{day.isoformat()}"

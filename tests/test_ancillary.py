@@ -1,6 +1,7 @@
 """Vegetation-index chain: NDVI, daily interpolation, opacity."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,26 @@ def test_table_file_validation(tmp_path):
         anc.load_tau_coefficients(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("shrub.vwc_poly = 0.0 0.5\n", "land cover 'shrub' missing b"),
+    ("shrub.b = -1\nshrub.vwc_poly = 0.0 0.5\n",
+     "land cover 'shrub': b parameter must be finite and >= 0, got -1.0"),
+    ("shrub.b = nan\nshrub.vwc_poly = 0.0 0.5\n",
+     "land cover 'shrub': b parameter must be finite and >= 0, got nan"),
+    ("shrub.b = inf\nshrub.vwc_poly = 0.0 0.5\n",
+     "land cover 'shrub': b parameter must be finite and >= 0, got inf"),
+    ("shrub.b = 0.1\nshrub.vwc_poly = 0.0 nan\n",
+     "land cover 'shrub': vwc_poly coefficients must be finite, got (0.0, nan)"),
+    ("shrub.b = 0.1\nshrub.vwc_poly = 0.0 0.5\nshrub.ndvi_floor = -inf\n",
+     "land cover 'shrub': ndvi_floor must be finite, got -inf"),
+])
+def test_table_file_value_faults_name_file_and_cover(tmp_path, text, message):
+    path = tmp_path / "tau.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        anc.load_tau_coefficients(path)
+
+
 # ----------------------------------------------------------------------
 # Reflectance ingestion
 # ----------------------------------------------------------------------
@@ -171,6 +192,13 @@ def test_load_reflectance_csv(tmp_path):
     series = anc.daily_ndvi_series(samples)
     assert len(series) == 8
     assert series.value_on(dt.date(2023, 11, 4)) == pytest.approx(anc.ndvi(0.08, 0.22))
+
+
+def test_load_reflectance_empty_file(tmp_path):
+    path = tmp_path / "refl.csv"
+    path.write_text("")
+    with pytest.raises(DataError, match="empty reflectance file"):
+        anc.load_reflectance_csv(path)
 
 
 def test_load_reflectance_bad_header(tmp_path):

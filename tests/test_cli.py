@@ -60,6 +60,16 @@ def test_forward_synthetic_session_deterministic(capsys):
     assert rows[0]["timestamp"].startswith("2023-11-11T14:00:00")
 
 
+def test_forward_session_without_noise_repeats_the_forward_pair(capsys):
+    args = ["forward", "--preset", "SCAV", "--sm", "0.25", "--clay-fraction", "0.2"]
+    _, single = run_cli(args, capsys=capsys)
+    pair = list(csv.DictReader(io.StringIO(single)))[0]
+    want = {f"{float(pair['tb_h']):.4f},{float(pair['tb_v']):.4f}"}
+    for seed in ("0", "7", "123"):
+        _, session = run_cli([*args, "--samples", "2000", "--seed", seed], capsys=capsys)
+        assert {line.split(",", 1)[1] for line in session.splitlines()[1:]} == want, seed
+
+
 def test_metrics_identity(capsys, monkeypatch):
     text = "sm_obs,sm_ref\n0.2,0.2\n0.3,0.3\n0.25,0.25\n"
     code, out = run_cli(["metrics"], stdin_text=text, monkeypatch=monkeypatch,
@@ -128,6 +138,11 @@ def test_surface_overrides_are_usage_errors(command, flag):
     (["--tau", "-1"], "--tau must be finite and non-negative, got -1.0"),
     (["--tau", "nan"], "--tau must be finite and non-negative, got nan"),
     (["--tau", "inf"], "--tau must be finite and non-negative, got inf"),
+    (["--sm", "nan"], "--sm must be in [0, 1], got nan"),
+    (["--sm", "1.5"], "--sm must be in [0, 1], got 1.5"),
+    (["--samples", "3", "--noise-k", "-2"], "--noise-k must be finite and non-negative, got -2.0"),
+    (["--samples", "3", "--noise-k", "nan"],
+     "--noise-k must be finite and non-negative, got nan"),
 ])
 def test_forward_argument_faults_are_usage_errors(flags, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -157,6 +172,44 @@ def test_forward_takes_h_and_omega_from_the_preset(capsys):
     # DCA1 sets h and omega to zero for every cover, as on bare soil
     assert out == run_cli(["forward", "--preset", "DCA1", "--sm", "0.2",
                            "--clay-fraction", "0.2"], capsys=capsys)[1]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["retrieve", "--preset", "DCA1", "--config", "{cfg}"], "--site is required with --config"),
+    (["forward", "--preset", "DCA1", "--sm", "0.2", "--config", "{cfg}", "--site", "nope"],
+     "unknown site 'nope' in {cfg}"),
+    (["retrieve", "--preset", "DCA1"], "either --config/--site or --clay-fraction is required"),
+    (["run"], "--config or $LBANDSM_CONFIG is required"),
+    (["retrieve", "--preset", "SCAV", "--clay-fraction", "0.2"], "preset SCAV requires --tau-sca"),
+    (["tau"], "tau requires either --ndvi or --input"),
+])
+def test_missing_arguments_are_usage_errors(args, message, synthetic_campaign, capsys,
+                                            monkeypatch):
+    cfg = str(synthetic_campaign[0] / "campaign.cfg")
+    monkeypatch.delenv("LBANDSM_CONFIG", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("tb_h,tb_v\n200,250\n"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(cfg=cfg) for arg in args])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"lbandsm: error: {message.format(cfg=cfg)}"
+
+
+@pytest.mark.parametrize("command,key,value,message", [
+    (["forward", "--sm", "0.2"], "omega", "1.5", "omega must be in [0, 1), got 1.5"),
+    (["forward", "--sm", "0.2"], "h", "nan", "h must be >= 0, got nan"),
+    (["retrieve", "--tau-sca", "0.1"], "lambda", "nan", "lambda must be finite and >= 0, got nan"),
+])
+def test_out_of_range_preset_is_a_config_error_naming_it(command, key, value, message,
+                                                         tmp_path, capsys, monkeypatch):
+    values = {"h": "0.1", "omega": "0.0", "lambda": "20", key: value}
+    path = tmp_path / "bad.cfg"
+    path.write_text("kind = RDCA\nt_e_source = measured\ndielectric = mironov\n"
+                    + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("tb_h,tb_v\n200,250\n"))
+    err = _one_line_error(capsys, *command, "--preset", str(path), "--clay-fraction", "0.2")
+    assert err == f"error: {path}: land cover 'bare_soil': {message}\n"
 
 
 def test_calibrate_non_finite_value_is_data_error(capsys, monkeypatch):
@@ -418,6 +471,7 @@ def test_represent_non_finite_record_prints_values_only(kind, tmp_path):
      "error: calibrate: line 3: bad timestamp 'NaT'"),
     ("metrics", "sm_obs,sm_ref", "0.3,x",
      "error: metrics: line 3: could not convert string to float: 'x'"),
+    ("metrics", "a,b", "0.3,0.3", "error: metrics: expected header 'sm_obs,sm_ref', got 'a,b'"),
 ])
 def test_stream_commands_name_bad_line(command, header, bad_row, message,
                                        capsys, monkeypatch):
@@ -436,6 +490,13 @@ STREAM_INPUTS = {
     "retrieve": (["--preset", "DCA1", "--clay-fraction", "0.2"], "tb_h,tb_v\n250.0,260.0\n"),
     "metrics": ([], "sm_obs,sm_ref\n0.2,0.21\n"),
 }
+
+
+@pytest.mark.parametrize("command", sorted(STREAM_INPUTS))
+def test_stream_commands_reject_empty_input(command, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert cli.main([command, *STREAM_INPUTS[command][0]]) == 1
+    assert capsys.readouterr().err == f"error: empty {command} input\n"
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])

@@ -40,6 +40,11 @@ def test_parse_kv_bad_line():
         kvconfig.parse_kv_text("a = 1\nnot a pair\n")
 
 
+def test_parse_kv_empty_key():
+    with pytest.raises(ConfigError, match=re.escape("f.cfg:2: empty key")):
+        kvconfig.parse_kv_text("a = 1\n = 2\n", source="f.cfg")
+
+
 def test_parse_kv_typed_errors():
     kv = kvconfig.parse_kv_text("a = x\n")
     with pytest.raises(ConfigError, match="not a number"):
@@ -217,8 +222,7 @@ def test_site_needs_clay(tmp_path):
 
 
 BARE_SITE = "presets = DCA0\nsite.a.land_cover = bare_soil\n"
-FOREST_SITE = ("site.a.land_cover = forest\nsite.a.clay_fraction = 0.2\n"
-               "site.a.h = 0.1\nsite.a.omega = 0.05\n")
+FOREST_SITE = "site.a.land_cover = forest\nsite.a.clay_fraction = 0.2\nsite.a.h = 0.1\n"
 
 
 @pytest.mark.parametrize("values,message", [
@@ -226,7 +230,7 @@ FOREST_SITE = ("site.a.land_cover = forest\nsite.a.clay_fraction = 0.2\n"
     (BARE_SITE + "site.a.clay_fraction = 0.2\nsite.a.incidence_deg = 95\n",
      "incidence_deg must be in [0, 90), got 95.0"),
     ("presets = DCA0\nsite.a.land_cover = forest\nsite.a.clay_fraction = 0.2\n",
-     "land cover 'forest' has no default h/omega"),
+     "land cover 'forest' has no default h; set it explicitly"),
     (BARE_SITE, "missing clay_fraction"),
     (BARE_SITE + "site.a.clay_fraction = 0.2\nsite.a.sessions = sessions/*.csv\n",
      "session pattern matched nothing: sessions/*.csv"),
@@ -234,13 +238,37 @@ FOREST_SITE = ("site.a.land_cover = forest\nsite.a.clay_fraction = 0.2\n"
      "selected presets need ndvi-based opacity for 'grassland'"),
     ("presets = SCAV\n" + FOREST_SITE, "SCAV.cfg: no h for land cover 'forest'"),
     ("presets = MY.cfg\n" + FOREST_SITE, "no opacity coefficients for land cover 'forest'"),
-], ids=["clay_fraction", "incidence_deg", "cover_without_h_omega", "no_clay_fraction",
+], ids=["clay_fraction", "incidence_deg", "cover_without_h", "no_clay_fraction",
         "empty_session_pattern", "no_reflectance", "preset_without_cover",
         "no_opacity_coefficients"])
 def test_site_value_out_of_range_names_file_and_site(tmp_path, values, message):
     _write_preset(tmp_path, "MY.cfg", "kind = SCAV\nh = 0.1\nomega = 0.05\n")
     path = _write_config(tmp_path, values)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: site a: {message}")):
+        load_campaign(path)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("h", "nan", "h must be >= 0, got nan"),
+    ("omega", "1.5", "omega must be in [0, 1), got 1.5"),
+])
+def test_preset_value_out_of_range_fails_at_load(tmp_path, key, value, message):
+    values = {"h": "0.1", "omega": "0.0", key: value}
+    preset = _write_preset(tmp_path, "MY.cfg", "kind = DCA1\n"
+                           + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    path = _write_config(tmp_path, "presets = DCA0, MY.cfg\n" + MINIMAL_SITE)
+    message = f"{path}: site a: {preset}: land cover 'bare_soil': {message}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_campaign(path)
+
+
+def test_site_albedo_is_an_unknown_key(tmp_path):
+    """A site's roughness sets its screening floor; the albedo there
+    multiplies a zero canopy term, so a campaign does not read it."""
+    path = _write_config(tmp_path, "presets = DCA0\n" + MINIMAL_SITE + "site.a.h = 0.2\n")
+    assert load_campaign(path).sites[0].surface.h == 0.2
+    path = _write_config(tmp_path, path.read_text() + "site.a.omega = 0.05\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown key 'site.a.omega'")):
         load_campaign(path)
 
 
@@ -269,6 +297,27 @@ def test_reflectance_file_needs_opacity_coefficients_for_its_cover(tmp_path):
 def test_calibration_value_out_of_range_names_file(tmp_path, values, message):
     path = _write_config(tmp_path, "presets = DCA0\n" + values + MINIMAL_SITE)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        load_campaign(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("presets =\n", "no presets selected"),
+    ("presets = DCA0\nskip_leading = -1\n", "skip_leading must be >= 0"),
+], ids=["no_presets", "negative_skip_leading"])
+def test_campaign_value_faults_name_file(tmp_path, text, message):
+    path = _write_config(tmp_path, text + MINIMAL_SITE)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        load_campaign(path)
+
+
+def test_opacity_table_fault_names_table_file(tmp_path):
+    """A campaign's opacity table is checked whole at load: a NaN b would
+    otherwise turn every grass retrieval into a warning row."""
+    table = tmp_path / "tau.cfg"
+    table.write_text("grassland.b = nan\ngrassland.vwc_poly = 0.0 1.0\n")
+    path = _write_config(tmp_path, "presets = DCA0\ntau_coefficients = tau.cfg\n" + MINIMAL_SITE)
+    message = f"{table}: land cover 'grassland': b parameter must be finite and >= 0, got nan"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_campaign(path)
 
 

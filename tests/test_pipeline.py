@@ -607,8 +607,7 @@ def test_session_outside_the_screening_domain_is_a_data_error(tmp_path):
     and the artifacts are written."""
     root = tmp_path / "camp"
     synth.generate_campaign(root, seed=7, n_days=2, n_samples=30)
-    _rewrite(root / "campaign.cfg", lambda lines: lines + [
-        "site.bare.h = 10", "site.bare.omega = 0.0"])
+    _rewrite(root / "campaign.cfg", lambda lines: lines + ["site.bare.h = 10"])
     _rewrite(root / "ref_bare.csv", lambda lines: lines[:1] + [
         ",".join(line.split(",")[:-1] + ["340"]) for line in lines[1:]])
     report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),

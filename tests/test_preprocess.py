@@ -98,7 +98,7 @@ def test_calibrate_zero_gain_rejected(values):
 # ----------------------------------------------------------------------
 
 def test_min_threshold_bare_smooth_frozen():
-    surface = make_surface(0.20, "bare_soil", 40.0, h=0.0, omega=0.0)
+    surface = make_surface(0.20, "bare_soil", 40.0, h=0.0)
     tb_min_h, tb_min_v = pp.min_threshold(surface, 292.15, L_BAND_GHZ)
     # frozen saturation-moisture forward chain (oracle composition)
     assert tb_min_h == pytest.approx(74.700059347643695, rel=1e-12)
@@ -113,8 +113,8 @@ def test_min_threshold_tightens_with_canopy():
     surface = make_surface(0.20, "grassland", 40.0)
     floor = pp.min_threshold(surface, 290.0, L_BAND_GHZ)
     assert floor == tuple(float(tb) for tb in simulate_tb(
-        1.0, 0.0, surface.omega, surface.h, 0.20, 40.0, 290.0, frequency_ghz=L_BAND_GHZ))
-    veg_h, veg_v = simulate_tb(1.0, 0.2, surface.omega, surface.h, 0.20, 40.0, 290.0,
+        1.0, 0.0, 0.05, surface.h, 0.20, 40.0, 290.0, frequency_ghz=L_BAND_GHZ))
+    veg_h, veg_v = simulate_tb(1.0, 0.2, 0.05, surface.h, 0.20, 40.0, 290.0,
                                frequency_ghz=L_BAND_GHZ)
     assert veg_h > floor[0] and veg_v > floor[1]
 
@@ -130,7 +130,7 @@ def test_min_threshold_is_the_forward_model_bit_for_bit():
         for incidence in (0.0, 10.0, 30.0, 40.0, 55.0, 70.0):
             for h in (0.0, 0.1, 0.4612, 1.2):
                 for omega in (0.0, 0.05, 0.5):
-                    surface = make_surface(clay, "bare_soil", incidence, h=h, omega=omega)
+                    surface = make_surface(clay, "bare_soil", incidence, h=h)
                     for frequency in (1.2, L_BAND_GHZ):
                         for t_e in t_es:
                             with np.errstate(invalid="ignore"):   # 0 * inf
@@ -314,6 +314,11 @@ def test_reductions_sort_each_channel_once(monkeypatch):
 def test_representative_empty_errors():
     with pytest.raises(DomainError, match="no valid observations"):
         pp.representative(columns([]))
+
+
+def test_session_stats_empty_errors():
+    with pytest.raises(DomainError, match="no valid observations"):
+        pp.session_stats(columns([]))
 
 
 def test_session_stats_constant_series():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ def test_rdca_bare_soil_stops_on_tau_bound():
     # pulls tau below zero; with tau_sca = 0 the solver must stop on the
     # bound exactly
     algo = preset("RDCA")
-    tb_h, tb_v = simulate_tb(0.25, 0.0, BARE.omega, BARE.h, BARE.clay_fraction,
+    tb_h, tb_v = simulate_tb(0.25, 0.0, 0.0, BARE.h, BARE.clay_fraction,
                              BARE.incidence_deg, 291.0)
     result = rt.retrieve(TbPair(float(tb_h), float(tb_v)), algo, BARE, 291.0, tau_sca=0.0)
     assert result.tau == 0.0
@@ -463,6 +464,28 @@ def test_user_preset_per_cover_values(tmp_path):
         rt.load_preset(path, "grassland")
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("h", "nan", "h must be >= 0, got nan"),
+    ("h", "-0.1", "h must be >= 0, got -0.1"),
+    ("omega", "1.5", "omega must be in [0, 1), got 1.5"),
+    ("omega", "1.0", "omega must be in [0, 1), got 1.0"),
+    ("omega", "nan", "omega must be in [0, 1), got nan"),
+    ("lambda", "nan", "lambda must be finite and >= 0, got nan"),
+    ("lambda", "-1", "lambda must be finite and >= 0, got -1.0"),
+    ("lambda", "inf", "lambda must be finite and >= 0, got inf"),
+])
+def test_preset_value_out_of_range_names_file_and_cover(tmp_path, key, value, message):
+    """The h, omega and lambda that every retrieval inverts with are
+    checked when the preset loads."""
+    values = {"h": "0.1", "omega": "0.0", "lambda": "20", key: value}
+    path = tmp_path / "bad.cfg"
+    path.write_text("kind = RDCA\nt_e_source = measured\ndielectric = mironov\n"
+                    + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}: land cover 'bare_soil': {message}")):
+        rt.load_preset(path, "bare_soil")
+
+
 def test_algorithm_config_kind_consistency():
     # the zero-parameter kind pins its fields
     with pytest.raises(ConfigError, match="Topp"):
@@ -477,18 +500,18 @@ def test_algorithm_config_kind_consistency():
 
 
 def test_surface_defaults_per_land_cover():
-    assert BARE.h == 0.15 and BARE.omega == 0.0
-    assert GRASS.h == 0.156 and GRASS.omega == 0.05
+    assert BARE.h == 0.15
+    assert GRASS.h == 0.156
     custom = rt.make_surface(0.3, "grassland", 40.0, h=0.2)
-    assert custom.h == 0.2 and custom.omega == 0.05
+    assert custom.h == 0.2
     with pytest.raises(ConfigError, match="forest"):
         rt.make_surface(0.3, "forest", 40.0)
-    explicit = rt.make_surface(0.3, "forest", 40.0, h=0.1, omega=0.03)
+    explicit = rt.make_surface(0.3, "forest", 40.0, h=0.1)
     assert explicit.land_cover == "forest"
 
 
 def test_surface_config_invariants():
     with pytest.raises(DomainError):
-        rt.SurfaceConfig(1.2, "bare_soil", 40.0, 0.1, 0.0)
+        rt.SurfaceConfig(1.2, "bare_soil", 40.0, 0.1)
     with pytest.raises(DomainError):
-        rt.SurfaceConfig(0.2, "bare_soil", 95.0, 0.1, 0.0)
+        rt.SurfaceConfig(0.2, "bare_soil", 95.0, 0.1)

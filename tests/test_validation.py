@@ -188,6 +188,13 @@ def test_load_reference_csv_bad_temperature_names_line(tmp_path, bad_t):
         va.load_reference_csv(path)
 
 
+def test_load_reference_csv_empty_file(tmp_path):
+    path = tmp_path / "ref.csv"
+    path.write_text("")
+    with pytest.raises(DataError, match="empty reference file"):
+        va.load_reference_csv(path)
+
+
 def test_load_reference_csv_header_checked(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("timestamp,wetness,soil_temp_k\n2023-11-11T14:05:00Z,0.2,290\n")
