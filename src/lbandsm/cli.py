@@ -144,6 +144,8 @@ def _preset_and_surface(args, parser):
     --config/--site or, without them, the --clay-fraction/--land-cover/
     --incidence surface with the preset's h and the --frequency,
     and the temperature the preset inverts at."""
+    if not (np.isfinite(args.t_e) and args.t_e > 0.0):
+        parser.error(f"--t-e must be finite and positive, got {args.t_e}")
     if args.preset not in PRESET_NAMES and not Path(args.preset).is_file():
         parser.error(f"unknown preset {args.preset!r}: expected one of "
                      f"{', '.join(PRESET_NAMES)} or an existing preset file")
@@ -338,10 +340,9 @@ def build_parser():
         epilog="Shipped presets: " + ", ".join(PRESET_NAMES)
                + ". SCAV/SCAH: single-channel V/H, look-up-table h and omega, "
                  "NDVI opacity, probe temperature. RDCA: dual-channel with "
-                 "opacity regularization (weight 20), h=0.4612. DCA0: all "
-                 "parameters zero, 292.15 K, Topp dielectric. DCA1: DCA0 with "
-                 "the spectroscopic dielectric. DCA2: DCA1 with probe "
-                 "temperature.")
+                 "opacity regularization. DCA0: all parameters zero, constant "
+                 "temperature, Topp dielectric. DCA1: DCA0 with the "
+                 "spectroscopic dielectric. DCA2: DCA1 with probe temperature.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log progress to stderr")

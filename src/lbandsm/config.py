@@ -23,7 +23,7 @@ site is a ConfigError here, not a fault in the middle of a run.
     site.grass.clay_fraction = 0.13
     site.grass.incidence_deg = 40.0
     site.grass.sessions = sessions/grass_*.csv
-    # optional; h defaults per land cover
+    # optional; SCAV's h for the land cover by default
     site.grass.h = 0.156
     site.grass.reference = ref_grass.csv
     # needed for ndvi-based opacity

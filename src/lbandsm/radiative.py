@@ -21,7 +21,9 @@ for scalar calls (emissivity_evaluator). For the optimizer the same
 kernel also returns the analytic slope d(e_h, e_v)/dsm next to the value
 (emissivity_slope_evaluator). The vegetation formula (tau_omega_tb) is
 one expression for floats and arrays alike, so the seed grid and the
-optimizer evaluate the same operations.
+optimizer evaluate the same operations; its partials in e_p and gamma
+(tau_omega_partials) sit beside it, and the optimizer's Jacobian chains
+them with the emissivity slope and d gamma / d tau.
 """
 
 import cmath
@@ -246,6 +248,14 @@ def tau_omega_tb(e_p, gamma, omega, t_e):
     """
     veg = (1.0 - omega) * (1.0 - gamma) * t_e
     return gamma * e_p * t_e + veg + gamma * (1.0 - e_p) * veg
+
+
+def tau_omega_partials(e_p, gamma, omega, t_e):
+    """(d tb_p / d e_p, d tb_p / d gamma) of tau_omega_tb, for floats and
+    broadcastable arrays alike."""
+    w = 1.0 - omega
+    return (gamma * t_e * (1.0 - w * (1.0 - gamma)),
+            t_e * (e_p - w + (1.0 - e_p) * w * (1.0 - 2.0 * gamma)))
 
 
 # (sqrt, minimum, maximum, sinh, asinh, complex) of the emission kernel;

@@ -21,12 +21,14 @@ which steps sm alone when tau is fixed:
   * the other dual-channel kinds (RDCA): the 64 x 64 (sm, tau) grid;
   * single-channel kinds: the 64 sm points at tau_sca.
 
-The Jacobian takes d/dtau through gamma = exp(-tau / cos theta) and
-d/dsm from the analytic emissivity slope that every trial point's kernel
-call returns with its value (radiative.emissivity_slope_evaluator). A
-coordinate on a bound whose gradient points out of the box is held
-fixed, and a trial point, clipped to the box, is kept only if it lowers
-the cost, so the cost never rises above the seed's. `evaluations` is
+The Jacobian chains the partials of tau_omega_tb in e and gamma
+(radiative.tau_omega_partials) with d gamma / d tau, gamma =
+exp(-tau / cos theta), and with the analytic emissivity slope that every
+trial point's kernel call returns with its value
+(radiative.emissivity_slope_evaluator). A coordinate with a zero
+Jacobian column, or on a bound whose gradient points out of the box, is
+held fixed, and a trial point, clipped to the box, is kept only if it
+lowers the cost, so the cost never rises above the seed's. `evaluations` is
 the number of seed points scored (64, or 4,096 on the grid) plus the
 kernel calls of the solve.
 
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .kvconfig import parse_kv_text, read_kv_file, read_package_text
-from .radiative import (DielectricModel, L_BAND_GHZ, canopy_transmissivity,
+from .radiative import (DielectricModel, L_BAND_GHZ, canopy_transmissivity, tau_omega_partials,
                         emissivity_slope_evaluator, soil_emissivity_pair, tau_omega_tb)
 
 SM_BOUNDS = (0.01, 0.70)
@@ -91,14 +93,6 @@ class TempSource(str, Enum):
     CONSTANT = "constant"      # CONSTANT_T_E
 
 
-# Fallback roughness per land cover for sites that do not set their own
-# h; other covers must set it explicitly. The albedo is the preset's.
-LAND_COVER_DEFAULTS = {
-    "bare_soil": 0.15,
-    "grassland": 0.156,
-}
-
-
 @dataclass(frozen=True)
 class SurfaceConfig:
     """Per-site surface: clay and incidence for inversion and screening, and
@@ -116,14 +110,16 @@ class SurfaceConfig:
             raise DomainError(f"incidence_deg must be in [0, 90), got {self.incidence_deg}")
         if not self.h >= 0.0:
             raise DomainError(f"h must be >= 0, got {self.h}")
+        if self.h == math.inf:
+            raise DomainError("h must be finite and >= 0, got inf")
 
 
 def make_surface(clay_fraction, land_cover, incidence_deg, h=None):
-    """SurfaceConfig with the land cover's default h when h is None."""
+    """SurfaceConfig with SCAV's h for the land cover when h is None."""
     if h is None:
         try:
-            h = LAND_COVER_DEFAULTS[land_cover]
-        except KeyError:
+            h = load_preset("SCAV", land_cover).h
+        except ConfigError:
             raise ConfigError(f"land cover {land_cover!r} has no default h; "
                               "set it explicitly") from None
     return SurfaceConfig(clay_fraction, land_cover, incidence_deg, h)
@@ -146,6 +142,8 @@ class AlgorithmConfig:
     def __post_init__(self):
         if not self.h >= 0.0:
             raise ConfigError(f"h must be >= 0, got {self.h}")
+        if self.h == math.inf:
+            raise ConfigError("h must be finite and >= 0, got inf")
         if not 0.0 <= self.omega < 1.0:
             raise ConfigError(f"omega must be in [0, 1), got {self.omega}")
         if not 0.0 <= self.lam < math.inf:
@@ -295,8 +293,8 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
     Args:
         tb_obs: observed TbPair (finite).
         algo: AlgorithmConfig, typically from load_preset.
-        t_e: effective soil temperature in K, already resolved from the
-            preset's temperature source.
+        t_e: effective soil temperature in K, finite and positive,
+            already resolved from the preset's temperature source.
         tau_sca: opacity from the optical chain, finite and non-negative;
             required for the single-channel kinds (fixed opacity) and RDCA
             (regularizer target).
@@ -312,8 +310,8 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
     """
     if not tb_obs.is_finite():
         raise DomainError(f"observed brightness temperatures must be finite, got {tb_obs}")
-    if not t_e > 0.0:
-        raise DomainError(f"t_e must be positive, got {t_e}")
+    if not 0.0 < t_e < math.inf:
+        raise DomainError(f"t_e must be finite and positive, got {t_e}")
     if algo.kind in TAU_SCA_KINDS and tau_sca is None:
         raise DomainError(f"{algo.kind.value} requires tau_sca")
     if tau_sca is not None and not 0.0 <= tau_sca < math.inf:
@@ -326,7 +324,6 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
     cos_theta = math.cos(math.radians(surface.incidence_deg))
 
     omega = algo.omega
-    w = 1.0 - omega
 
     # Coarse seed, profiled in tau where that has a closed form; on the
     # grid, sm varies along rows so the first flat minimum has the
@@ -356,25 +353,28 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
     converged = False
     small_steps = 0
     for _ in range(LM_MAX_STEPS):
-        # d tb / d sm: the kernel's analytic emissivity slope; d tb / d tau:
-        # chain rule through gamma = exp(-tau/cos).
-        tb_per_e = g * t_e * (1.0 - w * (1.0 - g))
-        gamma_per_tau = -g / cos_theta
+        # tau_omega_tb's partials in e and gamma, chained with the kernel's
+        # analytic d e / d sm and with d gamma / d tau = -gamma / cos.
         (e_h, e_v), (de_h, de_v) = e_and_slope
-        js_h, js_v = w_h * tb_per_e * de_h, w_v * tb_per_e * de_v
-        jt_h = w_h * t_e * (e_h - w + (1.0 - e_h) * w * (1.0 - 2.0 * g)) * gamma_per_tau
-        jt_v = w_v * t_e * (e_v - w + (1.0 - e_v) * w * (1.0 - 2.0 * g)) * gamma_per_tau
+        tb_e_h, tb_g_h = tau_omega_partials(e_h, g, omega, t_e)
+        tb_e_v, tb_g_v = tau_omega_partials(e_v, g, omega, t_e)
+        gamma_per_tau = -g / cos_theta
+        js_h, js_v = w_h * tb_e_h * de_h, w_v * tb_e_v * de_v
+        jtau_h, jtau_v = w_h * tb_g_h * gamma_per_tau, w_v * tb_g_v * gamma_per_tau
         a11 = js_h * js_h + js_v * js_v
-        a12 = js_h * jt_h + js_v * jt_v
-        a22 = jt_h * jt_h + jt_v * jt_v + lam * lam
+        a12 = js_h * jtau_h + js_v * jtau_v
+        a22 = jtau_h * jtau_h + jtau_v * jtau_v + lam * lam
         grad_sm = js_h * res[0] + js_v * res[1]
-        grad_tau = jt_h * res[0] + jt_v * res[1] + lam * res[2]
+        grad_tau = jtau_h * res[0] + jtau_v * res[1] + lam * res[2]
 
         # Active set: a coordinate on a bound whose descent direction
-        # points out of the box stays where it is.
-        free_sm = not ((sm <= sm_lo and grad_sm > 0.0) or (sm >= sm_hi and grad_sm < 0.0))
-        free_tau = fit_tau and not ((tau <= tau_lo and grad_tau > 0.0)
-                                    or (tau >= tau_hi and grad_tau < 0.0))
+        # points out of the box stays where it is, and so does one whose
+        # Jacobian column is zero (at a large h the emissivity is 1 and its
+        # slope underflows to 0; at omega = 0 the tau column is then 0 too).
+        free_sm = a11 > 0.0 and not ((sm <= sm_lo and grad_sm > 0.0)
+                                     or (sm >= sm_hi and grad_sm < 0.0))
+        free_tau = fit_tau and a22 > 0.0 and not ((tau <= tau_lo and grad_tau > 0.0)
+                                                  or (tau >= tau_hi and grad_tau < 0.0))
         if not (free_sm or free_tau):
             converged = True
             break

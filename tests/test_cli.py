@@ -143,6 +143,10 @@ def test_surface_overrides_are_usage_errors(command, flag):
     (["--samples", "3", "--noise-k", "-2"], "--noise-k must be finite and non-negative, got -2.0"),
     (["--samples", "3", "--noise-k", "nan"],
      "--noise-k must be finite and non-negative, got nan"),
+    (["--t-e", "-5"], "--t-e must be finite and positive, got -5.0"),
+    (["--t-e", "0"], "--t-e must be finite and positive, got 0.0"),
+    (["--t-e", "nan"], "--t-e must be finite and positive, got nan"),
+    (["--t-e", "inf"], "--t-e must be finite and positive, got inf"),
 ])
 def test_forward_argument_faults_are_usage_errors(flags, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -152,6 +156,23 @@ def test_forward_argument_faults_are_usage_errors(flags, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].startswith(f"lbandsm: error: {message}")
+
+
+@pytest.mark.parametrize("preset", ["SCAV", "DCA1"])
+@pytest.mark.parametrize("t_e", ["-5", "0", "nan", "inf"])
+def test_retrieve_t_e_that_is_no_temperature_is_a_usage_error(preset, t_e, capsys,
+                                                             monkeypatch):
+    """Checked before any row is read, also for a constant-temperature
+    preset that would not use it; --t-e inf once printed a nan row."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("tb_h,tb_v\n200,250\n"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["retrieve", "--preset", preset, "--clay-fraction", "0.2",
+                  "--tau-sca", "0.1", "--t-e", t_e])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == \
+        f"lbandsm: error: --t-e must be finite and positive, got {float(t_e)}"
 
 
 @pytest.mark.parametrize("preset", ["SCAV", "RDCA"])

@@ -250,6 +250,7 @@ def test_site_value_out_of_range_names_file_and_site(tmp_path, values, message):
 
 @pytest.mark.parametrize("key,value,message", [
     ("h", "nan", "h must be >= 0, got nan"),
+    ("h", "inf", "h must be finite and >= 0, got inf"),
     ("omega", "1.5", "omega must be in [0, 1), got 1.5"),
 ])
 def test_preset_value_out_of_range_fails_at_load(tmp_path, key, value, message):

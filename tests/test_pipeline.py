@@ -623,3 +623,23 @@ def test_session_outside_the_screening_domain_is_a_data_error(tmp_path):
     assert {"sessions.csv", "retrievals.csv", "metrics.csv", "run_warnings.txt"} <= names
     warnings = (tmp_path / "out" / "run_warnings.txt").read_text().splitlines()
     assert warnings[:2] == [f"error: {e}" for e in report.data_errors]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_campaign_with_a_large_roughness_preset_completes(tmp_path):
+    """At h = 1000 the emissivity slope underflows to zero; the solve
+    once divided by the zero determinant and aborted the campaign. The
+    profiled seed's 0/0 at reflectivity 0 warns."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=20, voltage_site=None)
+    (root / "HUGE.cfg").write_text("kind = DCA1\nh = 1000\nomega = 0\n"
+                                   "t_e_source = constant\ndielectric = mironov\n")
+    _rewrite(root / "campaign.cfg",
+             lambda lines: [line + ", HUGE.cfg" if line.startswith("presets =") else line
+                            for line in lines])
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "out")
+    assert report.ok
+    huge = [r for r in _read_rows(tmp_path / "out" / "retrievals.csv") if r["preset"] == "HUGE"]
+    assert len(huge) == 4
+    assert all(r["sm"] == "0.010000" and r["boundary_hit"] == "true" for r in huge)

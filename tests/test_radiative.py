@@ -339,6 +339,29 @@ def test_analytic_slope_matches_central_difference(diel, clay):
             assert slope[k] == pytest.approx(central, rel=1e-6), (diel, clay, sm, k)
 
 
+@pytest.mark.parametrize("omega", [0.0, 0.05, 0.0608])
+def test_tau_omega_partials_match_central_difference(omega):
+    # tau_omega_tb is linear in e and quadratic in gamma, so a central
+    # difference is exact up to rounding; floats take the same operations
+    # as arrays, bit for bit
+    step, t_e = 1e-4, 290.0
+    e = np.linspace(0.0, 1.0, 21)[:, None]
+    gamma = np.linspace(0.05, 1.0, 20)[None, :]
+    # d tb / d e does not depend on e, so it broadcasts over gamma only
+    per_e, per_gamma = np.broadcast_arrays(*ra.tau_omega_partials(e, gamma, omega, t_e))
+    assert per_gamma.shape == (21, 20)
+    central_e = (ra.tau_omega_tb(e + step, gamma, omega, t_e)
+                 - ra.tau_omega_tb(e - step, gamma, omega, t_e)) / (2 * step)
+    central_gamma = (ra.tau_omega_tb(e, gamma + step, omega, t_e)
+                     - ra.tau_omega_tb(e, gamma - step, omega, t_e)) / (2 * step)
+    np.testing.assert_allclose(per_e, central_e, rtol=1e-9, atol=1e-7)
+    np.testing.assert_allclose(per_gamma, central_gamma, rtol=1e-9, atol=1e-7)
+    for i, j in ((0, 0), (7, 3), (20, 19), (13, 11)):
+        scalar = ra.tau_omega_partials(float(e[i, 0]), float(gamma[0, j]), omega, t_e)
+        assert all(type(value) is float for value in scalar)
+        assert scalar == (per_e[i, j], per_gamma[i, j])
+
+
 # ----------------------------------------------------------------------
 # Type invariants
 # ----------------------------------------------------------------------

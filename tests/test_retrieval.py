@@ -1,6 +1,7 @@
 """Inversion algorithms: residual, optimizer, presets."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -360,6 +361,37 @@ def test_dual_result_is_local_minimum(name, surface, cover):
         assert result.cost <= best + 1e-10, (name, sm0, tau0, result)
 
 
+# SHA-256 of the full-precision repr of every result of _retrieval_corpus,
+# frozen before the Jacobian moved to radiative.tau_omega_partials
+RETRIEVAL_DIGEST = "6d9b4d5328953618567a875dc6c4c71b3a58ef790e8d7b5980e28cd26c9bf28e"
+
+
+def _retrieval_corpus():
+    """(obs, algo, surface, t_e, tau_sca) of seeded noisy states: every
+    preset on both covers, plus DCA2 with an albedo, which the grid seeds
+    where DCA2 itself takes the profiled seed."""
+    rng = np.random.default_rng(20231111)
+    algos = [(preset(name, cover), surface) for name in rt.PRESET_NAMES
+             for cover, surface in (("bare_soil", BARE), ("grassland", GRASS))]
+    algos.append((dataclasses.replace(preset("DCA2", "grassland"), omega=0.05), GRASS))
+    for algo, surface in algos:
+        for _ in range(40):
+            t_e = algo.t_e(float(rng.uniform(275.0, 305.0)))
+            base = synth_obs(rng.uniform(0.02, 0.68), rng.uniform(0.0, 0.8), algo, surface, t_e)
+            yield (TbPair(base.tb_h + rng.normal(0.0, 3.0), base.tb_v + rng.normal(0.0, 3.0)),
+                   algo, surface, t_e, float(rng.uniform(0.0, 0.6)))
+
+
+def test_retrieval_results_are_bit_identical_to_the_frozen_digest():
+    # the golden CSVs round sm and cost, so only this digest shows a
+    # change in the last bit of a result
+    text = "\n".join(
+        repr((r.sm, r.tau, r.cost, r.converged, r.boundary_hit, r.evaluations))
+        for r in (rt.retrieve(obs, algo, surface, t_e, tau_sca=tau_sca)
+                  for obs, algo, surface, t_e, tau_sca in _retrieval_corpus()))
+    assert hashlib.sha256(text.encode()).hexdigest() == RETRIEVAL_DIGEST
+
+
 def test_retrieve_input_validation():
     algo = preset("DCA1")
     with pytest.raises(DomainError, match="finite"):
@@ -368,6 +400,22 @@ def test_retrieve_input_validation():
         rt.retrieve(TbPair(200.0, 240.0), preset("SCAV", "grassland"), GRASS, 290.0)
     with pytest.raises(DomainError, match="t_e"):
         rt.retrieve(TbPair(200.0, 240.0), algo, BARE, -5.0)
+    with pytest.raises(DomainError, match="t_e must be finite and positive, got inf"):
+        rt.retrieve(TbPair(200.0, 240.0), algo, BARE, math.inf)
+
+
+@pytest.mark.parametrize("name", [name for name in rt.PRESET_NAMES if name != "DCA0"])
+@pytest.mark.parametrize("omega", [0.0, 0.05])
+def test_large_roughness_ends_on_a_boundary_result(name, omega):
+    """At h = 1000 the emissivity is 1 and its slope underflows to 0, so
+    sm has a zero Jacobian column (and tau too at omega = 0). Such a
+    coordinate is not free: the solve once divided by a zero determinant.
+    DCA0 pins h to 0."""
+    algo = dataclasses.replace(preset(name, "grassland"), h=1000.0, omega=omega)
+    with np.errstate(invalid="ignore"):   # the profiled seed's 0/0 at r_p = 0
+        result = rt.retrieve(TbPair(230.0, 260.0), algo, GRASS, 290.0, tau_sca=0.2)
+    assert result.boundary_hit and result.sm == rt.SM_BOUNDS[0]
+    assert math.isfinite(result.cost)
 
 
 @pytest.mark.parametrize("name", ["SCAV", "RDCA", "DCA1"])
@@ -467,6 +515,7 @@ def test_user_preset_per_cover_values(tmp_path):
 @pytest.mark.parametrize("key,value,message", [
     ("h", "nan", "h must be >= 0, got nan"),
     ("h", "-0.1", "h must be >= 0, got -0.1"),
+    ("h", "inf", "h must be finite and >= 0, got inf"),
     ("omega", "1.5", "omega must be in [0, 1), got 1.5"),
     ("omega", "1.0", "omega must be in [0, 1), got 1.0"),
     ("omega", "nan", "omega must be in [0, 1), got nan"),
@@ -502,6 +551,7 @@ def test_algorithm_config_kind_consistency():
 def test_surface_defaults_per_land_cover():
     assert BARE.h == 0.15
     assert GRASS.h == 0.156
+    assert (BARE.h, GRASS.h) == (preset("SCAV").h, preset("SCAV", "grassland").h)
     custom = rt.make_surface(0.3, "grassland", 40.0, h=0.2)
     assert custom.h == 0.2
     with pytest.raises(ConfigError, match="forest"):
@@ -515,3 +565,5 @@ def test_surface_config_invariants():
         rt.SurfaceConfig(1.2, "bare_soil", 40.0, 0.1)
     with pytest.raises(DomainError):
         rt.SurfaceConfig(0.2, "bare_soil", 95.0, 0.1)
+    with pytest.raises(DomainError, match="h must be finite and >= 0, got inf"):
+        rt.SurfaceConfig(0.2, "bare_soil", 40.0, math.inf)
