@@ -30,7 +30,8 @@ site is a ConfigError here, not a fault in the middle of a run.
     site.grass.reflectance = refl_grass.csv
 
 A key that load_campaign does not read (a misspelled one, say) is a
-ConfigError, as is a session file listed twice.
+ConfigError, as is a session file listed twice. A site without session
+files is not: run_pipeline warns of it when it reaches the site.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import glob
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .ancillary import TauCoefficients, load_tau_coefficients
@@ -73,7 +74,6 @@ class CampaignConfig:
     statistic: Statistic = Statistic.MEDIAN
     skip_leading: int = 0
     align_window_s: float = ALIGN_WINDOW_S
-    warnings: tuple = field(default=())
 
 
 def _resolve_path(base_dir: Path, raw: str, what: str) -> Path:
@@ -108,7 +108,6 @@ def load_campaign(path) -> CampaignConfig:
     path = Path(path)
     kv = read_kv_file(path)
     base_dir = path.parent.absolute()
-    warnings = []
 
     preset_names = kv.get_list("presets")
     if not preset_names:
@@ -166,8 +165,6 @@ def load_campaign(path) -> CampaignConfig:
                                       f"{land_cover!r}; set site.{name}.reflectance")
         except (ConfigError, DomainError) as exc:
             raise ConfigError(f"{path}: site {name}: {exc}") from None
-        if not session_paths:
-            warnings.append(f"site {name}: no session files configured")
         sites.append(SiteConfig(name=name, surface=surface, presets=tuple(presets),
                                 session_paths=session_paths,
                                 reference_path=reference_path,
@@ -199,5 +196,4 @@ def load_campaign(path) -> CampaignConfig:
         statistic=statistic,
         skip_leading=skip_leading,
         align_window_s=align_window_s,
-        warnings=tuple(warnings),
     )

@@ -6,9 +6,13 @@ representative brightness-temperature pair, inverts it under every
 selected algorithm preset, and finally scores each site/preset series
 against the reference probes.
 
-Artifacts written to the output directory, all with deterministic row
-order (site, session time, preset name) and fixed number formatting so
-reruns are byte-identical:
+The run reads sites by name, each site's session files by path and
+presets by name. Each site's session rows sort once by (session time,
+session name, session path), and each owns its retrievals in preset
+order. So rows sort by site, session time, session name, session path,
+then preset (metrics rows by site, then preset) whatever order the
+campaign lists its inputs in, and with fixed number formatting reruns
+are byte-identical:
 
     sessions.csv        per-session screening and statistics
     rejections.csv      per-session histogram of rejection flags
@@ -58,6 +62,7 @@ class SessionRow:
     site: str
     session_id: str
     t_mid: float
+    path: Path              # the session file as load_campaign resolved it
     n_total: int = 0
     n_accepted: int = 0
     flag_counts: Counter = field(default_factory=Counter)
@@ -70,6 +75,7 @@ class SessionRow:
     sm_ref_std: float = None
     tau_sca: float = None
     error: str = None
+    retrievals: list = field(default_factory=list)   # RetrievalRow by preset name
 
 
 @dataclass
@@ -77,7 +83,6 @@ class RetrievalRow:
     site: str
     session_id: str
     preset: str
-    session: SessionRow     # the session row it inverts
     t_e_used: float = None
     result: object = None
     error: str = None
@@ -94,7 +99,6 @@ class MetricsRow:
 @dataclass
 class PipelineReport:
     sessions: list
-    retrievals: list
     metrics_rows: list
     warnings: list
     data_errors: list
@@ -104,6 +108,10 @@ class PipelineReport:
     def ok(self):
         return not self.data_errors
 
+    @property
+    def retrievals(self):
+        return [r for row in self.sessions for r in row.retrievals]
+
 
 def _session_date(t_mid):
     return dt.datetime.fromtimestamp(t_mid, tz=dt.timezone.utc).date()
@@ -111,7 +119,7 @@ def _session_date(t_mid):
 
 def _process_session(cfg, site, session_path, references, ndvi_series):
     session_id = Path(session_path).stem
-    row = SessionRow(site=site.name, session_id=session_id, t_mid=0.0)
+    row = SessionRow(site=site.name, session_id=session_id, t_mid=0.0, path=session_path)
     session = load_session(session_path, calibration=cfg.calibration,
                            skip_leading=cfg.skip_leading)
     if not len(session):
@@ -157,8 +165,7 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
 
 def _retrieve_session(cfg, site, session_row, algo):
     out = RetrievalRow(site=site.name, session_id=session_row.session_id,
-                       preset=algo.name, session=session_row,
-                       t_e_used=algo.t_e(session_row.t_e_measured))
+                       preset=algo.name, t_e_used=algo.t_e(session_row.t_e_measured))
     if out.t_e_used is None:
         out.error = "no reference temperature within the alignment window"
         return out
@@ -183,11 +190,11 @@ def run_pipeline(cfg, output_dir=None):
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot write: {exc.strerror}", path=out_dir) from None
-    sessions, retrievals, metrics_rows = [], [], []
-    warnings = list(cfg.warnings)
-    data_errors = []
+    sessions, metrics_rows, warnings, data_errors = [], [], [], []
 
     for site in sorted(cfg.sites, key=lambda s: s.name):
+        if not site.session_paths:
+            warnings.append(f"site {site.name}: no session files configured")
         try:
             references = load_reference_csv(site.reference_path) \
                 if site.reference_path else []
@@ -204,7 +211,7 @@ def run_pipeline(cfg, output_dir=None):
             continue
 
         site_rows = []
-        for session_path in site.session_paths:
+        for session_path in sorted(site.session_paths):
             try:
                 row = _process_session(cfg, site, session_path, references, ndvi_series)
             except DataError as exc:
@@ -215,17 +222,18 @@ def run_pipeline(cfg, output_dir=None):
                 data_errors.append(f"{session_path}: {exc}")
                 logger.warning("skipping session %s: %s", session_path, exc)
                 continue
-            sessions.append(row)
             if row.error:
                 warnings.append(f"site {site.name} session {row.session_id}: {row.error}")
-                continue
             site_rows.append(row)
+        site_rows.sort(key=lambda r: (r.t_mid, r.session_id, r.path))
+        sessions += site_rows
+        ready = [row for row in site_rows if not row.error]
 
-        for algo in site.presets:
+        for algo in sorted(site.presets, key=lambda a: a.name):
             series_obs, series_ref = [], []
-            for row in sorted(site_rows, key=lambda r: r.t_mid):
+            for row in ready:
                 rrow = _retrieve_session(cfg, site, row, algo)
-                retrievals.append(rrow)
+                row.retrievals.append(rrow)
                 if rrow.error:
                     warnings.append(f"site {site.name} session {row.session_id} "
                                     f"preset {algo.name}: {rrow.error}")
@@ -236,12 +244,7 @@ def run_pipeline(cfg, output_dir=None):
             metrics_rows.append(MetricsRow(site=site.name, preset=algo.name,
                                            n=len(series_obs), report=report))
 
-    sessions.sort(key=lambda r: (r.site, r.t_mid, r.session_id))
-    retrievals.sort(key=lambda r: (r.site, r.session.t_mid, r.session_id, r.preset))
-    metrics_rows.sort(key=lambda r: (r.site, r.preset))
-
-    report = PipelineReport(sessions=sessions, retrievals=retrievals,
-                            metrics_rows=metrics_rows, warnings=warnings,
+    report = PipelineReport(sessions=sessions, metrics_rows=metrics_rows, warnings=warnings,
                             data_errors=data_errors, output_dir=out_dir)
     write_artifacts(report)
     if not sessions:
@@ -336,9 +339,8 @@ def _write_set(out, files, stale=()):
 
 
 def write_artifacts(report):
-    """Write the report files in one pass over the sessions (sessions.csv,
-    rejections.csv, plot_tb_series.csv) and one over the retrievals
-    (retrievals.csv, plot_sm_series.csv), formatting each value once."""
+    """Write the report files in one pass over the sessions and the
+    retrievals each one owns, formatting each value once."""
     sessions = [("site,session,t_mid,n_total,n_accepted,"
                  "n_max_exceeded,n_min_violated,n_pol_order_violated,"
                  "tb_h_rep,tb_v_rep,mean_h,std_h,p25_h,p50_h,p75_h,"
@@ -347,8 +349,9 @@ def write_artifacts(report):
     rejections = [["site", "session", "flag", "count"]]
     tb_series = [("site,session,t_mid,tb_h_p25,tb_h_p50,tb_h_p75,tb_h_mean,"
                   "tb_v_p25,tb_v_p50,tb_v_p75,tb_v_mean").split(",")]
-    # id(session row) -> its t_mid, sm_ref, sm_ref_lo, sm_ref_hi fields
-    plotted = {}
+    retrievals = [["site", "session", "t_mid", "preset", "t_e_used", "tau_sca",
+                   *RESULT_COLUMNS, "error"]]
+    sm_series = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi".split(",")]
     t_mids = format_utc_timestamps([r.t_mid for r in report.sessions])
     for r, t_mid in zip(report.sessions, t_mids):
         counts = [r.flag_counts.get(f, 0) for f in QualityFlag]
@@ -359,31 +362,25 @@ def write_artifacts(report):
                     for c in (s.stats_h, s.stats_v))
             stats = [f"{r.rep.tb_h:.4f}", f"{r.rep.tb_v:.4f}", *h, *v]
             tb_series.append([r.site, r.session_id, t_mid, *h[2:], h[0], *v[2:], v[0]])
-        sm_ref = _fmt(r.sm_ref)
+        sm_ref, tau_sca = _fmt(r.sm_ref), _fmt(r.tau_sca)
         sessions.append([
             r.site, r.session_id, t_mid, r.n_total, r.n_accepted, *counts, *stats,
             _fmt(r.tb_min_h, "{:.4f}"), _fmt(r.tb_min_v, "{:.4f}"),
             _fmt(r.t_e_measured, "{:.4f}"), sm_ref, _fmt(r.sm_ref_std),
-            _fmt(r.tau_sca), r.error or ""])
+            tau_sca, r.error or ""])
         rejections += ([r.site, r.session_id, flag.value, n]
                        for flag, n in zip(QualityFlag, counts))
         lo = hi = ""
         if r.sm_ref is not None:
             lo = _fmt(max(r.sm_ref - 2.0 * r.sm_ref_std, 0.0))
             hi = _fmt(r.sm_ref + 2.0 * r.sm_ref_std)
-        plotted[id(r)] = (t_mid, sm_ref, lo, hi)
-
-    retrievals = [["site", "session", "t_mid", "preset", "t_e_used", "tau_sca",
-                   *RESULT_COLUMNS, "error"]]
-    sm_series = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi".split(",")]
-    for r in report.retrievals:
-        t_mid, *ref = plotted[id(r.session)]
-        fields = result_fields(r.result)
-        retrievals.append([r.site, r.session_id, t_mid, r.preset,
-                           _fmt(r.t_e_used, "{:.4f}"), _fmt(r.session.tau_sca),
-                           *fields, r.error or ""])
-        if r.result is not None:
-            sm_series.append([r.site, r.session_id, t_mid, r.preset, fields[0], *ref])
+        for rr in r.retrievals:
+            fields = result_fields(rr.result)
+            retrievals.append([r.site, r.session_id, t_mid, rr.preset,
+                               _fmt(rr.t_e_used, "{:.4f}"), tau_sca, *fields, rr.error or ""])
+            if rr.result is not None:
+                sm_series.append([r.site, r.session_id, t_mid, rr.preset, fields[0],
+                                  sm_ref, lo, hi])
 
     metrics_rows = [["site", "preset", "n", *METRICS_COLUMNS]]
     metrics_rows += ([m.site, m.preset, m.n, *metrics_fields(m.report)]

@@ -137,7 +137,7 @@ class AlgorithmConfig:
     omega: float
     t_e_source: TempSource
     dielectric: DielectricModel
-    lam: float = RDCA_LAMBDA   # regularization weight, RDCA only
+    lam: float = 0.0   # regularization weight, RDCA only
 
     def __post_init__(self):
         if not self.h >= 0.0:
@@ -265,8 +265,12 @@ def _profiled_seed(tb_obs, algo, surface, t_e, frequency_ghz):
     e_h, e_v = _grid_emissivities(surface.clay_fraction, surface.incidence_deg, algo.h,
                                   algo.dielectric, frequency_ghz)
     r_h, r_v = 1.0 - e_h, 1.0 - e_v
-    # t_e u*, before and after clipping to the box
-    t_e_u = (r_h * (t_e - tb_obs.tb_h) + r_v * (t_e - tb_obs.tb_v)) / (r_h * r_h + r_v * r_v)
+    # t_e u*, before and after clipping to the box. Where both reflectivities
+    # are 0 (e_p rounds to 1 at a large h) it is 0/0 = NaN, and so is the
+    # cost: argmin returns the first NaN (the first grid point when e_p = 1
+    # throughout) and the NaN u takes the tau = TAU_BOUNDS[1] branch below.
+    with np.errstate(invalid="ignore"):
+        t_e_u = (r_h * (t_e - tb_obs.tb_h) + r_v * (t_e - tb_obs.tb_v)) / (r_h * r_h + r_v * r_v)
     t_e_u_box = np.minimum(np.maximum(t_e_u, t_e * math.exp(-2.0 * TAU_BOUNDS[1] / cos_theta)),
                            t_e)
     res = residual(t_e - t_e_u_box * r_h, t_e - t_e_u_box * r_v, None, tb_obs,
@@ -431,12 +435,13 @@ def parse_preset(kv, land_cover):
     """The AlgorithmConfig of a preset file's key-value map for one land
     cover, named after the file. h and omega are set for every cover
     (`h`) or per cover (`h.<cover>`, which wins); every value is parsed
-    whichever cover is asked for. A preset that cannot serve the cover is
-    a ConfigError naming the file and the cover."""
+    whichever cover is asked for; `lambda` is read for RDCA only. A preset
+    that cannot serve the cover is a ConfigError naming the file and the
+    cover."""
     kind = kv.get_enum("kind", AlgorithmKind)
     t_e_source = kv.get_enum("t_e_source", TempSource)
     dielectric = kv.get_enum("dielectric", DielectricModel)
-    lam = kv.get_float("lambda", RDCA_LAMBDA)
+    lam = kv.get_float("lambda", RDCA_LAMBDA) if kind == AlgorithmKind.RDCA else 0.0
     surface = {}
     for field in ("h", "omega"):
         by_cover = {key[len(field) + 1:]: kv.get_float(key)

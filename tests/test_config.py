@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lbandsm import config, kvconfig, synth, validation
+from lbandsm import config, kvconfig, pipeline, synth, validation
 from lbandsm.config import load_campaign
 from lbandsm.errors import ConfigError
 from lbandsm.preprocess import Statistic
@@ -142,8 +142,8 @@ def test_vegetated_site_requires_reflectance_for_ndvi_presets(tmp_path):
         load_campaign(path)
     # dual-channel-only selection is fine without reflectance
     path = _write_config(tmp_path, base.replace("SCAV", "DCA0"))
-    cfg = load_campaign(path)
-    assert cfg.warnings  # no sessions configured
+    report = pipeline.run_pipeline(load_campaign(path), output_dir=tmp_path / "out")
+    assert report.warnings == ["site g: no session files configured"]
 
 
 def test_unknown_preset_in_campaign(tmp_path):

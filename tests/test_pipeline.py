@@ -4,6 +4,8 @@ import csv
 import errno
 import hashlib
 import os
+import random
+import shutil
 
 import pytest
 
@@ -625,11 +627,11 @@ def test_session_outside_the_screening_domain_is_a_data_error(tmp_path):
     assert warnings[:2] == [f"error: {e}" for e in report.data_errors]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_campaign_with_a_large_roughness_preset_completes(tmp_path):
     """At h = 1000 the emissivity slope underflows to zero; the solve
     once divided by the zero determinant and aborted the campaign. The
-    profiled seed's 0/0 at reflectivity 0 warns."""
+    profiled seed's 0/0 at reflectivity 0 once warned, which aborted the
+    run where warnings are errors."""
     root = tmp_path / "camp"
     synth.generate_campaign(root, seed=7, n_days=2, n_samples=20, voltage_site=None)
     (root / "HUGE.cfg").write_text("kind = DCA1\nh = 1000\nomega = 0\n"
@@ -643,3 +645,98 @@ def test_campaign_with_a_large_roughness_preset_completes(tmp_path):
     huge = [r for r in _read_rows(tmp_path / "out" / "retrievals.csv") if r["preset"] == "HUGE"]
     assert len(huge) == 4
     assert all(r["sm"] == "0.010000" and r["boundary_hit"] == "true" for r in huge)
+
+
+# ----------------------------------------------------------------------
+# Metamorphic relations: listing order, location and reruns
+# (Chen, Cheung & Yiu 1998, HKUST-CS98-01)
+# ----------------------------------------------------------------------
+
+# site -> its campaign lines other than sessions, and its session files
+ORDER_SITES = {
+    "bare": (["land_cover = bare_soil", "clay_fraction = 0.2", "reference = ref_bare.csv"],
+             ["sessions/bare_2023-11-11.csv", "sessions/bare_2023-11-12.csv",
+              "bad/bare_fields.csv", "bad/bare_stamp.csv",
+              "hdr/a/bare_none.csv", "hdr/b/bare_none.csv"]),
+    "grass": (["land_cover = grassland", "clay_fraction = 0.13", "reference = ref_grass.csv",
+               "reflectance = reflectance_grass.csv"],
+              ["sessions/grass_2023-11-11.csv", "sessions/grass_2023-11-12.csv",
+               "b/grass_2023-11-11.csv"]),
+    "noref": (["land_cover = bare_soil", "clay_fraction = 0.2"],
+              ["sessions/bare_2023-11-11.csv", "sessions/bare_2023-11-12.csv"]),
+    "idle": (["land_cover = bare_soil", "clay_fraction = 0.2"], []),
+}
+ORDER_PRESETS = ["SCAV", "SCAH", "RDCA", "DCA0", "DCA1", "DCA2"]
+
+
+def _write_order_campaign(root, sites, presets):
+    """campaign.cfg of `root` with the site blocks of ORDER_SITES in the
+    order of `sites` ((name, session files) pairs) and `presets` as listed."""
+    lines = ["output_dir = out", f"presets = {', '.join(presets)}"]
+    for name, session_files in sites:
+        lines += [f"site.{name}.{line}" for line in ORDER_SITES[name][0]]
+        if session_files:
+            lines.append(f"site.{name}.sessions = {', '.join(session_files)}")
+    (root / "campaign.cfg").write_text("\n".join(lines) + "\n")
+
+
+def _order_fixture(root):
+    """A campaign with faults: a second radiometer's session with the stem
+    and stamps of a grass session, two sessions with data errors, two
+    header-only sessions with one stem, a site without probes (retrieval
+    errors) and a site without sessions."""
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=20, voltage_site=None)
+    grass = (root / "sessions" / "grass_2023-11-11.csv").read_text().splitlines()
+    bare = (root / "sessions" / "bare_2023-11-12.csv").read_text().splitlines()
+    for folder in ("b", "bad", "hdr/a", "hdr/b"):
+        (root / folder).mkdir(parents=True)
+    (root / "b" / "grass_2023-11-11.csv").write_text("\n".join(grass[:1] + [
+        f"{stamp},{float(tb_h) + 2.0:.4f},{float(tb_v) + 1.0:.4f}"
+        for stamp, tb_h, tb_v in (line.split(",") for line in grass[1:])]) + "\n")
+    (root / "bad" / "bare_fields.csv").write_text(
+        "\n".join(_set_field(list(bare), 4, 2, bare[4].split(",")[2] + ",1")) + "\n")
+    (root / "bad" / "bare_stamp.csv").write_text(
+        "\n".join(_set_field(list(bare), 3, 0, "NaT")) + "\n")
+    for folder in ("a", "b"):
+        (root / "hdr" / folder / "bare_none.csv").write_text(bare[0] + "\n")
+    _write_order_campaign(root, [(name, files) for name, (_, files) in ORDER_SITES.items()],
+                          ORDER_PRESETS)
+
+
+def _run_files(campaign, out):
+    pipeline.run_pipeline(load_campaign(campaign), output_dir=out)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_outputs_do_not_depend_on_listing_order_location_or_reruns(tmp_path):
+    """Permuting a campaign's session lists, site blocks or presets list
+    changes no byte of any output file, run_warnings.txt included. A copy
+    of the campaign in another directory gives the same report files;
+    run_warnings.txt is left out there because it names inputs by
+    absolute path. A rerun into one output directory gives the same
+    files."""
+    root = tmp_path / "camp"
+    _order_fixture(root)
+    want = _run_files(root / "campaign.cfg", tmp_path / "out")
+    assert set(want) == {"sessions.csv", "rejections.csv", "retrievals.csv", "metrics.csv",
+                         "metrics.txt", "plot_tb_series.csv", "plot_sm_series.csv",
+                         "run_warnings.txt"}
+    warnings = want["run_warnings.txt"].decode()
+    assert warnings.count("error: ") == 2 and "site idle: no session files" in warnings
+    assert warnings.count("session bare_none: empty session") == 2
+    assert _run_files(root / "campaign.cfg", tmp_path / "out") == want
+
+    rng = random.Random(20231111)
+    for k in range(12):
+        sites = [(name, rng.sample(files, len(files)))
+                 for name, (_, files) in ORDER_SITES.items()]
+        _write_order_campaign(root, rng.sample(sites, len(sites)),
+                              rng.sample(ORDER_PRESETS, len(ORDER_PRESETS)))
+        assert _run_files(root / "campaign.cfg", tmp_path / f"perm{k}") == want, k
+
+    moved = tmp_path / "elsewhere" / "camp"
+    shutil.copytree(root, moved)
+    del want["run_warnings.txt"]
+    got = _run_files(moved / "campaign.cfg", tmp_path / "moved")
+    assert got.pop("run_warnings.txt") != b""
+    assert got == want

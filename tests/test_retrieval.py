@@ -412,8 +412,7 @@ def test_large_roughness_ends_on_a_boundary_result(name, omega):
     coordinate is not free: the solve once divided by a zero determinant.
     DCA0 pins h to 0."""
     algo = dataclasses.replace(preset(name, "grassland"), h=1000.0, omega=omega)
-    with np.errstate(invalid="ignore"):   # the profiled seed's 0/0 at r_p = 0
-        result = rt.retrieve(TbPair(230.0, 260.0), algo, GRASS, 290.0, tau_sca=0.2)
+    result = rt.retrieve(TbPair(230.0, 260.0), algo, GRASS, 290.0, tau_sca=0.2)
     assert result.boundary_hit and result.sm == rt.SM_BOUNDS[0]
     assert math.isfinite(result.cost)
 
@@ -459,7 +458,7 @@ def test_shipped_presets_match_expected_parameters():
             assert algo.omega == omega, (name, cover)
             assert algo.t_e_source == te_src
             assert algo.dielectric == diel
-            assert algo.lam == 20.0
+            assert algo.lam == (20.0 if name == "RDCA" else 0.0)
 
 
 class _RecordingMap(kvconfig.KeyValueMap):
@@ -481,6 +480,16 @@ def test_shipped_preset_keys_are_all_read(name):
     kv = _RecordingMap(rt.read_preset(name))
     rt.parse_preset(kv, "bare_soil")
     assert set(kv.keys()) <= kv.read, name
+
+
+def test_lambda_is_read_for_rdca_only(tmp_path):
+    """A lambda key in a preset of another kind is unread: it neither
+    sets a weight that the residual never applies nor is checked."""
+    body = "h = 0.1\nomega = 0.0\nt_e_source = measured\ndielectric = mironov\n"
+    for kind, lam, want in (("RDCA", "5", 5.0), ("DCA2", "5", 0.0), ("SCAV", "nan", 0.0)):
+        path = tmp_path / f"{kind}_lam.cfg"
+        path.write_text(f"kind = {kind}\nlambda = {lam}\n" + body)
+        assert rt.load_preset(path, "bare_soil").lam == want, kind
 
 
 def test_unknown_preset_rejected():
