@@ -44,8 +44,8 @@ from .preprocess import (CalibrationParams, FilterThresholds, Statistic,
                          parse_utc_timestamp, representative, session_from_text,
                          session_stats, session_text, write_session)
 from .radiative import L_BAND_GHZ, TbPair, simulate_tb
-from .retrieval import (CONSTANT_T_E, PRESET_NAMES, TAU_SCA_KINDS, SurfaceConfig,
-                        load_preset, retrieve)
+from .retrieval import (CONSTANT_T_E, DEFAULT_INCIDENCE_DEG, PRESET_NAMES, TAU_SCA_KINDS,
+                        SurfaceConfig, load_preset, retrieve)
 from .synth import SAMPLE_PERIOD_S
 from .validation import metrics
 
@@ -181,12 +181,10 @@ def cmd_run(args, parser):
         parser.error(f"--config or ${CONFIG_ENV_VAR} is required")
     cfg = load_campaign(config_path)
     report = run_pipeline(cfg, output_dir=args.output)
-    for warning in report.warnings:
-        logger.warning("%s", warning)
-    for error in report.data_errors:
-        logger.error("%s", error)
+    for line in report.problems:
+        print(line, file=sys.stderr)
     if not report.sessions:
-        logger.warning("no sessions were processed")
+        print("warning: no sessions were processed", file=sys.stderr)
     print(f"sessions={len(report.sessions)} retrievals="
           f"{sum(1 for r in report.retrievals if r.result)} "
           f"artifacts={report.output_dir}")
@@ -219,8 +217,8 @@ def cmd_filter(args, _parser):
 
 def cmd_represent(args, _parser):
     session = _read_session(args.input, TB_HEADER, "represent")
-    rep = representative(session, Statistic(args.statistic))
     summary = session_stats(session)
+    rep = representative(summary, Statistic(args.statistic))
     _write_rows(args.output, [
         ["tb_h", "tb_v", "n", "std_h", "std_v"],
         [f"{rep.tb_h:.6f}", f"{rep.tb_v:.6f}", len(session),
@@ -324,7 +322,7 @@ def _add_surface_args(sub):
     sub.add_argument("--clay-fraction", type=float, dest="clay_fraction",
                      help="clay mass fraction in [0, 1]")
     sub.add_argument("--land-cover", default="bare_soil", dest="land_cover")
-    sub.add_argument("--incidence", type=float, default=40.0,
+    sub.add_argument("--incidence", type=float, default=DEFAULT_INCIDENCE_DEG,
                      help="incidence angle, degrees")
     sub.add_argument("--t-e", type=float, default=CONSTANT_T_E, dest="t_e",
                      help="effective soil temperature, K")
@@ -408,7 +406,7 @@ def build_parser():
 
     sub = commands.add_parser("footprint", help="ground footprint ellipse")
     sub.add_argument("--height", type=float, required=True, help="mount height, m")
-    sub.add_argument("--incidence", type=float, default=40.0)
+    sub.add_argument("--incidence", type=float, default=DEFAULT_INCIDENCE_DEG)
     sub.add_argument("--beamwidth", type=float, default=37.0,
                      help="full 3 dB beamwidth, degrees")
     _add_io(sub, output_only=True)

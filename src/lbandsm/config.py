@@ -46,8 +46,8 @@ from .ancillary import TauCoefficients, load_tau_coefficients
 from .errors import ConfigError, DomainError
 from .kvconfig import read_kv_file
 from .preprocess import CalibrationParams, Statistic
-from .retrieval import (SurfaceConfig, TAU_SCA_KINDS, make_surface, parse_preset,
-                        read_preset)
+from .retrieval import (DEFAULT_INCIDENCE_DEG, SurfaceConfig, TAU_SCA_KINDS, make_surface,
+                        parse_preset, read_preset)
 from .radiative import L_BAND_GHZ, MIRONOV_FREQ_RANGE_GHZ
 from .validation import ALIGN_WINDOW_S
 
@@ -147,7 +147,7 @@ def load_campaign(path) -> CampaignConfig:
         sv = kv.section(f"site.{name}")
         land_cover = sv.require("land_cover")
         clay = sv.get_float("clay_fraction")
-        incidence_deg = sv.get_float("incidence_deg", 40.0)
+        incidence_deg = sv.get_float("incidence_deg", DEFAULT_INCIDENCE_DEG)
         h = sv.get_float("h")
         try:
             if clay is None:

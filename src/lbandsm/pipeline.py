@@ -1,10 +1,10 @@
 """Batch orchestration: sessions in, report CSVs out.
 
 For every site session the pipeline calibrates (when needed), screens
-records against the quality predicates, reduces the survivors to one
-representative brightness-temperature pair, inverts it under every
-selected algorithm preset, and finally scores each site/preset series
-against the reference probes.
+records against the quality predicates, reduces the survivors once to
+their statistics, among them the representative brightness-temperature
+pair, inverts that pair under every selected algorithm preset, and
+finally scores each site/preset series against the reference probes.
 
 The run reads sites by name, each site's session files by path and
 presets by name. Each site's session rows sort once by (session time,
@@ -21,7 +21,8 @@ are byte-identical:
     metrics.txt         metrics.csv as an aligned table
     plot_tb_series.csv  representative TB series with quartiles
     plot_sm_series.csv  retrieved vs reference moisture with a 2-sigma band
-    run_warnings.txt    skipped sessions and data errors; removed when none
+    run_warnings.txt    data errors, then warnings (PipelineReport.problems),
+                        as `lbandsm run` prints them; removed when none
 
 Every file is written to <name>.tmp before any is renamed into place, so
 a failed write is a DataError that leaves the previous artifacts whole.
@@ -61,7 +62,7 @@ METRICS_COLUMNS = ("bias", "rmse", "ubrmse", "r", "r_flag")
 class SessionRow:
     site: str
     session_id: str
-    t_mid: float
+    t_mid: float            # None until the session has a record
     path: Path              # the session file as load_campaign resolved it
     n_total: int = 0
     n_accepted: int = 0
@@ -109,6 +110,12 @@ class PipelineReport:
         return not self.data_errors
 
     @property
+    def problems(self):
+        """The run's errors, then its warnings, as run_warnings.txt lines."""
+        return [f"error: {e}" for e in self.data_errors] + \
+            [f"warning: {w}" for w in self.warnings]
+
+    @property
     def retrievals(self):
         return [r for row in self.sessions for r in row.retrievals]
 
@@ -119,7 +126,7 @@ def _session_date(t_mid):
 
 def _process_session(cfg, site, session_path, references, ndvi_series):
     session_id = Path(session_path).stem
-    row = SessionRow(site=site.name, session_id=session_id, t_mid=0.0, path=session_path)
+    row = SessionRow(site=site.name, session_id=session_id, t_mid=None, path=session_path)
     session = load_session(session_path, calibration=cfg.calibration,
                            skip_leading=cfg.skip_leading)
     if not len(session):
@@ -152,7 +159,7 @@ def _process_session(cfg, site, session_path, references, ndvi_series):
         return row
 
     row.summary = session_stats(accepted)
-    row.rep = representative(accepted, cfg.statistic)
+    row.rep = representative(row.summary, cfg.statistic)
 
     entry = cfg.tau_table.entries.get(site.surface.land_cover)
     if entry is not None and entry.b == 0.0:
@@ -205,27 +212,23 @@ def run_pipeline(cfg, output_dir=None):
                     ndvi_series = daily_ndvi_series(samples)
                 except DomainError as exc:
                     raise DataError(str(exc), path=site.reflectance_path) from None
-        except (DataError, DomainError) as exc:
+        except DataError as exc:
             data_errors.append(str(exc))
-            logger.warning("skipping site %s: %s", site.name, exc)
             continue
 
         site_rows = []
         for session_path in sorted(site.session_paths):
             try:
                 row = _process_session(cfg, site, session_path, references, ndvi_series)
-            except DataError as exc:
+            except (DataError, DomainError) as exc:
+                if isinstance(exc, DomainError):
+                    exc = DataError(exc, path=session_path)
                 data_errors.append(str(exc))
-                logger.warning("skipping malformed session: %s", exc)
-                continue
-            except DomainError as exc:
-                data_errors.append(f"{session_path}: {exc}")
-                logger.warning("skipping session %s: %s", session_path, exc)
                 continue
             if row.error:
                 warnings.append(f"site {site.name} session {row.session_id}: {row.error}")
             site_rows.append(row)
-        site_rows.sort(key=lambda r: (r.t_mid, r.session_id, r.path))
+        site_rows.sort(key=lambda r: (r.t_mid or 0.0, r.session_id, r.path))
         sessions += site_rows
         ready = [row for row in site_rows if not row.error]
 
@@ -247,8 +250,6 @@ def run_pipeline(cfg, output_dir=None):
     report = PipelineReport(sessions=sessions, metrics_rows=metrics_rows, warnings=warnings,
                             data_errors=data_errors, output_dir=out_dir)
     write_artifacts(report)
-    if not sessions:
-        logger.warning("campaign produced no sessions")
     return report
 
 
@@ -352,8 +353,10 @@ def write_artifacts(report):
     retrievals = [["site", "session", "t_mid", "preset", "t_e_used", "tau_sca",
                    *RESULT_COLUMNS, "error"]]
     sm_series = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi".split(",")]
-    t_mids = format_utc_timestamps([r.t_mid for r in report.sessions])
-    for r, t_mid in zip(report.sessions, t_mids):
+    t_mids = iter(format_utc_timestamps([r.t_mid for r in report.sessions
+                                         if r.t_mid is not None]))
+    for r in report.sessions:
+        t_mid = "" if r.t_mid is None else next(t_mids)
         counts = [r.flag_counts.get(f, 0) for f in QualityFlag]
         stats = [""] * 12
         s = r.summary
@@ -391,8 +394,7 @@ def write_artifacts(report):
         ("retrievals.csv", retrievals), ("metrics.csv", metrics_rows),
         ("plot_tb_series.csv", tb_series), ("plot_sm_series.csv", sm_series))]
     files.append(("metrics.txt", "\n".join(render_metrics_table(report.metrics_rows)) + "\n"))
-    lines = [f"error: {e}" for e in report.data_errors]
-    lines += [f"warning: {w}" for w in report.warnings]
+    lines = report.problems
     if lines:
         files.append(("run_warnings.txt", "\n".join(lines) + "\n"))
     _write_set(report.output_dir, files, stale=() if lines else ("run_warnings.txt",))

@@ -17,9 +17,10 @@ line. Records are kept only when all three quality predicates hold:
 
 Each record's flag bitmask names exactly the violated predicates.
 
-The accepted records reduce per channel by index on columns sorted once
-(session_stats): the median, numpy's 'linear' quartiles and the mean and
-population std from one sum, each equal to numpy's bit for bit.
+The accepted records reduce once per channel, by index on the channel
+sorted once (session_stats): the median, numpy's 'linear' quartiles and
+the mean and population std from one sum, each equal to numpy's bit for
+bit. representative reads the chosen statistic from that summary.
 """
 
 import datetime as dt
@@ -28,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,13 +89,6 @@ class Session:
         """The records at `index`: a boolean mask, index array or slice."""
         return Session(self.timestamp[index], self.tb_h[index], self.tb_v[index])
 
-    @cached_property
-    def sorted_channels(self):
-        """(tb_h, tb_v), each sorted ascending once for every reduction of
-        this Session, so that each statistic (the mean included) is
-        bit-identical under permutation of the records."""
-        return np.sort(self.tb_h), np.sort(self.tb_v)
-
 
 @dataclass(frozen=True)
 class FilterThresholds:
@@ -114,6 +108,7 @@ class ChannelStats:
     p25: float
     p50: float
     p75: float
+    median: float   # np.median; p50 (the 'linear' rule) may differ in the last bit
 
 
 @dataclass(frozen=True)
@@ -203,32 +198,27 @@ def _quartiles(x):
     return out
 
 
-def representative(accepted, statistic=Statistic.MEDIAN):
-    """Per-channel representative value of an accepted Session; channels
-    are reduced independently. Median is the operational default; it
-    alone needs none of the rest of session_stats."""
-    name = Statistic(statistic).value       # a ChannelStats field but median
-    if name != "median":
-        summary = session_stats(accepted)
-        return TbPair(getattr(summary.stats_h, name), getattr(summary.stats_v, name))
-    if not len(accepted):
-        raise DomainError("no valid observations in session")
-    return TbPair(*map(sorted_median, accepted.sorted_channels))
+def representative(summary, statistic=Statistic.MEDIAN):
+    """Per-channel representative pair of a session_stats summary: its
+    `statistic` of each channel. Median is the operational default."""
+    name = Statistic(statistic).value       # the ChannelStats field
+    return TbPair(getattr(summary.stats_h, name), getattr(summary.stats_v, name))
 
 
 def session_stats(accepted):
-    """Population statistics per channel.
+    """Population statistics per channel, the one reduction of a session.
 
     Quartiles interpolate linearly between closest order statistics; std
     is the population form (divide by n). Each value is numpy's (median,
     percentile, mean, std) bit for bit, NaN where numpy's is, computed once
-    from the sorted channels and without warnings for non-finite records.
+    from each channel sorted once, so bit-identical under permutation of
+    the records, and without warnings for non-finite records.
     """
     if not len(accepted):
         raise DomainError("no valid observations in session")
     with np.errstate(invalid="ignore", over="ignore"):
-        stats_h, stats_v = (ChannelStats(*mean_std(x), *_quartiles(x))
-                            for x in accepted.sorted_channels)
+        stats_h, stats_v = (ChannelStats(*mean_std(x), *_quartiles(x), sorted_median(x))
+                            for x in (np.sort(accepted.tb_h), np.sort(accepted.tb_v)))
     return SessionSummary(stats_h, stats_v)
 
 

@@ -72,6 +72,7 @@ _LM_MU_FACTOR = 10.0
 _LM_MU_MAX = 1e8
 RDCA_LAMBDA = 20.0
 CONSTANT_T_E = 292.15     # K, fixed effective temperature for the DCA0/DCA1 setups
+DEFAULT_INCIDENCE_DEG = 40.0    # radiometer incidence where a site or command sets none
 
 
 class AlgorithmKind(str, Enum):

@@ -19,7 +19,7 @@ import numpy as np
 from .ancillary import daily_ndvi_series, load_reflectance_csv, ndvi_to_tau
 from .preprocess import TB_HEADER, VOLTAGE_HEADER, format_utc_timestamps, session_text
 from .radiative import simulate_tb
-from .retrieval import load_preset, make_surface
+from .retrieval import DEFAULT_INCIDENCE_DEG, load_preset, make_surface
 
 SAMPLE_PERIOD_S = 0.069      # detector switch cadence
 VOLTAGE_GAIN = 100.0         # K per volt for voltage-mode site files
@@ -49,13 +49,13 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _session_text(t0, tb_h, tb_v, n_samples, as_voltage, with_outliers):
+def _session_text(t0, tb_h, tb_v, n_samples, as_voltage):
     """The session file: n_samples records from t0 at the sample period,
     each distinct value pair formatted once."""
     scale = 1.0 / VOLTAGE_GAIN if as_voltage else 1.0
     fmt = "{:.8f},{:.8f}" if as_voltage else "{:.4f},{:.4f}"
     values = [fmt.format(tb_h * scale, tb_v * scale)] * n_samples
-    if with_outliers and n_samples >= 20:
+    if n_samples >= 20:
         # spread the three bad patterns through the stream
         for k, (h, v) in ((5, OUTLIER_MAX), (n_samples // 2, OUTLIER_POL),
                           (n_samples - 7, OUTLIER_MIN)):
@@ -63,8 +63,7 @@ def _session_text(t0, tb_h, tb_v, n_samples, as_voltage, with_outliers):
     return session_text(VOLTAGE_HEADER if as_voltage else TB_HEADER, t0 + np.arange(n_samples) * SAMPLE_PERIOD_S, values)
 
 
-def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
-                      voltage_site="bare", with_outliers=True):
+def generate_campaign(root, seed=20231111, n_days=8, n_samples=120, voltage_site="bare"):
     """Write a ready-to-run synthetic campaign under `root`.
 
     Creates campaign.cfg, per-site session files (one per day at 14:00
@@ -78,8 +77,8 @@ def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
     day0 = dt.date(2023, 11, 11)
 
     sites = {
-        "bare": make_surface(0.20, "bare_soil", 40.0),
-        "grass": make_surface(0.13, "grassland", 40.0),
+        "bare": make_surface(0.20, "bare_soil", DEFAULT_INCIDENCE_DEG),
+        "grass": make_surface(0.13, "grassland", DEFAULT_INCIDENCE_DEG),
     }
 
     # reflectance knots spanning the campaign for the vegetated site
@@ -119,8 +118,8 @@ def generate_campaign(root, seed=20231111, n_days=8, n_samples=120,
 
             session_id = f"{site_name}_{day.isoformat()}"
             (root / "sessions" / f"{session_id}.csv").write_text(
-                _session_text(t0, tb_h, tb_v, n_samples, site_name == voltage_site,
-                              with_outliers), encoding="utf-8", newline="")
+                _session_text(t0, tb_h, tb_v, n_samples, site_name == voltage_site),
+                encoding="utf-8", newline="")
 
             points = np.clip(sm + rng.normal(0.0, 0.012, size=5), 0.0, 1.0)
             ref_times.append(t0 + 300.0)

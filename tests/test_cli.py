@@ -254,6 +254,49 @@ def test_run_exit_codes(synthetic_campaign, tmp_path, capsys):
     assert (tmp_path / "out" / "retrievals.csv").exists()
 
 
+def _break_value(path, line_no):
+    """Set the first value on file line `line_no` of a session to x."""
+    lines = path.read_text().split("\n")
+    stamp, _, rest = lines[line_no - 1].split(",", 2)
+    lines[line_no - 1] = f"{stamp},x,{rest}"
+    path.write_text("\n".join(lines))
+
+
+def test_run_prints_each_recorded_problem_once(tmp_path, capsys):
+    """`lbandsm run` prints to stderr the lines of run_warnings.txt,
+    errors first, each once: a malformed session and one without records."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=60)
+    malformed = root / "sessions" / "bare_2023-11-11.csv"
+    _break_value(malformed, 32)
+    header_only = root / "sessions" / "grass_2023-11-12.csv"
+    header_only.write_text(header_only.read_text().split("\n", 1)[0] + "\n")
+    code = cli.main(["run", "--config", str(root / "campaign.cfg"),
+                     "--output", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert (code, out.startswith("sessions=3 ")) == (1, True)
+    assert err == (tmp_path / "out" / "run_warnings.txt").read_text()
+    assert err.splitlines() == [
+        f"error: {malformed}:32: could not convert string to float: 'x'",
+        "warning: site grass session grass_2023-11-12: empty session"]
+
+
+def test_run_without_sessions_warns_once(tmp_path, capsys):
+    """A run whose every session is malformed prints each error, then one
+    warning that no session was processed."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30)
+    for path in (root / "sessions").glob("*.csv"):
+        _break_value(path, 2)
+    code = cli.main(["run", "--config", str(root / "campaign.cfg"),
+                     "--output", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert (code, out.startswith("sessions=0 ")) == (1, True)
+    warnings_txt = (tmp_path / "out" / "run_warnings.txt").read_text()
+    assert err == warnings_txt + "warning: no sessions were processed\n"
+    assert err.count("error: ") == 4 and err.count("no sessions") == 1
+
+
 def test_run_via_env_var(synthetic_campaign, tmp_path, capsys, monkeypatch):
     root, _ = synthetic_campaign
     monkeypatch.setenv("LBANDSM_CONFIG", str(root / "campaign.cfg"))

@@ -11,7 +11,7 @@ import pytest
 
 from lbandsm import pipeline, preprocess, retrieval, synth
 from lbandsm.config import load_campaign
-from lbandsm.errors import DataError
+from lbandsm.errors import DataError, DomainError
 from lbandsm.radiative import TbPair
 
 
@@ -255,7 +255,7 @@ FAULT_CORPUS_DIGESTS = {
     "rejections.csv": "683487ae30d55be316092d0a281102b96e0de985c0938b8664de329d139f929c",
     "retrievals.csv": "6fe400d5b239c480aac7aa14ea18686b0d9dc7d1a063722410b033a4c089400b",
     "run_warnings.txt": "208ccde00b1f95c44a46392f2026ea71cf045a41400545a488291c4f8c42a40c",
-    "sessions.csv": "1526a9cb2d7e33d5e4a32674e9c02b9a2530b3a34226a3a0c46c773e2ca00b91",
+    "sessions.csv": "4f82c9984a5560dafb29af274473907dfaef423255af647e34e9af1a178c674a",
 }
 COMMA_SESSION_DIGESTS = {
     "metrics.csv": "45809f79067e221110207722bd2ad618360c71ae476fd6bbd49d70542a82e1e8",
@@ -387,6 +387,11 @@ def test_fault_injection_corpus(tmp_path):
     rows = {s.session_id: s for s in report.sessions if s.site == "bare"}
     assert sorted(rows) == sorted(day[k] for k in (0, 1, 2, 5, 8, 9))
     assert rows[day[1]].error == "empty session"
+    assert rows[day[1]].t_mid is None
+    with open(tmp_path / "bad" / "sessions.csv", newline="") as fh:
+        header_only = next(r for r in csv.DictReader(fh) if r["session"] == day[1])
+    # a session without records has no time to print
+    assert (header_only["t_mid"], header_only["error"]) == ("", "empty session")
     assert rows[day[2]].n_accepted == 30 - 3 - 2
     assert rows[day[2]].flag_counts[preprocess.QualityFlag.MAX_EXCEEDED] == 1 + 2
 
@@ -454,6 +459,41 @@ def test_sessions_csv_reports_the_inverted_statistic(tmp_path):
                              for s in report.sessions)
 
 
+def test_session_outside_a_model_domain_is_a_data_error_naming_it(tmp_path, monkeypatch):
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30, voltage_site=None)
+
+    def out_of_domain(surface, t_e, frequency_ghz):
+        raise DomainError("t_e must be positive, got -1.0")
+    monkeypatch.setattr(pipeline, "min_threshold", out_of_domain)
+    cfg = load_campaign(root / "campaign.cfg")
+    report = pipeline.run_pipeline(cfg, output_dir=tmp_path / "out")
+    paths = sorted(path for site in cfg.sites for path in site.session_paths)
+    assert len(paths) == 4 and report.sessions == []
+    assert report.data_errors == [f"{path}: t_e must be positive, got -1.0" for path in paths]
+
+
+def test_each_accepted_session_is_reduced_once(tmp_path, monkeypatch):
+    """With statistic = mean, as with any statistic, the run reduces each
+    accepted session once and inverts the pair its summary holds."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30)
+    cfg_path = root / "campaign.cfg"
+    cfg_path.write_text(cfg_path.read_text().replace("statistic = median", "statistic = mean"))
+    reduced = []
+
+    def counted(accepted, _session_stats=preprocess.session_stats):
+        reduced.append(len(accepted))
+        return _session_stats(accepted)
+    monkeypatch.setattr(preprocess, "session_stats", counted)
+    monkeypatch.setattr(pipeline, "session_stats", counted)
+    report = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "out")
+    assert report.ok and len(report.sessions) == 4
+    assert sorted(reduced) == sorted(s.n_accepted for s in report.sessions)
+    assert all(s.rep == TbPair(s.summary.stats_h.mean, s.summary.stats_v.mean)
+               for s in report.sessions)
+
+
 def test_report_csvs_quote_a_session_name_with_a_comma(tmp_path):
     root = tmp_path / "camp"
     synth.generate_campaign(root, seed=7, n_days=2, n_samples=30, voltage_site=None)
@@ -477,7 +517,8 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
     """The artifacts are written whole and as one set: a write the system
     cuts short is continued, and a write that fails part way is a
     DataError that leaves every file it was to replace as it was, with no
-    .tmp file beside them."""
+    .tmp file beside them. An interrupt part way is raised as it is, with
+    the same cleanup."""
     root = tmp_path / "camp"
     synth.generate_campaign(root, seed=7, n_days=2, n_samples=30, voltage_site=None)
     out = tmp_path / "out"
@@ -501,6 +542,17 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(os, "write", full_disk)
         with pytest.raises(DataError, match=r"retrievals\.csv: cannot write: No space left"):
+            pipeline.write_artifacts(report)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
+
+    def interrupted(fd, data):
+        if bytes(data).startswith(b"site,session,t_mid,preset,t_e_used"):   # retrievals.csv
+            real_write(fd, data[:100])
+            raise KeyboardInterrupt
+        return real_write(fd, data)
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "write", interrupted)
+        with pytest.raises(KeyboardInterrupt):
             pipeline.write_artifacts(report)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
 

@@ -244,20 +244,20 @@ def test_thresholds_must_leave_room():
 
 def test_representative_median_odd():
     session = columns([(240.0, v) for v in (250.0, 252.0, 254.0)])
-    assert pp.representative(session).tb_v == 252.0
+    assert pp.representative(pp.session_stats(session)).tb_v == 252.0
 
 
 def test_representative_median_even_averages_middle_pair():
     session = columns([(240.0, 250.0), (241.0, 252.0)])
-    assert pp.representative(session).tb_v == 251.0
-    assert pp.representative(session).tb_h == 240.5
+    assert pp.representative(pp.session_stats(session)).tb_v == 251.0
+    assert pp.representative(pp.session_stats(session)).tb_h == 240.5
 
 
 def test_representative_median_matches_sort_oracle():
     rng = np.random.default_rng(17)
     values_h = rng.uniform(150, 300, 1000)
     values_v = rng.uniform(160, 310, 1000)
-    got = pp.representative(columns(list(zip(values_h, values_v))))
+    got = pp.representative(pp.session_stats(columns(list(zip(values_h, values_v)))))
     assert got.tb_h == pytest.approx(oracles.sort_median(values_h), abs=1e-12)
     assert got.tb_v == pytest.approx(oracles.sort_median(values_v), abs=1e-12)
 
@@ -267,7 +267,8 @@ def test_representative_quartiles_match_oracle(statistic, q):
     rng = np.random.default_rng(23)
     values_h = rng.uniform(150, 300, 501)
     values_v = values_h + rng.uniform(1, 40, 501)
-    got = pp.representative(columns(list(zip(values_h, values_v))), statistic)
+    got = pp.representative(pp.session_stats(columns(list(zip(values_h, values_v)))),
+                            statistic)
     assert got.tb_h == pytest.approx(oracles.sort_percentile(values_h, q), abs=1e-9)
     assert got.tb_v == pytest.approx(oracles.sort_percentile(values_v, q), abs=1e-9)
 
@@ -279,8 +280,8 @@ def test_representative_order_independent():
     rng.shuffle(order)
     shuffled = session.select(np.array(order))
     for statistic in pp.Statistic:
-        assert pp.representative(session, statistic) == \
-            pp.representative(shuffled, statistic)
+        assert pp.representative(pp.session_stats(session), statistic) == \
+            pp.representative(pp.session_stats(shuffled), statistic)
 
 
 def test_session_stats_order_independent():
@@ -304,16 +305,17 @@ def test_reductions_sort_each_channel_once(monkeypatch):
     np_sort = np.sort
     monkeypatch.setattr(np, "sort", counting_sort)
     summary = pp.session_stats(session)
-    reps = [pp.representative(session, statistic) for statistic in pp.Statistic]
+    reps = [pp.representative(summary, statistic) for statistic in pp.Statistic]
     assert sorts == [500, 500]
     monkeypatch.undo()
     assert summary == pp.session_stats(fresh)
-    assert reps == [pp.representative(fresh, statistic) for statistic in pp.Statistic]
+    assert reps == [pp.representative(pp.session_stats(fresh), statistic)
+                    for statistic in pp.Statistic]
 
 
 def test_representative_empty_errors():
     with pytest.raises(DomainError, match="no valid observations"):
-        pp.representative(columns([]))
+        pp.representative(pp.session_stats(columns([])))
 
 
 def test_session_stats_empty_errors():
@@ -343,7 +345,7 @@ def test_session_stats_quartiles_match_oracle():
     assert summary.stats_h.p75 == pytest.approx(oracles.sort_percentile(values, 75), abs=1e-9)
     assert summary.stats_h.p25 <= summary.stats_h.p50 <= summary.stats_h.p75
     assert min(values) <= summary.stats_h.p50 <= max(values)
-    assert pp.representative(session).tb_h == summary.stats_h.p50
+    assert pp.representative(summary).tb_h == summary.stats_h.p50
 
 
 def _hex(value):
@@ -370,14 +372,14 @@ def test_reductions_equal_numpy_bit_for_bit():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")      # non-finite records reduce silently
                 summary = pp.session_stats(session)
-                reps = {s: pp.representative(session, s) for s in pp.Statistic}
+                reps = {s: pp.representative(summary, s) for s in pp.Statistic}
             for name, stats, x in (("tb_h", summary.stats_h, tb_h),
                                    ("tb_v", summary.stats_v, tb_v)):
                 x = np.sort(x)
                 with np.errstate(invalid="ignore", over="ignore"):
                     median, mean, std = np.median(x), np.mean(x), np.std(x)
                     p25, p50, p75 = np.percentile(x, [25, 50, 75])
-                got = [getattr(pp.representative(session), name), stats.mean, stats.std,
+                got = [getattr(pp.representative(summary), name), stats.mean, stats.std,
                        stats.p25, stats.p50, stats.p75,
                        *(getattr(reps[s], name) for s in pp.Statistic)]
                 want = [median, mean, std, p25, p50, p75,

@@ -576,3 +576,6 @@ def test_surface_config_invariants():
         rt.SurfaceConfig(0.2, "bare_soil", 95.0, 0.1)
     with pytest.raises(DomainError, match="h must be finite and >= 0, got inf"):
         rt.SurfaceConfig(0.2, "bare_soil", 40.0, math.inf)
+    for h, shown in ((-1.0, "-1.0"), (math.nan, "nan")):
+        with pytest.raises(DomainError, match=f"h must be >= 0, got {shown}$"):
+            rt.SurfaceConfig(0.2, "bare_soil", 40.0, h)
