@@ -5,10 +5,11 @@ A session file holds a few thousand dual-polarization samples (either
 brightness temperatures or raw detector voltages plus a linear
 calibration), loaded as a `Session` of numpy columns. A body of
 canonical UTC stamps and plain numbers, the form this package writes,
-is tokenized in C by np.loadtxt and its stamps parsed a minute at a time;
-any other body is read record by record (errors.csv_records) and parsed
-field by field, which gives the same columns or names the first bad
-line. Records are kept only when all three quality predicates hold:
+has its newline-split lines tokenized in C by np.loadtxt and its
+stamps parsed a minute at a time; any other body is read record by
+record (errors.csv_records) and parsed field by field, which gives the
+same columns or names the first bad line. Records are kept only when
+all three quality predicates hold:
 
   * tb_h and tb_v at or below the 320 K ceiling,
   * tb_h and tb_v at or above the physical floor given by the forward
@@ -24,7 +25,6 @@ bit. representative reads the chosen statistic from that summary.
 """
 
 import datetime as dt
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -229,11 +229,12 @@ def session_stats(accepted):
 TB_HEADER = ("timestamp", "tb_h", "tb_v")
 VOLTAGE_HEADER = ("timestamp", "v_h", "v_v")
 
-# A session body as np.loadtxt tokenizes it: the stamp bytes and the two
-# values of each line. A canonical stamp, the form format_utc_timestamp
-# writes, is YYYY-MM-DDTHH:MM:SSZ (20 bytes) or YYYY-MM-DDTHH:MM:SS.ffffffZ
-# (27), its minute the first 16 bytes; the column holds one byte more, so
-# that a longer stamp shows instead of being cut to fit.
+# A session body as np.loadtxt tokenizes its \n-split lines: the stamp
+# bytes and the two values of each line. A canonical stamp, the form
+# format_utc_timestamps writes, is YYYY-MM-DDTHH:MM:SSZ (20 bytes) or
+# YYYY-MM-DDTHH:MM:SS.ffffffZ (27), its minute the first 16 bytes; the
+# column holds one byte more, so that a longer stamp shows instead of
+# being cut to fit.
 _BODY_DTYPE = np.dtype([("stamp", "S28"), ("a", "f8"), ("b", "f8")])
 _SEPARATORS = ([4, 7, 10, 13, 16], np.frombuffer(b"--T::", np.uint8))
 # first byte of each two-digit group read in bulk: YY ss ff ff ff
@@ -285,11 +286,6 @@ def format_utc_timestamps(epoch_s):
     return chars.view("<U27")[:, 0].tolist()
 
 
-def format_utc_timestamp(epoch_s):
-    """The canonical UTC stamp of one epoch (format_utc_timestamps)."""
-    return format_utc_timestamps([epoch_s])[0]
-
-
 def session_text(header, epoch_s, values):
     """CSV text of a session: the `header` line, then per record its
     canonical stamp and `values`, the record's other fields already joined
@@ -338,11 +334,13 @@ def _bulk_columns(body, increasing):
     with `increasing`, when time does not strictly increase."""
     # loadtxt warns on an empty body, reads only ASCII digits where float()
     # reads any, drops the NULs that end a bytes field and, unlike float(),
-    # strips the separators \x1c-\x1f around a value
+    # strips the separators \x1c-\x1f around a value. It reads the body's
+    # \n-split lines, faster than a StringIO of it; splitlines() would also
+    # split at \x0b and \x0c, where csv.reader does not
     if not body or body.isspace() or not body.isascii() or any(c in body for c in _UNEVEN):
         return None
     try:
-        records = np.loadtxt(io.StringIO(body), dtype=_BODY_DTYPE, delimiter=",",
+        records = np.loadtxt(body.split("\n"), dtype=_BODY_DTYPE, delimiter=",",
                              comments=None, ndmin=1)
     except ValueError:
         return None
@@ -357,9 +355,10 @@ def _bulk_columns(body, increasing):
 def _session(timestamp, a, b, calibration):
     if calibration is None:
         return Session(timestamp, a, b)
-    # tb_p = gain_p * v_p + offset_p per channel
-    return Session(timestamp, calibration.gain_h * a + calibration.offset_h,
-                   calibration.gain_v * b + calibration.offset_v)
+    # tb_p = gain_p * v_p + offset_p per channel; an overflow is inf, which screening rejects
+    with np.errstate(over="ignore"):
+        return Session(timestamp, calibration.gain_h * a + calibration.offset_h,
+                       calibration.gain_v * b + calibration.offset_v)
 
 
 def session_from_records(body, calibration=None, increasing=False, path=None):

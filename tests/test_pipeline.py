@@ -6,6 +6,7 @@ import hashlib
 import os
 import random
 import shutil
+import warnings
 
 import pytest
 
@@ -135,6 +136,27 @@ def test_poisoned_session_isolated(tmp_path):
     good = [s for s in report.sessions if s.error is None]
     assert len(good) == 4
     assert any("no valid observations" in w for w in report.warnings)
+
+
+def test_huge_calibration_gain_rejects_the_voltage_sessions(tmp_path):
+    # gain * volts overflows to inf: screening rejects every record of the
+    # voltage site, and the run goes on under warnings-as-errors
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30)
+    cfg_path = root / "campaign.cfg"
+    clean = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "clean")
+    cfg_path.write_text(cfg_path.read_text().replace(
+        f"calibration.gain_h = {synth.VOLTAGE_GAIN}", "calibration.gain_h = 1e308"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "out")
+    bare = [s for s in report.sessions if s.site == "bare"]
+    assert len(bare) == 2
+    assert all(s.error == "no valid observations in session" for s in bare)
+    assert sum("no valid observations in session" in w for w in report.warnings) == 2
+    assert not report.data_errors
+    grass = [r for r in report.retrievals if r.site == "grass"]
+    assert grass and grass == [r for r in clean.retrievals if r.site == "grass"]
 
 
 def test_corrupt_reference_file_isolates_site(tmp_path):
@@ -332,8 +354,8 @@ def test_fault_injection_corpus(tmp_path):
         out = lines[:1]
         for line in lines[1:]:
             stamp, rest = line.split(",", 1)
-            shifted = preprocess.format_utc_timestamp(
-                preprocess.parse_utc_timestamp(stamp) + 7200.0)
+            shifted = preprocess.format_utc_timestamps([
+                preprocess.parse_utc_timestamp(stamp) + 7200.0])[0]
             out.append(shifted.replace("Z", "+02:00") + "," + rest)
         return out
     _rewrite(session_file(5), offset_stamps)

@@ -75,7 +75,7 @@ def test_calibrate_matches_scalar_affine():
     rng = np.random.default_rng(41)
     cal = pp.CalibrationParams(101.3, 99.7, -3.25, 1.5)
     volts = rng.uniform(0.5, 3.5, size=(200, 2))
-    body = "".join(f"{pp.format_utc_timestamp(1.7e9 + k)},{a!r},{b!r}\n"
+    body = "".join(f"{pp.format_utc_timestamps([1.7e9 + k])[0]},{a!r},{b!r}\n"
                    for k, (a, b) in enumerate(volts.tolist()))
     session = pp.session_from_records(body, calibration=cal)
     for (a, b), tb_h, tb_v in zip(volts.tolist(), session.tb_h.tolist(),
@@ -429,6 +429,16 @@ def test_load_session_voltage_requires_calibration(tmp_path):
     assert session.tb_v[0] == pytest.approx(260.0)
 
 
+def test_load_session_huge_gain_calibrates_to_inf_without_warning(tmp_path):
+    path = _write(tmp_path, "v.csv",
+                  "timestamp,v_h,v_v\n2023-11-11T14:00:00Z,2.5,2.6\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        session = pp.load_session(path, calibration=pp.CalibrationParams(gain_h=1e308))
+    assert session.tb_h.tolist() == [math.inf]
+    assert session.tb_v.tolist() == [2.6]
+
+
 def test_load_session_rejects_unknown_header(tmp_path):
     path = _write(tmp_path, "bad.csv", "time,a,b\n1,2,3\n")
     with pytest.raises(DataError, match="header"):
@@ -468,7 +478,7 @@ def test_load_session_skip_leading(tmp_path):
 
 def test_timestamp_round_trip():
     ts = pp.parse_utc_timestamp("2023-11-25T14:03:07.138000Z")
-    assert pp.format_utc_timestamp(ts) == "2023-11-25T14:03:07.138000Z"
+    assert pp.format_utc_timestamps([ts])[0] == "2023-11-25T14:03:07.138000Z"
     assert pp.parse_utc_timestamp("2023-11-25T14:03:07+00:00") == \
         pp.parse_utc_timestamp("2023-11-25T14:03:07Z")
 
@@ -486,7 +496,7 @@ def test_bulk_timestamps_equal_per_row_parse():
         np.round(rng.uniform(-8.5e9, 7.25e9, 500) * 1e6) / 1e6,
         np.round(1.7e9 + rng.uniform(0.0, 1e6, 1000) * 1e6) / 1e6,
     ])
-    stamps = [pp.format_utc_timestamp(float(e)) for e in epochs]
+    stamps = [pp.format_utc_timestamps([float(e)])[0] for e in epochs]
     assert any("." in s for s in stamps) and any("." not in s for s in stamps)
     body = "".join(f"{s},250,260\n" for s in stamps)
     timestamp, _, _ = pp._bulk_columns(body, increasing=False)   # the bulk path
@@ -520,7 +530,7 @@ def test_stamps_format_as_datetime_isoformat():
             for t in epochs.tolist()]
     assert {len(s) for s in want} == {20, 27}
     assert pp.format_utc_timestamps(epochs) == want
-    assert [pp.format_utc_timestamp(t) for t in epochs[::50].tolist()] == want[::50]
+    assert [pp.format_utc_timestamps([t])[0] for t in epochs[::50].tolist()] == want[::50]
     assert pp.format_utc_timestamps(np.array([])) == []
 
 
@@ -556,7 +566,7 @@ def test_unformattable_epoch_is_a_value_error(epoch):
     with pytest.raises(ValueError):
         pp.format_utc_timestamps([1.7e9, epoch])
     with pytest.raises(ValueError):
-        pp.format_utc_timestamp(epoch)
+        pp.format_utc_timestamps([epoch])[0]
 
 
 NON_CANONICAL = {
@@ -732,6 +742,14 @@ BULK = {
     "next_day": _body("2023-11-11T23:59:59.999999Z", "2023-11-12T00:00:00Z",
                       "2023-11-12T00:00:00.000001Z"),
     "next_year": _body("2023-12-31T23:59:59.900000Z", "2024-01-01T00:00:00.100000Z"),
+    # characters that end or pad a line: loadtxt reads each \n-split line
+    # and takes \r, \x0c, space and tab as float() takes them
+    "trailing_cr": _body(*S) + "\r",
+    "blank_crlf_lines": ("\r\n" + _body(S[0], end="\r\n") + "\r\n\r\n"
+                         + _body(*S[1:], end="\r\n") + "\r\n"),
+    "form_feed_before_lf": _body(*S, end="\x0c\n"),
+    "spaced_values": _body(*S, values=[(" 250", "260 "), ("\t251", "261\t"),
+                                       (" 252\t", "\t262")]),
 }
 PER_FIELD = {
     "whitespace_lines": _body(S[0]) + "   \n\t\n" + _body(*S[1:]),
@@ -763,6 +781,14 @@ PER_FIELD = {
     "repeated_stamp": _body(S[0], S[0]),
     "header_only": "",
     "blank_only": "\n\r\n\n",
+    # line breaks that csv.reader takes and a \n split does not, a \x0b
+    # that str.splitlines would take as one, and a # that is no comment
+    "cr_between_records": _body(S[0], end="\r") + _body(*S[1:]),
+    "cr_in_field": _body(*S, values=[("250", "260"), ("25\r1", "261"), ("252", "262")]),
+    "cr_cr_lf": _body(*S, end="\r\r\n"),
+    "vertical_tab_between_records": _body(S[0], end="\x0b") + _body(*S[1:]),
+    "comment_after_value": _body(*S, values=[("250", "260"), ("251", "261 # note"),
+                                             ("252", "262")]),
 }
 
 
@@ -782,19 +808,26 @@ def test_per_field_parse_where_bulk_declines(name):
 
 # the parse of each body above as frozen before the per-field path was
 # rewritten (the minute-run bodies: before the bulk path read each run of
-# one minute by parse_utc_timestamp): a digest of the column bytes, or the
-# DataError text
+# one minute by parse_utc_timestamp; the line-break bodies: before loadtxt
+# read the body's \n-split lines instead of a StringIO of it): a digest of
+# the column bytes, or the DataError text
 FROZEN = {
     'bad_date_in_a_later_minute': (
         "s.csv:5: bad timestamp '2023-11-31T00:00:00Z': day is out of range for month"),
     'bad_value': "s.csv:3: could not convert string to float: 'x'",
+    'blank_crlf_lines': 'b9f5b6280a84e9a2',
     'blank_lines': 'b9f5b6280a84e9a2',
     'blank_only': '3cdb74a99566c5be',
+    'comment_after_value': "s.csv:3: could not convert string to float: '261 # note'",
+    'cr_between_records': 'b9f5b6280a84e9a2',
+    'cr_cr_lf': '9e54e8e591ccfd4f',
     'cr_endings': '9e54e8e591ccfd4f',
+    'cr_in_field': 's.csv:3: expected 3 fields, got 2',
     'crlf': '9e54e8e591ccfd4f',
     'day_00': "s.csv:3: bad timestamp '2023-11-00T00:00:00Z': day is out of range for month",
     'exponents': '5f66b9038f3b869c',
     'extra_field': 's.csv:5: expected 3 fields, got 4',
+    'form_feed_before_lf': '9e54e8e591ccfd4f',
     'header_only': '3cdb74a99566c5be',
     'hour_24': "s.csv:3: bad timestamp '2023-11-11T24:00:00Z': hour must be in 0..23",
     'leap_day': 'ac9effb2529f2980',
@@ -819,9 +852,12 @@ FROZEN = {
     'repeated_stamp': 's.csv:3: timestamps must be strictly increasing',
     'second_60': "s.csv:3: bad timestamp '2023-11-11T23:59:60Z': second must be in 0..59",
     'separator_x1c': "s.csv:2: could not convert string to float: '250\\x1c'",
+    'spaced_values': '740e2f0cc24ad792',
+    'trailing_cr': '9e54e8e591ccfd4f',
     'underscore': 'e5c6b59b11195b3f',
     'unicode_digits': 'fff7f1983c0164d4',
     'unicode_space': 'fff7f1983c0164d4',
+    'vertical_tab_between_records': 's.csv:2: expected 3 fields, got 5',
     'whitespace_lines': 'b9f5b6280a84e9a2',
     'widths_20_27': '178313f25b3bf61f',
     'year_1699': 'd6e1b84cebd31903',
@@ -868,7 +904,7 @@ def test_bulk_parse_calibrates_like_per_field():
 
 def test_bulk_parse_errors_name_the_first_bad_line(tmp_path):
     # a canonical file whose one bad value sends it down the per-field path
-    stamps = [pp.format_utc_timestamp(1.7e9 + 0.069 * k) for k in range(200)]
+    stamps = [pp.format_utc_timestamps([1.7e9 + 0.069 * k])[0] for k in range(200)]
     values = [("250.5", "260.25")] * 200
     values[150] = ("250.5", "2x0")
     path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + _body(*stamps, values=values))
