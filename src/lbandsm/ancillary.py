@@ -77,11 +77,18 @@ def ndvi(red, nir):
 
 
 class NdviSeries:
-    """Daily NDVI, linear between (date, ndvi) knots of strictly
-    increasing date, over the closed range from the first knot to the
-    last; flat outside it."""
+    """Daily NDVI, linear between (date, ndvi) knots, over the closed
+    range from the first knot date to the last; flat outside it. The
+    knots may come in any order; they need at least two, and no date
+    twice. The series passes through every knot exactly."""
 
     def __init__(self, knots):
+        knots = sorted(knots, key=lambda k: k[0])
+        if len(knots) < 2:
+            raise DomainError("need at least 2 samples to interpolate")
+        for (d0, _), (d1, _) in zip(knots, knots[1:]):
+            if d1 == d0:
+                raise DomainError(f"duplicate sample date {d0}")
         self.dates = [day for day, _ in knots]
         self.values = [float(value) for _, value in knots]
 
@@ -103,22 +110,6 @@ class NdviSeries:
 
     def __len__(self):
         return (self.dates[-1] - self.dates[0]).days + 1
-
-
-def interpolate_daily(samples):
-    """Daily linear interpolation between (date, ndvi) knots.
-
-    Needs at least two samples with strictly increasing dates; the series
-    runs from the first to the last sample date inclusive and passes
-    through every knot exactly.
-    """
-    knots = sorted(samples, key=lambda s: s[0])
-    if len(knots) < 2:
-        raise DomainError("need at least 2 samples to interpolate")
-    for (d0, _), (d1, _) in zip(knots, knots[1:]):
-        if d1 == d0:
-            raise DomainError(f"duplicate sample date {d0}")
-    return NdviSeries(knots)
 
 
 def ndvi_to_tau(value, coeffs, land_cover):
@@ -165,7 +156,7 @@ def load_reflectance_csv(path):
 
 def daily_ndvi_series(samples):
     """Reflectance samples -> daily NDVI series."""
-    return interpolate_daily([(s.date, ndvi(s.red, s.nir)) for s in samples])
+    return NdviSeries([(s.date, ndvi(s.red, s.nir)) for s in samples])
 
 
 def _table_from_kv(kv):

@@ -24,10 +24,6 @@ class FootprintEllipse:
         if self.major_axis_m < self.minor_axis_m:
             raise DomainError("major axis cannot be shorter than minor axis")
 
-    @property
-    def area_m2(self):
-        return math.pi / 4.0 * self.major_axis_m * self.minor_axis_m
-
 
 def footprint(height_m, incidence_deg, beamwidth_deg):
     """Footprint ellipse of a cone of full width `beamwidth_deg` tilted

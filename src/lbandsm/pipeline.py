@@ -106,10 +106,6 @@ class PipelineReport:
     output_dir: Path
 
     @property
-    def ok(self):
-        return not self.data_errors
-
-    @property
     def problems(self):
         """The run's errors, then its warnings, as run_warnings.txt lines."""
         return [f"error: {e}" for e in self.data_errors] + \

@@ -72,17 +72,19 @@ def _topp_root_constants():
     derivative has a negative discriminant, so p > 0 and the one real root
     is t = -2 sqrt(p/3) sinh(asinh(3q/(2p) sqrt(3/p)) / 3), a form free of
     the cancellation in Cardano's sum of cube roots.
-    Returns (q0, 1/c3, 3/(2p) sqrt(3/p), 2 sqrt(p/3), a/3).
+    Returns (q0, 1/c3, 3/(2p) sqrt(3/p), 2 sqrt(p/3), a/3) and TOPP_SM_MAX,
+    the cubic at eps = TOPP_EPS_RANGE[1], the top of the invertible branch.
     """
     c0, c1, c2, c3 = TOPP_COEFFS
     a, b = c2 / c3, c1 / c3
     p = b - a * a / 3.0
     q0 = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c0 / c3
+    eps = TOPP_EPS_RANGE[1]
     return (q0, 1.0 / c3, 1.5 / p * math.sqrt(3.0 / p), 2.0 * math.sqrt(p / 3.0),
-            a / 3.0)
+            a / 3.0, c0 + eps * (c1 + eps * (c2 + eps * c3)))
 
 
-_TOPP_Q0, _TOPP_INV_C3, _TOPP_ASINH_SCALE, _TOPP_SINH_SCALE, _TOPP_SHIFT = \
+_TOPP_Q0, _TOPP_INV_C3, _TOPP_ASINH_SCALE, _TOPP_SINH_SCALE, _TOPP_SHIFT, TOPP_SM_MAX = \
     _topp_root_constants()
 
 
@@ -167,17 +169,6 @@ def _mironov_mixer(params, minimum, maximum):
         return n * n - k * k, 2.0 * n * k
 
     return eps_of_sm
-
-
-def topp_sm_of_eps(eps_real):
-    """Raw (unclamped) Topp cubic evaluated at a real permittivity."""
-    c0, c1, c2, c3 = TOPP_COEFFS
-    eps = np.asarray(eps_real, dtype=float)
-    return c0 + eps * (c1 + eps * (c2 + eps * c3))
-
-
-# moisture at the top of the Topp cubic's invertible branch
-TOPP_SM_MAX = float(topp_sm_of_eps(TOPP_EPS_RANGE[1]))
 
 
 def _checked_sm(sm, dielectric):

@@ -302,7 +302,8 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
             already resolved from the preset's temperature source.
         tau_sca: opacity from the optical chain, finite and non-negative;
             required for the single-channel kinds (fixed opacity) and RDCA
-            (regularizer target).
+            (regularizer target), which also need it within TAU_BOUNDS;
+            the other kinds ignore it.
 
     Returns:
         RetrievalResult, with tau None for the single-channel kinds,
@@ -321,6 +322,8 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
         raise DomainError(f"{algo.kind.value} requires tau_sca")
     if tau_sca is not None and not 0.0 <= tau_sca < math.inf:
         raise DomainError(f"tau_sca must be finite and non-negative, got {tau_sca}")
+    if algo.kind in TAU_SCA_KINDS and tau_sca > TAU_BOUNDS[1]:
+        raise DomainError(f"{algo.kind.value} needs tau_sca <= {TAU_BOUNDS[1]}, got {tau_sca}")
     sm_lo, sm_hi = SM_BOUNDS
     tau_lo, tau_hi = TAU_BOUNDS
     weights = residual_weights(algo)

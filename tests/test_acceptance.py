@@ -279,7 +279,7 @@ def test_criterion_9_end_to_end_golden(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     report = pipeline.run_pipeline(cfg, output_dir=out1)
     pipeline.run_pipeline(cfg, output_dir=out2)
-    assert report.ok
+    assert not report.data_errors
 
     names = sorted(p.name for p in out1.iterdir())
     assert names == sorted(p.name for p in out2.iterdir())

@@ -48,21 +48,21 @@ def test_reflectance_sample_needs_signal():
 # ----------------------------------------------------------------------
 
 def test_interpolate_midpoint():
-    series = anc.interpolate_daily([(d(0), 0.2), (d(10), 0.4)])
+    series = anc.NdviSeries([(d(0), 0.2), (d(10), 0.4)])
     assert series.value_on(d(5)) == pytest.approx(0.3)
     assert len(series) == 11
 
 
 def test_interpolation_passes_through_knots():
     knots = [(d(0), 0.21), (d(4), 0.53), (d(9), 0.37), (d(23), 0.61)]
-    series = anc.interpolate_daily(knots)
+    series = anc.NdviSeries(knots)
     for day, value in knots:
         assert series.value_on(day) == pytest.approx(value, abs=1e-15)
 
 
 def test_interpolation_matches_two_point_oracle():
     knots = [(d(0), 0.10), (d(7), 0.44), (d(19), 0.28)]
-    series = anc.interpolate_daily(knots)
+    series = anc.NdviSeries(knots)
     for day, got in series.items():
         # brute-force bracketing interpolation
         for (da, va), (db, vb) in zip(knots, knots[1:]):
@@ -74,16 +74,16 @@ def test_interpolation_matches_two_point_oracle():
 
 
 def test_interpolation_flat_outside_range():
-    series = anc.interpolate_daily([(d(5), 0.2), (d(8), 0.5)])
+    series = anc.NdviSeries([(d(5), 0.2), (d(8), 0.5)])
     assert series.value_on(d(0)) == 0.2
     assert series.value_on(d(30)) == 0.5
 
 
 def test_interpolation_input_validation():
     with pytest.raises(DomainError):
-        anc.interpolate_daily([(d(0), 0.2)])
+        anc.NdviSeries([(d(0), 0.2)])
     with pytest.raises(DomainError):
-        anc.interpolate_daily([(d(0), 0.2), (d(0), 0.3)])
+        anc.NdviSeries([(d(0), 0.2), (d(0), 0.3)])
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import errno
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -186,6 +187,16 @@ def test_retrieve_rejects_a_tau_sca_that_is_no_opacity(preset, tau_sca, capsys, 
     assert err.startswith("error: retrieve: line 2: tau_sca must be finite and non-negative")
 
 
+@pytest.mark.parametrize("preset", ["SCAV", "SCAH", "RDCA"])
+def test_retrieve_rejects_a_tau_sca_above_the_opacity_box(preset, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("tb_h,tb_v\n200,250\n"))
+    code = cli.main(["retrieve", "--preset", preset, "--clay-fraction", "0.2",
+                     "--tau-sca", "3.5", "--t-e", "290"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: retrieve: line 2: {preset} needs tau_sca <= 3.0, got 3.5\n"
+
+
 def test_forward_takes_h_and_omega_from_the_preset(capsys):
     code, out = run_cli(["forward", "--preset", "DCA1", "--sm", "0.2", "--clay-fraction",
                          "0.2", "--land-cover", "forest"], capsys=capsys)
@@ -349,6 +360,12 @@ def _project_table():
     return tomllib.loads(PYPROJECT.read_text())["project"]
 
 
+def _source_pythonpath():
+    """PYTHONPATH that puts the source tree the tests import first."""
+    src = str(Path(lbandsm.__file__).resolve().parents[1])
+    return os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+
 @pytest.fixture
 def lbandsm_on_path(tmp_path, monkeypatch):
     """An `lbandsm` executable on PATH.
@@ -365,10 +382,8 @@ def lbandsm_on_path(tmp_path, monkeypatch):
     script = bin_dir / "lbandsm"
     script.write_text(_LAUNCHER.format(python=sys.executable, module=module, func=func))
     script.chmod(0o755)
-    src = str(Path(lbandsm.__file__).resolve().parents[1])
     monkeypatch.setenv("PATH", os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    monkeypatch.setenv("PYTHONPATH", _source_pythonpath())
 
 
 def test_console_script_installed(lbandsm_on_path):
@@ -515,9 +530,7 @@ def test_represent_non_finite_record_prints_values_only(kind, tmp_path):
     path = tmp_path / f"{kind}.csv"
     path.write_text("timestamp,tb_h,tb_v\n2023-11-11T14:00:00Z,250.0,260.0\n"
                     f"{record}\n2023-11-11T14:00:02Z,251.25,261.0\n", encoding="utf-8")
-    src = str(Path(lbandsm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
     for statistic, row in expected.items():
         out = subprocess.run([sys.executable, "-m", "lbandsm.cli", "represent",
                               "--statistic", statistic, "--input", str(path)],
@@ -689,3 +702,46 @@ def test_non_utf8_config_file_is_config_error(kind, tmp_path, capsys):
             "coefficients": ["tau", "--coefficients", str(path), "--ndvi", "0.3"]}[kind]
     err = _one_line_error(capsys, *args)
     assert err.startswith(f"error: {path}:2: 'utf-8' codec can't decode byte 0xe9"), err
+
+
+SESSION_LOG = re.compile(r"INFO lbandsm\.pipeline: site (\w+) session (\S+): "
+                         r"(\d+)/(\d+) accepted, rejections \{.*\}")
+
+
+def test_verbose_run_logs_each_session_screening(tmp_path):
+    """-v prints one INFO line per screened session to stderr; without it
+    the run prints none."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30)
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
+
+    def run(*flags):
+        out = subprocess.run([sys.executable, "-m", "lbandsm.cli", *flags, "run",
+                              "--config", str(root / "campaign.cfg"),
+                              "--output", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("sessions=4 retrievals=24 "), out.stdout
+        return out.stderr.splitlines()
+
+    logged = [SESSION_LOG.fullmatch(line) for line in run("-v")]
+    assert all(logged)
+    with open(tmp_path / "out" / "sessions.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert sorted(m.groups() for m in logged) == sorted(
+        (r["site"], r["session"], r["n_accepted"], r["n_total"]) for r in rows)
+    assert run() == []
+
+
+class _BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_pipe_exits_1(monkeypatch, capsys):
+    """A reader that goes away (`lbandsm footprint ... | head -0`) ends the
+    command with status 1 instead of a traceback."""
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    assert cli.main(["footprint", "--height", "1.14"]) == 1
+    assert capsys.readouterr().err == ""

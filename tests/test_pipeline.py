@@ -5,12 +5,13 @@ import errno
 import hashlib
 import os
 import random
+import re
 import shutil
 import warnings
 
 import pytest
 
-from lbandsm import pipeline, preprocess, retrieval, synth
+from lbandsm import kvconfig, pipeline, preprocess, retrieval, synth
 from lbandsm.config import load_campaign
 from lbandsm.errors import DataError, DomainError
 from lbandsm.radiative import TbPair
@@ -30,7 +31,7 @@ def truth_map(synthetic_campaign):
 def test_every_session_processed(report, campaign_config):
     n_sessions = sum(len(s.session_paths) for s in campaign_config.sites)
     assert len(report.sessions) == n_sessions
-    assert report.ok
+    assert not report.data_errors
     assert not any(r.error for r in report.sessions)
 
 
@@ -130,7 +131,7 @@ def test_poisoned_session_isolated(tmp_path):
     (root / "sessions" / "bare_2023-11-20.csv").write_text("\n".join(bad_rows) + "\n")
     cfg = load_campaign(root / "campaign.cfg")
     report = pipeline.run_pipeline(cfg, output_dir=tmp_path / "out")
-    assert report.ok
+    assert not report.data_errors
     bad = [s for s in report.sessions if s.session_id == "bare_2023-11-20"]
     assert bad and bad[0].error == "no valid observations in session"
     good = [s for s in report.sessions if s.error is None]
@@ -167,7 +168,7 @@ def test_corrupt_reference_file_isolates_site(tmp_path):
         "timestamp,sm_1,soil_temp_k\nbroken,0.2,290\n")
     cfg = load_campaign(root / "campaign.cfg")
     report = pipeline.run_pipeline(cfg, output_dir=tmp_path / "out")
-    assert not report.ok
+    assert report.data_errors
     assert any("ref_bare.csv:2" in e for e in report.data_errors)
     assert {s.site for s in report.sessions} == {"grass"}
 
@@ -185,7 +186,7 @@ def test_bad_probe_temperature_isolates_site(tmp_path):
     ref.write_text("\n".join(lines) + "\n")
     report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
                                    output_dir=tmp_path / "out")
-    assert not report.ok
+    assert report.data_errors
     assert len(report.data_errors) == 1
     assert "ref_bare.csv:3:" in report.data_errors[0]
     assert "temperature" in report.data_errors[0]
@@ -204,7 +205,7 @@ def test_malformed_session_reported_not_fatal(tmp_path):
         "timestamp,tb_h,tb_v\n2023-11-21T14:00:00Z,oops,260\n")
     cfg = load_campaign(root / "campaign.cfg")
     report = pipeline.run_pipeline(cfg, output_dir=tmp_path / "out")
-    assert not report.ok
+    assert report.data_errors
     assert any("bare_2023-11-21.csv:2" in e for e in report.data_errors)
     # the other sessions still ran
     assert len(report.sessions) == 4
@@ -219,7 +220,7 @@ def test_empty_campaign_runs_with_warning(tmp_path):
         "site.a.reference = ref.csv\n")
     cfg = load_campaign(tmp_path / "campaign.cfg")
     report = pipeline.run_pipeline(cfg)
-    assert report.ok
+    assert not report.data_errors
     assert not report.sessions
     assert any("no session files" in w for w in report.warnings)
     assert (tmp_path / "out" / "metrics.csv").exists()
@@ -329,7 +330,7 @@ def test_fault_injection_corpus(tmp_path):
         (root / copy).write_text((root / original).read_text())
 
     clean = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "clean")
-    assert clean.ok and not any(s.error for s in clean.sessions)
+    assert not clean.data_errors and not any(s.error for s in clean.sessions)
     assert {s.site for s in clean.sessions} == {"bare", "grass", "knot", "ndvi", "probe",
                                                 "hot"}
 
@@ -477,8 +478,9 @@ def test_sessions_csv_reports_the_inverted_statistic(tmp_path):
     assert len(rows) == 4
     assert all(r["p75_h"] != r["p50_h"] and r["p75_v"] != r["p50_v"] for r in rows)
     assert all((r["tb_h_rep"], r["tb_v_rep"]) == (r["p75_h"], r["p75_v"]) for r in rows)
-    assert report.ok and all(s.rep == TbPair(s.summary.stats_h.p75, s.summary.stats_v.p75)
-                             for s in report.sessions)
+    assert not report.data_errors
+    assert all(s.rep == TbPair(s.summary.stats_h.p75, s.summary.stats_v.p75)
+               for s in report.sessions)
 
 
 def test_session_outside_a_model_domain_is_a_data_error_naming_it(tmp_path, monkeypatch):
@@ -510,7 +512,7 @@ def test_each_accepted_session_is_reduced_once(tmp_path, monkeypatch):
     monkeypatch.setattr(preprocess, "session_stats", counted)
     monkeypatch.setattr(pipeline, "session_stats", counted)
     report = pipeline.run_pipeline(load_campaign(cfg_path), output_dir=tmp_path / "out")
-    assert report.ok and len(report.sessions) == 4
+    assert not report.data_errors and len(report.sessions) == 4
     assert sorted(reduced) == sorted(s.n_accepted for s in report.sessions)
     assert all(s.rep == TbPair(s.summary.stats_h.mean, s.summary.stats_v.mean)
                for s in report.sessions)
@@ -523,7 +525,7 @@ def test_report_csvs_quote_a_session_name_with_a_comma(tmp_path):
     first.rename(first.with_name("bare_x,y.csv"))
     report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
                                    output_dir=tmp_path / "out")
-    assert report.ok
+    assert not report.data_errors
     for name in ("sessions.csv", "rejections.csv", "retrievals.csv", "metrics.csv",
                  "plot_tb_series.csv", "plot_sm_series.csv"):
         with open(tmp_path / "out" / name, newline="") as fh:
@@ -589,11 +591,11 @@ def test_clean_rerun_removes_stale_run_warnings(tmp_path):
     session.write_text(good + "2023-11-12T15:00:00Z,x,260.0\n")
     out = tmp_path / "out"
     first = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"), output_dir=out)
-    assert not first.ok
+    assert first.data_errors
     assert (out / "run_warnings.txt").read_text().startswith(f"error: {session}:")
     session.write_text(good)
     second = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"), output_dir=out)
-    assert second.ok and not second.warnings
+    assert not second.data_errors and not second.warnings
     assert sorted(path.name for path in out.iterdir()) == sorted(
         ["sessions.csv", "rejections.csv", "retrievals.csv", "metrics.csv", "metrics.txt",
          "plot_tb_series.csv", "plot_sm_series.csv"])
@@ -629,7 +631,7 @@ def test_session_without_reference_temperature_is_a_retrieval_error(tmp_path):
              lambda lines: [line for line in lines if not line.startswith("site.bare.reference")])
     report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
                                    output_dir=tmp_path / "out")
-    assert report.ok
+    assert not report.data_errors
     out = tmp_path / "out"
     message = "no reference temperature within the alignment window"
 
@@ -666,7 +668,7 @@ def test_plot_reference_follows_its_session_when_stems_repeat(tmp_path):
         else line for line in lines])
     report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
                                    output_dir=tmp_path / "out")
-    assert report.ok
+    assert not report.data_errors
     sm_ref = {(r["t_mid"], r["session"]): r["sm_ref"]
               for r in _read_rows(tmp_path / "out" / "sessions.csv") if r["site"] == "bare"}
     assert len(sm_ref) == 2 and len(set(sm_ref.values())) == 2
@@ -715,10 +717,50 @@ def test_campaign_with_a_large_roughness_preset_completes(tmp_path):
                             for line in lines])
     report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
                                    output_dir=tmp_path / "out")
-    assert report.ok
+    assert not report.data_errors
     huge = [r for r in _read_rows(tmp_path / "out" / "retrievals.csv") if r["preset"] == "HUGE"]
     assert len(huge) == 4
     assert all(r["sm"] == "0.010000" and r["boundary_hit"] == "true" for r in huge)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("b", "1e308"), ("b", "1e154"),
+    ("vwc_poly", "1e308"), ("vwc_poly", "1e154"), ("vwc_poly", "1e308, 1e308, 1e308"),
+    ("vwc_poly", "0, 0, 1e300"), ("vwc_poly", "0, 0, 1e200"),
+])
+def test_huge_finite_tau_sca_is_a_retrieval_error_of_the_kinds_that_use_it(tmp_path, key, value):
+    """An opacity table whose polynomial gives a huge finite tau_sca once
+    overflowed RDCA's regularizer and aborted the run under warnings-as-
+    errors. SCAV, SCAH and RDCA now report each grass row as an error
+    naming the bound; the DCA kinds, which ignore tau_sca, keep their
+    results, and no report cell is inf or nan."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=2, n_samples=30)
+    clean = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                  output_dir=tmp_path / "clean")
+    table = kvconfig.read_package_text("data/tau_defaults.cfg")
+    (root / "tau.cfg").write_text("\n".join(
+        f"grassland.{key} = {value}" if line.startswith(f"grassland.{key} ") else line
+        for line in table.splitlines()) + "\n")
+    _rewrite(root / "campaign.cfg", lambda lines: lines + ["tau_coefficients = tau.cfg"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                       output_dir=tmp_path / "out")
+    assert not report.data_errors
+    for name in REPORT_FILES:
+        for row in csv.reader((tmp_path / "out" / name).read_text().splitlines()):
+            assert not {"inf", "-inf", "nan"} & set(row), (name, row)
+    before = {(r.site, r.session_id, r.preset): r for r in clean.retrievals}
+    grass = 0
+    for r in report.retrievals:
+        if r.site == "grass" and r.preset in ("SCAV", "SCAH", "RDCA"):
+            grass += 1
+            assert r.result is None
+            assert re.fullmatch(rf"{r.preset} needs tau_sca <= 3\.0, got \S+", r.error)
+        else:
+            assert r == before[r.site, r.session_id, r.preset]
+    assert grass == 6 and len(report.retrievals) == len(clean.retrievals) == 24
 
 
 # ----------------------------------------------------------------------

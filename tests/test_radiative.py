@@ -91,7 +91,7 @@ def test_mironov_domain_errors(kwargs):
 
 def test_topp_round_trip_recovers_permittivity():
     for eps in (5.0, 15.0, 25.0):
-        sm = float(ra.topp_sm_of_eps(eps))
+        sm = float(oracles.topp_sm_of_eps(eps))
         assert 0.0 <= sm <= 1.0
         assert float(ra.topp_eps(sm)) == pytest.approx(eps, abs=1e-9)
 

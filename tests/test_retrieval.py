@@ -427,6 +427,26 @@ def test_retrieve_rejects_a_tau_sca_that_is_no_opacity(name, tau_sca):
                     tau_sca=tau_sca)
 
 
+@pytest.mark.parametrize("name", ["SCAV", "SCAH", "RDCA"])
+def test_retrieve_bounds_the_tau_sca_of_the_kinds_that_use_it(name):
+    """Above TAU_BOUNDS[1] the canopy leaves almost no soil signal, and a
+    huge finite tau_sca once overflowed RDCA's regularizer."""
+    algo = preset(name, "grassland")
+    tb = TbPair(200.0, 240.0)
+    assert math.isfinite(rt.retrieve(tb, algo, GRASS, 290.0, tau_sca=3.0).cost)
+    above = math.nextafter(3.0, math.inf)
+    with pytest.raises(DomainError,
+                       match=rf"^{name} needs tau_sca <= 3\.0, got {re.escape(str(above))}$"):
+        rt.retrieve(tb, algo, GRASS, 290.0, tau_sca=above)
+
+
+def test_dca_kinds_ignore_tau_sca_above_the_opacity_box():
+    tb = TbPair(200.0, 240.0)
+    algo = preset("DCA1", "grassland")
+    assert rt.retrieve(tb, algo, GRASS, 290.0, tau_sca=5.0) == \
+        rt.retrieve(tb, algo, GRASS, 290.0)
+
+
 # ----------------------------------------------------------------------
 # Presets and configuration types
 # ----------------------------------------------------------------------
