@@ -32,10 +32,12 @@ class DataError(Exception):
 
 
 def decode_text(data, path):
-    """The UTF-8 text of bytes read from `path`. A byte sequence that is
-    not UTF-8 is a DataError naming the path and the line it is on."""
+    """The UTF-8 text of bytes read from `path`, without the one byte-order
+    mark that spreadsheet exports put first. A byte sequence that is not
+    UTF-8 is a DataError naming the path and the line it is on."""
     try:
-        return data.decode("utf-8")
+        # stripped after decoding, so that error offsets count every byte
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(str(exc), path=path,
                         line=data[:exc.start].count(b"\n") + 1) from None

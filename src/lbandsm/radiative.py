@@ -20,8 +20,10 @@ its math functions as parameters: numpy's for arrays
 for scalar calls (emissivity_evaluator). For the optimizer the same
 kernel also returns the analytic slope d(e_h, e_v)/dsm next to the value
 (emissivity_slope_evaluator). The vegetation formula (tau_omega_tb) is
-one expression for floats and arrays alike, so the seed grid and the
-optimizer evaluate the same operations; its partials in e_p and gamma
+one expression for floats and arrays alike, which the seed grid and the
+optimizer both evaluate. At fixed gamma it is affine in e_p, so the grid
+evaluates it at e_p = 0 and e_p = 1 per opacity and scores every
+emissivity from those two values. Its partials in e_p and gamma
 (tau_omega_partials) sit beside it, and the optimizer's Jacobian chains
 them with the emissivity slope and d gamma / d tau.
 """

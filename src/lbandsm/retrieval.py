@@ -32,11 +32,17 @@ lowers the cost, so the cost never rises above the seed's. `evaluations` is
 the number of seed points scored (64, or 4,096 on the grid) plus the
 kernel calls of the solve.
 
-The emissivities on the 64 sm points depend on the site and preset only,
-so they are built once per (clay, incidence, h, dielectric, frequency)
-as read-only arrays in a bounded LRU cache, which both seeds read. The
-grid seed scores them through radiative.tau_omega_tb, the one forward
-formula that the optimizer evaluates too.
+What the seeds read of a site and preset does not depend on the
+observation: the emissivities on the 64 sm points, the profile's
+reflectivities r_p = 1 - e_p and sum r_p^2, and the canopy
+transmissivity on the 64 tau points. They are built once per (clay,
+incidence, h, dielectric, frequency) as read-only arrays in a bounded
+LRU cache. At fixed tau, radiative.tau_omega_tb, the one forward formula
+that the optimizer evaluates too, is affine in the emissivity,
+tb(e) = tb(0) + e (tb(1) - tb(0)), so the grid seed evaluates it at
+e = 0 and e = 1 per tau column and scores every cell from those two
+values. That is exact algebra: a cost moves only in its last bits, and
+the seed it picks is the one the per-cell formula picks.
 
 Six named presets cover the operational algorithm configurations (SCAV,
 SCAH, RDCA, DCA0, DCA1, DCA2); they ship as key-value files under
@@ -49,6 +55,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,6 +156,10 @@ class AlgorithmConfig:
             raise ConfigError(f"omega must be in [0, 1), got {self.omega}")
         if not 0.0 <= self.lam < math.inf:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        span = self.lam * TAU_BOUNDS[1]    # the largest |lam (tau - tau_sca)| on the box
+        if span * span == math.inf:
+            raise ConfigError(f"lambda must keep (lambda * {TAU_BOUNDS[1]})^2 finite, "
+                              f"got {self.lam}")
         if self.kind == AlgorithmKind.DCA0:
             if self.dielectric != DielectricModel.TOPP:
                 raise ConfigError("DCA0 pairs with the Topp dielectric")
@@ -222,33 +233,59 @@ def _read_only(arrays):
     return arrays
 
 
-_SM_GRID, _TAU_GRID = _read_only((np.linspace(*SM_BOUNDS, SEED_GRID_N),
-                                  np.linspace(*TAU_BOUNDS, SEED_GRID_N)))
+_SM_GRID, _TAU_GRID, _E_ENDS = _read_only((np.linspace(*SM_BOUNDS, SEED_GRID_N),
+                                           np.linspace(*TAU_BOUNDS, SEED_GRID_N),
+                                           np.array([[0.0], [1.0]])))
+
+
+class _SeedTables(NamedTuple):
+    """What the seeds read of one site and preset, on the seed grid."""
+    e_hv: np.ndarray     # rough-soil (e_h, e_v) on the sm axis, shape (2, 64, 1)
+    gamma: np.ndarray    # canopy transmissivity on the tau axis
+    r_h: np.ndarray      # reflectivities r_p = 1 - e_p on the sm axis
+    r_v: np.ndarray
+    r_sq: np.ndarray     # r_h^2 + r_v^2
 
 
 @functools.lru_cache(maxsize=64)
-def _grid_emissivities(clay_fraction, incidence_deg, h, dielectric, frequency_ghz):
-    """Read-only rough-soil (e_h, e_v) on the seed grid's sm axis."""
-    return _read_only(soil_emissivity_pair(_SM_GRID, clay_fraction, incidence_deg, h,
-                                           dielectric, frequency_ghz))
+def _seed_tables(clay_fraction, incidence_deg, h, dielectric, frequency_ghz):
+    """Read-only _SeedTables of one site and preset."""
+    e_h, e_v = soil_emissivity_pair(_SM_GRID, clay_fraction, incidence_deg, h, dielectric,
+                                    frequency_ghz)
+    r_h, r_v = 1.0 - e_h, 1.0 - e_v
+    return _SeedTables(*_read_only((np.stack((e_h, e_v))[:, :, None],
+                                    canopy_transmissivity(_TAU_GRID, incidence_deg),
+                                    r_h, r_v, r_h * r_h + r_v * r_v)))
 
 
 def _seed_costs(tb_obs, algo, surface, t_e, tau_sca, frequency_ghz):
     """Cost over the seed grid, with the grid's tau axis: the 64 x 64
-    (sm, tau) rectangle for the dual-channel kinds, the 64 sm points at
-    tau_sca for the single-channel kinds. A channel of weight 0.0 is not
-    simulated but scored at its observed value, a 0.0 term either way.
-    retrieve seeds the dual-channel kinds with omega = 0 and lam = 0 from
-    _profiled_seed instead."""
+    (sm, tau) rectangle for the dual-channel kinds, scored per tau column
+    from tau_omega_tb at e = 0 and e = 1 as
+    sum_p (e_p s + tb(0) - obs_p)^2 + (lam (tau - tau_sca))^2 with
+    s = tb(1) - tb(0); the 64 sm points at tau_sca for the single-channel
+    kinds, whose channel of weight 0.0 is not simulated but scored at its
+    observed value, a 0.0 term either way. retrieve seeds the dual-channel
+    kinds with omega = 0 and lam = 0 from _profiled_seed instead."""
+    tables = _seed_tables(surface.clay_fraction, surface.incidence_deg, algo.h, algo.dielectric,
+                          frequency_ghz)
     weights = residual_weights(algo)
-    ts = _TAU_GRID if algo.kind in DUAL_KINDS else np.array([tau_sca])
+    if algo.kind in DUAL_KINDS:
+        tb0, tb1 = tau_omega_tb(_E_ENDS, tables.gamma, algo.omega, t_e)
+        block = tables.e_hv * (tb1 - tb0)
+        block += tb0 - np.array([[[tb_obs.tb_h]], [[tb_obs.tb_v]]])
+        block *= block
+        costs = block[0] + block[1]
+        lam = weights[2]
+        if lam:
+            r_tau = lam * (_TAU_GRID - tau_sca)
+            costs += r_tau * r_tau
+        return costs, _TAU_GRID
+    ts = np.array([tau_sca])
     gamma = canopy_transmissivity(ts, surface.incidence_deg)[None, :]
-    e_hv = _grid_emissivities(surface.clay_fraction, surface.incidence_deg, algo.h,
-                              algo.dielectric, frequency_ghz)
-    tb_h, tb_v = (tau_omega_tb(e[:, None], gamma, algo.omega, t_e) if w else obs
-                  for e, w, obs in zip(e_hv, weights, (tb_obs.tb_h, tb_obs.tb_v)))
-    res = residual(tb_h, tb_v, ts[None, :], tb_obs, weights, tau_sca)
-    return squared_norm(res), ts
+    tb_h, tb_v = (tau_omega_tb(e, gamma, algo.omega, t_e) if w else obs
+                  for e, w, obs in zip(tables.e_hv, weights, (tb_obs.tb_h, tb_obs.tb_v)))
+    return squared_norm(residual(tb_h, tb_v, ts[None, :], tb_obs, weights, tau_sca)), ts
 
 
 def _profiled_seed(tb_obs, algo, surface, t_e, frequency_ghz):
@@ -263,15 +300,15 @@ def _profiled_seed(tb_obs, algo, surface, t_e, frequency_ghz):
     and tau* = -(cos theta / 2) ln u*, clipped to TAU_BOUNDS (variable
     projection: Golub & Pereyra 1973)."""
     cos_theta = math.cos(math.radians(surface.incidence_deg))
-    e_h, e_v = _grid_emissivities(surface.clay_fraction, surface.incidence_deg, algo.h,
-                                  algo.dielectric, frequency_ghz)
-    r_h, r_v = 1.0 - e_h, 1.0 - e_v
+    tables = _seed_tables(surface.clay_fraction, surface.incidence_deg, algo.h, algo.dielectric,
+                          frequency_ghz)
+    r_h, r_v = tables.r_h, tables.r_v
     # t_e u*, before and after clipping to the box. Where both reflectivities
     # are 0 (e_p rounds to 1 at a large h) it is 0/0 = NaN, and so is the
     # cost: argmin returns the first NaN (the first grid point when e_p = 1
     # throughout) and the NaN u takes the tau = TAU_BOUNDS[1] branch below.
     with np.errstate(invalid="ignore"):
-        t_e_u = (r_h * (t_e - tb_obs.tb_h) + r_v * (t_e - tb_obs.tb_v)) / (r_h * r_h + r_v * r_v)
+        t_e_u = (r_h * (t_e - tb_obs.tb_h) + r_v * (t_e - tb_obs.tb_v)) / tables.r_sq
     t_e_u_box = np.minimum(np.maximum(t_e_u, t_e * math.exp(-2.0 * TAU_BOUNDS[1] / cos_theta)),
                            t_e)
     res = residual(t_e - t_e_u_box * r_h, t_e - t_e_u_box * r_v, None, tb_obs,

@@ -1,6 +1,7 @@
 """Batch pipeline over the forward-generated synthetic campaign."""
 
 import csv
+import dataclasses
 import errno
 import hashlib
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from lbandsm import kvconfig, pipeline, preprocess, retrieval, synth
 from lbandsm.config import load_campaign
-from lbandsm.errors import DataError, DomainError
+from lbandsm.errors import ConfigError, DataError, DomainError, read_text
 from lbandsm.radiative import TbPair
 
 
@@ -456,6 +457,62 @@ def test_non_utf8_byte_is_data_error(tmp_path, target):
     assert {s.session_id for s in report.sessions} == want
 
 
+BOM = b"\xef\xbb\xbf"    # the UTF-8 byte-order mark
+
+
+@pytest.mark.parametrize("target", ["session", "record_session", "reference", "reflectance",
+                                    "campaign", "preset"])
+def test_byte_order_mark_reads_as_the_plain_file(tmp_path, target):
+    """Spreadsheet exports start a file with a byte-order mark, which once
+    became part of the first header field or key. A copy with one reads
+    as the plain file: the same report and artifacts."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=11, n_days=2, n_samples=30)
+    session = root / "sessions" / "grass_2023-11-12.csv"
+    if target == "record_session":     # a quoted value leaves the bulk parse
+        lines = session.read_text().split("\n")
+        stamp, tb_h, tb_v = lines[1].split(",")
+        lines[1] = f'{stamp},"{tb_h}",{tb_v}'
+        session.write_text("\n".join(lines))
+        body = read_text(session).split("\n", 1)[1]
+        assert preprocess._bulk_columns(body, True) is None
+    if target == "preset":     # a user preset whose first line is a key
+        text = kvconfig.read_package_text("presets/RDCA.cfg")
+        (root / "RDCA.cfg").write_text("".join(
+            line for line in text.splitlines(True) if not line.startswith("#")))
+        _rewrite(root / "campaign.cfg", lambda lines: [
+            "presets = SCAV, RDCA.cfg" if line.startswith("presets") else line
+            for line in lines])
+    path = {"session": session, "record_session": session,
+            "reference": root / "ref_grass.csv", "reflectance": root / "reflectance_grass.csv",
+            "campaign": root / "campaign.cfg", "preset": root / "RDCA.cfg"}[target]
+    plain = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                  output_dir=tmp_path / "plain")
+    path.write_bytes(BOM + path.read_bytes())
+    marked = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "bom")
+    assert not plain.data_errors and not plain.warnings
+    assert dataclasses.replace(marked, output_dir=plain.output_dir) == plain
+    for out in (tmp_path / "plain").iterdir():
+        assert (tmp_path / "bom" / out.name).read_bytes() == out.read_bytes(), out.name
+
+
+@pytest.mark.parametrize("target", ["session", "reference"])
+def test_byte_order_mark_keeps_the_line_of_a_bad_byte(tmp_path, target):
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=11, n_days=2, n_samples=30)
+    path = {"session": root / "sessions" / "grass_2023-11-12.csv",
+            "reference": root / "ref_grass.csv"}[target]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b",", b",\xe9", 1)
+    path.write_bytes(BOM + b"\n".join(lines))
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "out")
+    assert len(report.data_errors) == 1
+    assert report.data_errors[0].startswith(
+        f"{path}:3: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_sessions_csv_reports_the_inverted_statistic(tmp_path):
     """With statistic = p75, sessions.csv reports as tb_h_rep/tb_v_rep the
     p75 pair that every preset inverts, not the median."""
@@ -602,18 +659,18 @@ def test_clean_rerun_removes_stale_run_warnings(tmp_path):
 
 
 def test_seed_tables_built_once_per_site_and_preset(campaign_config, tmp_path):
-    """The pipeline builds the seed emissivities once per distinct site
+    """The pipeline builds the seed tables once per distinct site
     surface and preset parameters, not once per retrieval; DCA1 and DCA2
     share theirs."""
     grid_keys = {(site.surface.clay_fraction, site.surface.incidence_deg, algo.h,
                   algo.dielectric)
                  for site in campaign_config.sites for algo in site.presets}
-    retrieval._grid_emissivities.cache_clear()
+    retrieval._seed_tables.cache_clear()
     report = pipeline.run_pipeline(campaign_config, output_dir=tmp_path)
 
     dual = [r for r in report.retrievals if r.result is not None and r.result.tau is not None]
     assert len(dual) == 40
-    assert retrieval._grid_emissivities.cache_info().misses == len(grid_keys) == 8
+    assert retrieval._seed_tables.cache_info().misses == len(grid_keys) == 8
 
 
 def _read_rows(path):
@@ -761,6 +818,82 @@ def test_huge_finite_tau_sca_is_a_retrieval_error_of_the_kinds_that_use_it(tmp_p
         else:
             assert r == before[r.site, r.session_id, r.preset]
     assert grass == 6 and len(report.retrievals) == len(clean.retrievals) == 24
+
+
+# Numeric extremes: every value below in every target below, one at a time
+EXTREME_VALUES = ("1e308", "-1e308", "1e154", "1e20", "1e-300", "5e-324", "-0.0",
+                  "0.999999999", "89.999")
+EXTREME_TARGETS = (
+    *(("campaign.cfg", key) for key in (
+        "frequency_ghz", "skip_leading", "align_window_s", "calibration.gain_h",
+        "calibration.offset_h", "site.grass.clay_fraction", "site.grass.incidence_deg",
+        "site.grass.h", "site.bare.clay_fraction")),
+    *(("tau.cfg", f"grassland.{key}") for key in ("b", "vwc_poly", "ndvi_floor")),
+    ("RDCA.cfg", "h"), ("RDCA.cfg", "omega.grassland"), ("RDCA.cfg", "lambda"),
+    ("DCA2.cfg", "h"), ("DCA2.cfg", "omega"),
+    ("SCAV.cfg", "h.grassland"), ("SCAV.cfg", "omega.grassland"),
+    # (row, column) of one value field
+    ("reflectance_grass.csv", (1, 2)), ("ref_grass.csv", (2, 6)),
+    ("sessions/grass_2023-11-12.csv", (3, 2)),
+)
+
+
+def _set_key(path, key, value):
+    """`key = value` in a key-value file, in place of the key's line if it
+    has one."""
+    lines = [line for line in path.read_text().splitlines()
+             if line.partition("=")[0].strip() != key]
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+
+
+def _extreme_trial(root):
+    """"config" for a ConfigError at load, else "run" after a run under
+    warnings-as-errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = load_campaign(root / "campaign.cfg")
+        except ConfigError:
+            return "config"
+        pipeline.run_pipeline(config, output_dir=root / "out")
+    return "run"
+
+
+def test_numeric_extremes_load_as_config_errors_or_run_clean(tmp_path):
+    """A finite but extreme number in any input ends as a ConfigError at
+    load or as a run that raises no warning and prints no inf or nan: one
+    huge tau_sca, calibration gain or RDCA lambda once overflowed."""
+    base = tmp_path / "base"
+    synth.generate_campaign(base, seed=7, n_days=3, n_samples=30)
+    (base / "tau.cfg").write_text(kvconfig.read_package_text("data/tau_defaults.cfg"))
+    for name in ("RDCA", "DCA2", "SCAV"):
+        (base / f"{name}.cfg").write_text(kvconfig.read_package_text(f"presets/{name}.cfg"))
+    _set_key(base / "campaign.cfg", "presets", "SCAV.cfg, SCAH, RDCA.cfg, DCA0, DCA1, DCA2.cfg")
+    _set_key(base / "campaign.cfg", "tau_coefficients", "tau.cfg")
+    outcomes = {"config": 0, "run": 0}
+    for name, key in EXTREME_TARGETS:
+        for value in EXTREME_VALUES:
+            root = tmp_path / "trial"
+            shutil.rmtree(root, ignore_errors=True)
+            shutil.copytree(base, root)
+            if isinstance(key, str):
+                _set_key(root / name, key, value)
+            else:
+                lines = (root / name).read_text().splitlines()
+                _set_field(lines, *key, value)
+                (root / name).write_text("\n".join(lines) + "\n")
+            trial = (name, key, value)
+            try:
+                outcome = _extreme_trial(root)
+            except Exception as exc:    # a warning raised as an error, or any fault
+                pytest.fail(f"{trial}: {exc!r}")
+            outcomes[outcome] += 1
+            if outcome == "config":
+                continue
+            for report_file in REPORT_FILES:
+                for row in csv.reader((root / "out" / report_file).read_text().splitlines()):
+                    assert not {"inf", "-inf", "nan"} & set(row), (trial, report_file, row)
+    assert outcomes["config"] and outcomes["run"], outcomes
 
 
 # ----------------------------------------------------------------------

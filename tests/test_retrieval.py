@@ -143,9 +143,17 @@ def _fresh_seed_costs(obs, algo, surface, t_e, tau_sca, ts=None):
     return r_h * r_h + r_v * r_v + r_tau * r_tau
 
 
+def _assert_same_seed(got, want, context):
+    """The per-column rectangle of the dual-channel kinds rounds
+    differently from the per-cell formula, but picks the same seed."""
+    assert got.argmin() == want.argmin(), context
+    assert np.abs(got - want).max() <= 1e-12 * want.max(), context
+
+
 @pytest.mark.parametrize("cover,surface", [("bare_soil", BARE), ("grassland", GRASS)])
 @pytest.mark.parametrize("name", rt.PRESET_NAMES)
 def test_cached_seed_grid_equals_fresh_grid(name, cover, surface):
+    # bit-equal for the single-channel kinds, which score point by point
     algo = preset(name, cover)
     n_tau = rt.SEED_GRID_N if algo.kind in rt.DUAL_KINDS else 1
     rng = np.random.default_rng(2024)
@@ -155,15 +163,41 @@ def test_cached_seed_grid_equals_fresh_grid(name, cover, surface):
         tau_sca = rng.uniform(0.0, 1.5)
         got, _ = rt._seed_costs(obs, algo, surface, t_e, tau_sca, ra.L_BAND_GHZ)
         assert got.shape == (rt.SEED_GRID_N, n_tau)
-        assert np.array_equal(got, _fresh_seed_costs(obs, algo, surface, t_e, tau_sca)), \
-            (name, cover, t_e, obs, tau_sca)
+        want = _fresh_seed_costs(obs, algo, surface, t_e, tau_sca)
+        context = (name, cover, t_e, obs, tau_sca)
+        if algo.kind in rt.DUAL_KINDS:
+            _assert_same_seed(got, want, context)
+        else:
+            assert np.array_equal(got, want), context
 
     site = (surface.clay_fraction, surface.incidence_deg, algo.h, algo.dielectric,
             ra.L_BAND_GHZ)
-    for array in (rt._SM_GRID, rt._TAU_GRID, *rt._grid_emissivities(*site)):
+    for array in (rt._SM_GRID, rt._TAU_GRID, rt._E_ENDS, *rt._seed_tables(*site)):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+def test_grid_seed_matches_fresh_grid_on_random_sites():
+    # RDCA on both covers and DCA2 with an albedo, over random soils,
+    # incidences, temperatures and opacity targets; every other problem
+    # is noiseless at a grid point, where the minimum is nearest a tie
+    rng = np.random.default_rng(29)
+    algos = [preset("RDCA", "bare_soil"), preset("RDCA", "grassland"),
+             dataclasses.replace(preset("DCA2", "grassland"), omega=0.05)]
+    for k in range(5001):
+        algo = algos[k % 3]
+        surface = rt.SurfaceConfig(rng.uniform(0.0, 1.0), "grassland",
+                                   rng.uniform(0.0, 70.0), 0.15)
+        t_e, tau_sca = rng.uniform(260.0, 320.0), rng.uniform(0.0, 3.0)
+        if k % 2:
+            obs = synth_obs(rt._SM_GRID[rng.integers(64)], rt._TAU_GRID[rng.integers(64)],
+                            algo, surface, t_e)
+        else:
+            obs = TbPair(rng.uniform(100.0, 310.0), rng.uniform(120.0, 320.0))
+        got, _ = rt._seed_costs(obs, algo, surface, t_e, tau_sca, ra.L_BAND_GHZ)
+        _assert_same_seed(got, _fresh_seed_costs(obs, algo, surface, t_e, tau_sca),
+                          (algo.name, surface, obs, t_e, tau_sca))
 
 
 PROFILED = ("DCA0", "DCA1", "DCA2")
@@ -207,7 +241,7 @@ def test_profiled_seed_opacity_lands_on_the_box(name):
 
 
 def test_results_independent_of_order_and_cache_state():
-    # retrievals share the cached emissivities, so neither the order of
+    # retrievals share the cached seed tables, so neither the order of
     # the calls nor what the cache holds may change a result; the third
     # site has the bare site's soil under grass
     rng = np.random.default_rng(606)
@@ -222,9 +256,9 @@ def test_results_independent_of_order_and_cache_state():
         return [repr(rt.retrieve(obs, algo, surface, t_e, tau_sca=tau_sca))
                 for obs, algo, surface, t_e, tau_sca in order]
 
-    rt._grid_emissivities.cache_clear()
+    rt._seed_tables.cache_clear()
     in_order = solve(problems)
-    rt._grid_emissivities.cache_clear()
+    rt._seed_tables.cache_clear()
     backwards = solve(problems[::-1])[::-1]
     assert backwards == in_order
     assert solve(problems) == in_order   # on the cache the reversed run built
@@ -417,6 +451,31 @@ def test_large_roughness_ends_on_a_boundary_result(name, omega):
     assert math.isfinite(result.cost)
 
 
+# SHA-256 of the full-precision results of the tied-row problems below,
+# frozen while the grid seed still scored each cell through tau_omega_tb
+TIED_ROWS_DIGEST = "abaa589bc6aca4b1ad550bc1585a3c32360ad10e62341258b2565c57d60168c7"
+
+
+def test_tied_grid_rows_keep_their_results():
+    """At h >= 20 e_p rounds to 1, so every row of the seed grid is equal
+    and the seed breaks the tie to the first row; RDCA then spends all
+    LM_MAX_STEPS at omega = 0.05. The results stay those of the per-cell
+    grid."""
+    def tied():
+        for name in ("RDCA", "DCA2"):
+            for cover, surface in (("bare_soil", BARE), ("grassland", GRASS)):
+                for h in (20.0, 40.0, 1000.0):
+                    for omega in (0.0, 0.05):
+                        algo = dataclasses.replace(preset(name, cover), h=h, omega=omega)
+                        for obs in (TbPair(230.0, 260.0), TbPair(150.0, 200.0),
+                                    TbPair(289.0, 289.5)):
+                            yield rt.retrieve(obs, algo, surface, 290.0, tau_sca=0.2)
+
+    text = "\n".join(repr((r.sm, r.tau, r.cost, r.converged, r.boundary_hit, r.evaluations))
+                     for r in tied())
+    assert hashlib.sha256(text.encode()).hexdigest() == TIED_ROWS_DIGEST
+
+
 @pytest.mark.parametrize("name", ["SCAV", "RDCA", "DCA1"])
 @pytest.mark.parametrize("tau_sca", [float("nan"), float("inf"), -1.0, -1e-12])
 def test_retrieve_rejects_a_tau_sca_that_is_no_opacity(name, tau_sca):
@@ -438,6 +497,19 @@ def test_retrieve_bounds_the_tau_sca_of_the_kinds_that_use_it(name):
     with pytest.raises(DomainError,
                        match=rf"^{name} needs tau_sca <= 3\.0, got {re.escape(str(above))}$"):
         rt.retrieve(tb, algo, GRASS, 290.0, tau_sca=above)
+
+
+@pytest.mark.parametrize("tau_sca", [0.0, 0.2, 3.0])
+def test_largest_lambda_scores_the_grid_without_overflow(tau_sca):
+    """Below the bound that AlgorithmConfig puts on lambda, the opacity
+    term's square is finite over the whole tau box; 1e154 once overflowed
+    the seed grid."""
+    algo = dataclasses.replace(preset("RDCA", "grassland"), lam=4.4e153)
+    costs, _ = rt._seed_costs(TbPair(230.0, 260.0), algo, GRASS, 290.0, tau_sca,
+                              ra.L_BAND_GHZ)
+    assert np.isfinite(costs).all()
+    assert math.isfinite(rt.retrieve(TbPair(230.0, 260.0), algo, GRASS, 290.0,
+                                     tau_sca=tau_sca).cost)
 
 
 def test_dca_kinds_ignore_tau_sca_above_the_opacity_box():
@@ -551,6 +623,8 @@ def test_user_preset_per_cover_values(tmp_path):
     ("lambda", "nan", "lambda must be finite and >= 0, got nan"),
     ("lambda", "-1", "lambda must be finite and >= 0, got -1.0"),
     ("lambda", "inf", "lambda must be finite and >= 0, got inf"),
+    ("lambda", "1e154", "lambda must keep (lambda * 3.0)^2 finite, got 1e+154"),
+    ("lambda", "4.5e153", "lambda must keep (lambda * 3.0)^2 finite, got 4.5e+153"),
 ])
 def test_preset_value_out_of_range_names_file_and_cover(tmp_path, key, value, message):
     """The h, omega and lambda that every retrieval inverts with are
