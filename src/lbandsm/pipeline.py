@@ -24,6 +24,13 @@ are byte-identical:
     run_warnings.txt    data errors, then warnings (PipelineReport.problems),
                         as `lbandsm run` prints them; removed when none
 
+A site's session files are read by load_session in chunks of at most
+CHUNK_BYTES: the canonical bodies of a chunk are parsed as one (one
+np.loadtxt and one stamp decode), and each file is parsed alone when
+that joint parse fails, so every file gets the Session or DataError it
+gets alone. One chunk's sessions are screened and reduced before the
+next chunk is read.
+
 Every file is written to <name>.tmp before any is renamed into place, so
 a failed write is a DataError that leaves the previous artifacts whole.
 """
@@ -51,6 +58,11 @@ from .retrieval import CONSTANT_T_E, retrieve
 from .validation import metrics, nearest_reference, load_reference_csv
 
 logger = logging.getLogger(__name__)
+
+# Byte limit of a chunk of session files (about 2,500 records): past about
+# 1,200 records one parse costs no less per record, and a chunk holds no
+# more than one long session does.
+CHUNK_BYTES = 128 * 1024
 
 # fields of a RetrievalResult and of a MetricsReport, as both the report
 # CSVs and the CLI's retrieve/metrics rows print them
@@ -120,11 +132,44 @@ def _session_date(t_mid):
     return dt.datetime.fromtimestamp(t_mid, tz=dt.timezone.utc).date()
 
 
-def _process_session(cfg, site, session_path, references, ndvi_series):
+def _chunks(paths):
+    """`paths` in order, cut into runs whose files sum to at most
+    CHUNK_BYTES; a larger file is a run of its own."""
+    chunk, size = [], 0
+    for path in paths:
+        try:
+            n = os.stat(path).st_size
+        except OSError:
+            n = 0       # load_session names the fault
+        if chunk and size + n > CHUNK_BYTES:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(path)
+        size += n
+    if chunk:
+        yield chunk
+
+
+def _process_chunk(cfg, site, paths, references, ndvi_series, data_errors):
+    """SessionRows of the session files `paths`, read by one load_session
+    call; the DataError of a file, or of a session whose values leave a
+    model's domain, goes to data_errors in file order."""
+    rows = []
+    for path, session in zip(paths, load_session(paths, calibration=cfg.calibration,
+                                                 skip_leading=cfg.skip_leading)):
+        if isinstance(session, DataError):
+            data_errors.append(str(session))
+            continue
+        try:
+            rows.append(_process_session(cfg, site, path, session, references, ndvi_series))
+        except DomainError as exc:
+            data_errors.append(str(DataError(exc, path=path)))
+    return rows
+
+
+def _process_session(cfg, site, session_path, session, references, ndvi_series):
     session_id = Path(session_path).stem
     row = SessionRow(site=site.name, session_id=session_id, t_mid=None, path=session_path)
-    session = load_session(session_path, calibration=cfg.calibration,
-                           skip_leading=cfg.skip_leading)
     if not len(session):
         row.error = "empty session"
         return row
@@ -213,17 +258,10 @@ def run_pipeline(cfg, output_dir=None):
             continue
 
         site_rows = []
-        for session_path in sorted(site.session_paths):
-            try:
-                row = _process_session(cfg, site, session_path, references, ndvi_series)
-            except (DataError, DomainError) as exc:
-                if isinstance(exc, DomainError):
-                    exc = DataError(exc, path=session_path)
-                data_errors.append(str(exc))
-                continue
-            if row.error:
-                warnings.append(f"site {site.name} session {row.session_id}: {row.error}")
-            site_rows.append(row)
+        for chunk in _chunks(sorted(site.session_paths)):
+            site_rows += _process_chunk(cfg, site, chunk, references, ndvi_series, data_errors)
+        warnings += (f"site {site.name} session {row.session_id}: {row.error}"
+                     for row in site_rows if row.error)
         site_rows.sort(key=lambda r: (r.t_mid or 0.0, r.session_id, r.path))
         sessions += site_rows
         ready = [row for row in site_rows if not row.error]

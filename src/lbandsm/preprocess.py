@@ -6,9 +6,10 @@ brightness temperatures or raw detector voltages plus a linear
 calibration), loaded as a `Session` of numpy columns. A body of
 canonical UTC stamps and plain numbers, the form this package writes,
 has its newline-split lines tokenized in C by np.loadtxt and its
-stamps parsed a minute at a time; any other body is read record by
-record (errors.csv_records) and parsed field by field, which gives the
-same columns or names the first bad line. Records are kept only when
+stamps parsed a minute at a time, the bodies of several short files
+together (load_session); any other body is read record by record
+(errors.csv_records) and parsed field by field, which gives the same
+columns or names the first bad line. Records are kept only when
 all three quality predicates hold:
 
   * tb_h and tb_v at or below the 320 K ceiling,
@@ -328,28 +329,71 @@ def _canonical_epochs(stamps):
     return ((start + pair[:, 1]) * 1_000_000 + np.where(fraction, micro, 0)) / 1e6
 
 
+def _bulk_ready(body):
+    """Whether np.loadtxt may read `body`: it warns on an empty body, reads
+    only ASCII digits where float() reads any, drops the NULs that end a
+    bytes field and, unlike float(), strips the separators \\x1c-\\x1f
+    around a value."""
+    return (bool(body) and not body.isspace() and body.isascii()
+            and not any(c in body for c in _UNEVEN))
+
+
+def _bulk_records(lines):
+    """np.loadtxt's _BODY_DTYPE records of session lines, None when a line
+    is not stamp,value,value. It reads \\n-split lines faster than a
+    StringIO of the body; splitlines() would also split at \\x0b and \\x0c,
+    where csv.reader does not."""
+    try:
+        return np.loadtxt(lines, dtype=_BODY_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _bulk_decode(records):
+    """(timestamp, a, b) of _bulk_records' records, None when a stamp is
+    not canonical."""
+    timestamp = _canonical_epochs(np.ascontiguousarray(records["stamp"]))
+    if timestamp is None:
+        return None
+    return timestamp, np.ascontiguousarray(records["a"]), np.ascontiguousarray(records["b"])
+
+
+def _increasing(timestamp):
+    return not (timestamp[1:] <= timestamp[:-1]).any()
+
+
 def _bulk_columns(body, increasing):
     """(timestamp, a, b) of a session body whose lines are all canonical
     stamp,value,value, parsed in bulk; None when any line is not, or,
     with `increasing`, when time does not strictly increase."""
-    # loadtxt warns on an empty body, reads only ASCII digits where float()
-    # reads any, drops the NULs that end a bytes field and, unlike float(),
-    # strips the separators \x1c-\x1f around a value. It reads the body's
-    # \n-split lines, faster than a StringIO of it; splitlines() would also
-    # split at \x0b and \x0c, where csv.reader does not
-    if not body or body.isspace() or not body.isascii() or any(c in body for c in _UNEVEN):
+    if not _bulk_ready(body):
         return None
-    try:
-        records = np.loadtxt(body.split("\n"), dtype=_BODY_DTYPE, delimiter=",",
-                             comments=None, ndmin=1)
-    except ValueError:
+    records = _bulk_records(body.split("\n"))
+    columns = None if records is None else _bulk_decode(records)
+    if columns is None or increasing and not _increasing(columns[0]):
         return None
-    timestamp = _canonical_epochs(np.ascontiguousarray(records["stamp"]))
-    if timestamp is None:
+    return columns
+
+
+def _joint_columns(bodies):
+    """(timestamp, a, b, counts) of session bodies that _bulk_ready takes,
+    parsed as one by one np.loadtxt and one stamp decode, with the number
+    of records of each body in `counts`; None when any line is not a
+    canonical stamp,value,value."""
+    lines, counts = [], []
+    for body in bodies:
+        part = body.split("\n")
+        # loadtxt skips exactly the lines "" and "\r" and raises on any other
+        # line that is not one record
+        counts.append(len(part) - part.count("") - part.count("\r"))
+        lines += part
+    del part
+    records = _bulk_records(lines)
+    del lines
+    if records is None or len(records) != sum(counts):
         return None
-    if increasing and (timestamp[1:] <= timestamp[:-1]).any():
-        return None
-    return timestamp, np.ascontiguousarray(records["a"]), np.ascontiguousarray(records["b"])
+    columns = _bulk_decode(records)
+    return None if columns is None else (*columns, counts)
 
 
 def _session(timestamp, a, b, calibration):
@@ -400,29 +444,73 @@ def session_from_text(body, calibration=None, increasing=False, path=None):
     return _session(*columns, calibration)
 
 
-def load_session(path, calibration=None, skip_leading=0):
-    """Read one session CSV into a Session.
+def _session_body(path, calibration):
+    """(body, calibration) of a session file, the calibration None for a
+    TB file, or the DataError of a file that cannot be read or whose
+    header is not a session's."""
+    try:
+        header, body = split_header(read_text(path), path)
+    except DataError as exc:
+        return exc
+    if header is None:
+        return DataError("empty session file", path=path)
+    if header == TB_HEADER:
+        return body, None
+    if header != VOLTAGE_HEADER:
+        return DataError(f"unrecognized session header {','.join(header)!r}", path=path, line=1)
+    if calibration is None:
+        return DataError("voltage session requires calibration parameters", path=path, line=1)
+    return body, calibration
+
+
+def _parsed_alone(path, file):
+    """The Session of one _session_body result parsed by session_from_text,
+    or its DataError."""
+    if isinstance(file, DataError):
+        return file
+    try:
+        return session_from_text(*file, increasing=True, path=path)
+    except DataError as exc:
+        return exc
+
+
+def load_session(paths, calibration=None, skip_leading=0):
+    """Read session CSVs: for each of `paths` in order, its Session or the
+    DataError that names the file's fault.
 
     Accepts either brightness-temperature files (timestamp,tb_h,tb_v) or
     raw-voltage files (timestamp,v_h,v_v); the latter require calibration
     parameters. `skip_leading` drops warm-up samples from the front.
     Timestamps must be strictly increasing.
+
+    Two or more bodies that the bulk path may take are parsed as one, by
+    one np.loadtxt and one stamp decode, and cut per file; a file whose
+    time does not strictly increase, and every file when the joint parse
+    fails, is then parsed alone by session_from_text. So each file gets
+    the Session or the DataError that it gets alone.
     """
-    header, body = split_header(read_text(path), path)
-    if header is None:
-        raise DataError("empty session file", path=path)
-    if header == TB_HEADER:
-        calibration = None
-    elif header != VOLTAGE_HEADER:
-        raise DataError(f"unrecognized session header {','.join(header)!r}",
-                        path=path, line=1)
-    elif calibration is None:
-        raise DataError("voltage session requires calibration parameters",
-                        path=path, line=1)
-    session = session_from_text(body, calibration, increasing=True, path=path)
-    if skip_leading:
-        session = session.select(slice(skip_leading, None))
-    return session
+    files = [_session_body(path, calibration) for path in paths]
+    sessions = [None] * len(files)
+    # a lone file goes straight to session_from_text, checked once there
+    bulk = [k for k, file in enumerate(files) if len(files) > 1
+            and not isinstance(file, DataError) and _bulk_ready(file[0])]
+    joint = _joint_columns([files[k][0] for k in bulk]) if len(bulk) > 1 else None
+    if joint is not None:
+        timestamp, a, b, counts = joint
+        start = 0
+        for k, n in zip(bulk, counts):
+            cut = slice(start, start + n)
+            start += n
+            if _increasing(timestamp[cut]):
+                sessions[k] = _session(timestamp[cut], a[cut], b[cut], files[k][1])
+    out = []
+    for path, file, session in zip(paths, files, sessions):
+        if session is None:
+            session = _parsed_alone(path, file)
+        if skip_leading and isinstance(session, Session):
+            session = session.select(slice(skip_leading, None))
+        out.append(session)
+    return out
 
 
 def write_session(fh, session, flags=None):

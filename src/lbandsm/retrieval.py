@@ -348,8 +348,9 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
         accepted steps in a row below SM_TOL/100 and TAU_TOL/100, when
         no damped step lowers the cost any more, or on a corner of the
         box that the gradient points out of; it is False when
-        LM_MAX_STEPS Jacobians did not get there. The best point found
-        is reported either way.
+        LM_MAX_STEPS Jacobians did not get there, or when a step is not
+        finite (a λ near its bound overflows the normal equations). The
+        best point found is reported either way.
     """
     if not tb_obs.is_finite():
         raise DomainError(f"observed brightness temperatures must be finite, got {tb_obs}")
@@ -436,6 +437,9 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
                 step_sm, step_tau = -grad_sm / d11, 0.0
             else:
                 step_sm, step_tau = 0.0, -grad_tau / d22
+            if not (math.isfinite(step_sm) and math.isfinite(step_tau)):
+                cost_t = None   # the normal equations overflowed: no trial point
+                break
             sm_t = min(max(sm + step_sm, sm_lo), sm_hi)
             tau_t = min(max(tau + step_tau, tau_lo), tau_hi) if free_tau else tau
             e_t, g_t, res_t, cost_t = state(sm_t, tau_t)
@@ -443,6 +447,8 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
             if cost_t < cost or mu > _LM_MU_MAX:
                 break
             mu *= _LM_MU_FACTOR
+        if cost_t is None:
+            break              # not converged
         if not cost_t < cost:
             converged = True   # no damping gives descent
             break

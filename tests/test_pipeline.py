@@ -10,11 +10,12 @@ import re
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from lbandsm import kvconfig, pipeline, preprocess, retrieval, synth
 from lbandsm.config import load_campaign
-from lbandsm.errors import ConfigError, DataError, DomainError, read_text
+from lbandsm.errors import ConfigError, DataError, DomainError, read_text, split_header
 from lbandsm.radiative import TbPair
 
 
@@ -573,6 +574,43 @@ def test_each_accepted_session_is_reduced_once(tmp_path, monkeypatch):
     assert sorted(reduced) == sorted(s.n_accepted for s in report.sessions)
     assert all(s.rep == TbPair(s.summary.stats_h.mean, s.summary.stats_v.mean)
                for s in report.sessions)
+
+
+def test_short_sessions_of_a_site_are_parsed_by_one_loadtxt(tmp_path, monkeypatch):
+    """A site's five 60-record files are one chunk: one np.loadtxt call and
+    one joint parse per site. A site whose one file is above CHUNK_BYTES
+    gets a call of its own, through the one-file _bulk_columns path."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=7, n_days=5, n_samples=60)
+    synth.generate_campaign(tmp_path / "long", seed=8, n_days=1,
+                            n_samples=pipeline.CHUNK_BYTES // 30, voltage_site=None)
+    (long_path,) = (tmp_path / "long" / "sessions").glob("bare_*.csv")
+    assert long_path.stat().st_size > pipeline.CHUNK_BYTES
+    with open(root / "campaign.cfg", "a") as fh:
+        fh.write("\nsite.long.land_cover = bare_soil\nsite.long.clay_fraction = 0.2\n"
+                 f"site.long.incidence_deg = 40.0\nsite.long.sessions = {long_path}\n")
+    calls = {"loadtxt": 0, "_joint_columns": [], "_bulk_columns": []}
+
+    def loadtxt(*args, _loadtxt=np.loadtxt, **kwargs):
+        calls["loadtxt"] += 1
+        return _loadtxt(*args, **kwargs)
+
+    def joint(bodies, _joint=preprocess._joint_columns):
+        calls["_joint_columns"].append(len(bodies))
+        return _joint(bodies)
+
+    def bulk(body, increasing, _bulk=preprocess._bulk_columns):
+        calls["_bulk_columns"].append((len(body), increasing))
+        return _bulk(body, increasing)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(preprocess, "_joint_columns", joint)
+    monkeypatch.setattr(preprocess, "_bulk_columns", bulk)
+    report = pipeline.run_pipeline(load_campaign(root / "campaign.cfg"),
+                                   output_dir=tmp_path / "out")
+    assert not report.data_errors and len(report.sessions) == 11
+    _, body = split_header(read_text(long_path))
+    assert calls == {"loadtxt": 3, "_joint_columns": [5, 5],
+                     "_bulk_columns": [(len(body), True)]}
 
 
 def test_report_csvs_quote_a_session_name_with_a_comma(tmp_path):

@@ -408,12 +408,20 @@ def _write(tmp_path, name, text):
     return path
 
 
+def load_one(path, **kwargs):
+    """load_session of one file: its Session, or its DataError raised."""
+    (session,) = pp.load_session([path], **kwargs)
+    if isinstance(session, DataError):
+        raise session
+    return session
+
+
 def test_load_session_tb(tmp_path):
     path = _write(tmp_path, "s.csv",
                   "timestamp,tb_h,tb_v\n"
                   "2023-11-11T14:00:00Z,250.1,260.2\n"
                   "2023-11-11T14:00:01Z,250.3,260.4\n")
-    session = pp.load_session(path)
+    session = load_one(path)
     assert len(session) == 2
     assert session.tb_h[0] == 250.1
     assert session.timestamp[1] - session.timestamp[0] == pytest.approx(1.0)
@@ -423,8 +431,8 @@ def test_load_session_voltage_requires_calibration(tmp_path):
     path = _write(tmp_path, "v.csv",
                   "timestamp,v_h,v_v\n2023-11-11T14:00:00Z,2.5,2.6\n")
     with pytest.raises(DataError, match="calibration"):
-        pp.load_session(path)
-    session = pp.load_session(path, calibration=pp.CalibrationParams(100.0, 100.0))
+        load_one(path)
+    session = load_one(path, calibration=pp.CalibrationParams(100.0, 100.0))
     assert session.tb_h[0] == pytest.approx(250.0)
     assert session.tb_v[0] == pytest.approx(260.0)
 
@@ -434,7 +442,7 @@ def test_load_session_huge_gain_calibrates_to_inf_without_warning(tmp_path):
                   "timestamp,v_h,v_v\n2023-11-11T14:00:00Z,2.5,2.6\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        session = pp.load_session(path, calibration=pp.CalibrationParams(gain_h=1e308))
+        session = load_one(path, calibration=pp.CalibrationParams(gain_h=1e308))
     assert session.tb_h.tolist() == [math.inf]
     assert session.tb_v.tolist() == [2.6]
 
@@ -442,7 +450,7 @@ def test_load_session_huge_gain_calibrates_to_inf_without_warning(tmp_path):
 def test_load_session_rejects_unknown_header(tmp_path):
     path = _write(tmp_path, "bad.csv", "time,a,b\n1,2,3\n")
     with pytest.raises(DataError, match="header"):
-        pp.load_session(path)
+        load_one(path)
 
 
 def test_load_session_requires_increasing_timestamps(tmp_path):
@@ -451,26 +459,26 @@ def test_load_session_requires_increasing_timestamps(tmp_path):
                   "2023-11-11T14:00:01Z,250,260\n"
                   "2023-11-11T14:00:00Z,251,261\n")
     with pytest.raises(DataError, match="bad.csv:3"):
-        pp.load_session(path)
+        load_one(path)
 
 
 def test_load_session_reports_bad_line(tmp_path):
     path = _write(tmp_path, "bad.csv",
                   "timestamp,tb_h,tb_v\n2023-11-11T14:00:00Z,oops,260\n")
     with pytest.raises(DataError, match="bad.csv:2"):
-        pp.load_session(path)
+        load_one(path)
 
 
 def test_load_session_empty_file(tmp_path):
     path = _write(tmp_path, "empty.csv", "")
     with pytest.raises(DataError, match="empty"):
-        pp.load_session(path)
+        load_one(path)
 
 
 def test_load_session_skip_leading(tmp_path):
     rows = "\n".join(f"2023-11-11T14:00:{i:02d}Z,25{i},26{i}" for i in range(5))
     path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + rows + "\n")
-    session = pp.load_session(path, skip_leading=2)
+    session = load_one(path, skip_leading=2)
     assert len(session) == 3
     assert session.tb_h[0] == 252.0
     assert session.timestamp[0] == pp.parse_utc_timestamp("2023-11-11T14:00:02Z")
@@ -550,12 +558,12 @@ def test_29_february_decodes_in_leap_years_only(tmp_path, year, leap):
     body = "".join(f"{s},250,260\n" for s in stamps)
     path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + body)
     if leap:
-        session = pp.load_session(path)
+        session = load_one(path)
         assert session.timestamp.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
         assert pp.format_utc_timestamps(session.timestamp) == stamps
     else:
         with pytest.raises(DataError) as exc:
-            pp.load_session(path)
+            load_one(path)
         assert (exc.value.path, exc.value.line) == (path, 3)
 
 
@@ -591,7 +599,7 @@ def test_non_canonical_stamps_take_per_row_result(tmp_path, form):
     rows = "".join(f"{s},{250 + k}.5,{260 + k}.25\n" for k, s in enumerate(stamps))
     path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + rows)
     assert pp._bulk_columns(rows, increasing=True) is None
-    session = pp.load_session(path)
+    session = load_one(path)
     assert session.timestamp.tolist() == [pp.parse_utc_timestamp(s) for s in stamps]
     assert session.tb_h.tolist() == [250.5 + k for k in range(6)]
 
@@ -607,7 +615,7 @@ def test_bad_stamp_named_like_per_row_parse(tmp_path, stamp):
     with pytest.raises(ValueError) as per_row:
         pp.parse_utc_timestamp(stamp)
     with pytest.raises(DataError) as exc:
-        pp.load_session(path)
+        load_one(path)
     assert str(exc.value) == f"{path}:4: {per_row.value}"
 
 
@@ -623,7 +631,9 @@ def test_bad_date_in_a_long_session_is_a_data_error(tmp_path):
             "from lbandsm.errors import DataError\n"
             "from lbandsm.preprocess import load_session\n"
             "try:\n"
-            "    load_session(sys.argv[1])\n"
+            "    (session,) = load_session([sys.argv[1]])\n"
+            "    if isinstance(session, DataError):\n"
+            "        raise session\n"
             "except DataError as exc:\n"
             "    print(exc)\n")
     src = str(Path(pp.__file__).resolve().parents[1])
@@ -653,7 +663,7 @@ def test_bad_date_in_a_long_session_is_a_data_error(tmp_path):
 def test_first_bad_line_in_file_order(tmp_path, lines, want):
     path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + "\n".join(lines) + "\n")
     with pytest.raises(DataError) as exc:
-        pp.load_session(path)
+        load_one(path)
     line, message = want
     assert exc.value.line == line
     assert str(exc.value).startswith(f"{path}:{line}: {message}")
@@ -663,7 +673,7 @@ def test_blank_lines_skipped(tmp_path):
     path = _write(tmp_path, "s.csv",
                   "timestamp,tb_h,tb_v\n\n2023-11-11T14:00:00Z,250,260\n  \n"
                   "2023-11-11T14:00:01Z,251,261\n\n")
-    session = pp.load_session(path)
+    session = load_one(path)
     assert session.tb_h.tolist() == [250.0, 251.0]
 
 
@@ -686,7 +696,7 @@ def test_csv_records_ties_a_parse_fault_to_its_line():
 
 
 def test_load_session_header_only(tmp_path):
-    session = pp.load_session(_write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n"))
+    session = load_one(_write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n"))
     assert len(session) == 0
     assert session.timestamp.dtype == session.tb_h.dtype == np.float64
 
@@ -909,7 +919,7 @@ def test_bulk_parse_errors_name_the_first_bad_line(tmp_path):
     values[150] = ("250.5", "2x0")
     path = _write(tmp_path, "s.csv", "timestamp,tb_h,tb_v\n" + _body(*stamps, values=values))
     with pytest.raises(DataError) as exc:
-        pp.load_session(path)
+        load_one(path)
     assert str(exc.value) == f"{path}:152: could not convert string to float: '2x0'"
 
 
@@ -942,6 +952,79 @@ def test_bulk_parse_reads_each_minute_once(tmp_path, monkeypatch):
         timestamp, _, _ = pp._bulk_columns(body, increasing=True)
         assert len(timestamp) == 6000 and len(minutes) in (7, 8)
         assert calls == [f"{minute}:00Z" for minute in minutes]
+
+
+# ----------------------------------------------------------------------
+# Files read together: the joint parse against each file read alone
+# ----------------------------------------------------------------------
+
+def _session_files(tmp_path):
+    """Session files of every kind that load_session meets, those that the
+    joint parse takes first; the last path does not exist."""
+    epochs = 1.7e9 + 0.069 * np.arange(40)
+    tb = pp.session_text(pp.TB_HEADER, epochs, (f"{250 + k % 7}.{k},{260 + k % 5}.25"
+                                                  for k in range(40)))
+    volt = pp.session_text(pp.VOLTAGE_HEADER, epochs + 86400.0,
+                           (f"2.5{k},2.6{k}" for k in range(40)))
+    lines = tb.split("\r\n")
+    files = {
+        "tb.csv": tb,
+        "volt.csv": volt,
+        "bom.csv": "\ufeff" + tb,
+        "blank.csv": "\r\n".join(lines[:5] + ["", ""] + lines[5:9]) + "\n\n"
+                     + "\n".join(lines[9:]),
+        "non_increasing.csv": "\r\n".join(lines[:3] + lines[4:5] + lines[3:4] + lines[5:]),
+        "header_only.csv": "timestamp,tb_h,tb_v\n",
+        "unknown_header.csv": "time,a,b\n" + "\n".join(lines[1:]),
+        "quoted.csv": "\r\n".join(lines[:3] + ['"' + lines[3].replace(",", '",', 1)]
+                                  + lines[4:]),
+        "bad_line.csv": "\r\n".join(lines[:6] + [lines[6].replace(",", ",oops", 1)]
+                                    + lines[7:]),
+        "feb29.csv": "timestamp,tb_h,tb_v\n2023-02-28T23:59:59Z,250,260\n"
+                     "2023-02-29T00:00:00.500000Z,251,261\n",
+    }
+    paths = [_write(tmp_path, name, text) for name, text in files.items()]
+    return paths + [tmp_path / "missing.csv"]
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, DataError):
+            assert str(g) == str(w)
+        else:
+            for name in ("timestamp", "tb_h", "tb_v"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+@pytest.mark.parametrize("skip_leading", [0, 2])
+def test_files_read_together_get_what_each_gets_alone(tmp_path, skip_leading):
+    paths = _session_files(tmp_path)
+    kwargs = dict(calibration=pp.CalibrationParams(gain_h=100.0, gain_v=99.5,
+                                                   offset_h=0.25, offset_v=-1.0),
+                  skip_leading=skip_leading)
+    alone = [pp.load_session([path], **kwargs)[0] for path in paths]
+    assert [isinstance(r, pp.Session) for r in alone] == \
+        [True] * 4 + [False, True, False, True] + [False] * 3
+    _assert_same_results(pp.load_session(paths, **kwargs), alone)
+    for k in range(1, len(paths)):
+        _assert_same_results(pp.load_session(paths[:k], **kwargs)
+                             + pp.load_session(paths[k:], **kwargs), alone)
+
+
+def test_joint_parse_takes_every_canonical_body(tmp_path):
+    """The canonical bodies, the non-increasing one among them, parse as
+    one, each cut at its record count with the blank lines "" and "\\r" not
+    counted; a quoted field, a bad value or a bad date fails the whole."""
+    paths = _session_files(tmp_path)
+    bodies = [pp.split_header(read_text(path))[1] for path in paths[:5]]
+    timestamp, a, b, counts = pp._joint_columns(bodies)
+    assert counts == [40] * 5 and len(timestamp) == len(a) == len(b) == 200
+    for path in paths[7:10]:
+        body = pp.split_header(read_text(path))[1]
+        assert pp._bulk_ready(body) and pp._joint_columns(bodies + [body]) is None, path
 
 
 @pytest.mark.parametrize("text", [

@@ -512,6 +512,19 @@ def test_largest_lambda_scores_the_grid_without_overflow(tau_sca):
                                      tau_sca=tau_sca).cost)
 
 
+def test_overflowed_lm_step_ends_the_solve_unconverged():
+    """At lambda 1e152 the 2x2 system's d11 * d22 overflows, so the step is
+    NaN: the solve stops at once, not converged, with no kernel call at a
+    NaN sm. At 1e148 the system is finite and the solve converges."""
+    tb, algo = TbPair(230.0, 260.0), preset("RDCA", "grassland")
+    result = rt.retrieve(tb, dataclasses.replace(algo, lam=1e152), GRASS, 290.0, tau_sca=0.2)
+    assert (result.converged, result.evaluations) == (False, 4100)
+    assert math.isfinite(result.sm)
+    result = rt.retrieve(tb, dataclasses.replace(algo, lam=1e148), GRASS, 290.0, tau_sca=0.2)
+    assert (result.sm, result.tau, result.converged, result.evaluations) == \
+        (0.2241272946197352, 0.2, True, 4103)
+
+
 def test_dca_kinds_ignore_tau_sca_above_the_opacity_box():
     tb = TbPair(200.0, 240.0)
     algo = preset("DCA1", "grassland")
