@@ -54,7 +54,7 @@ from .preprocess import (FilterThresholds, QualityFlag, TB_MAX_DEFAULT,
                          filter_tb, format_utc_timestamps, load_session, mean_std,
                          min_threshold, rejection_counts, representative,
                          session_stats, sorted_median)
-from .retrieval import CONSTANT_T_E, retrieve
+from .retrieval import CONSTANT_T_E, TAU_BOUNDS, retrieve
 from .validation import metrics, nearest_reference, load_reference_csv
 
 logger = logging.getLogger(__name__)
@@ -87,7 +87,8 @@ class SessionRow:
     sm_ref: float = None
     sm_ref_std: float = None
     tau_sca: float = None
-    error: str = None
+    error: str = None       # why the session has no retrievals
+    warning: str = None     # a problem that leaves its retrievals to run
     retrievals: list = field(default_factory=list)   # RetrievalRow by preset name
 
 
@@ -207,7 +208,11 @@ def _process_session(cfg, site, session_path, session, references, ndvi_series):
         row.tau_sca = 0.0
     elif ndvi_series is not None:
         value = ndvi_series.value_on(_session_date(row.t_mid))
-        row.tau_sca, _ = ndvi_to_tau(value, cfg.tau_table, site.surface.land_cover)
+        tau_sca, _ = ndvi_to_tau(value, cfg.tau_table, site.surface.land_cover)
+        if tau_sca <= TAU_BOUNDS[1]:
+            row.tau_sca = tau_sca
+        else:   # the presets that read it report it missing
+            row.warning = f"tau_sca {tau_sca:.6g} is outside the opacity box {TAU_BOUNDS}"
     return row
 
 
@@ -260,8 +265,8 @@ def run_pipeline(cfg, output_dir=None):
         site_rows = []
         for chunk in _chunks(sorted(site.session_paths)):
             site_rows += _process_chunk(cfg, site, chunk, references, ndvi_series, data_errors)
-        warnings += (f"site {site.name} session {row.session_id}: {row.error}"
-                     for row in site_rows if row.error)
+        warnings += (f"site {site.name} session {row.session_id}: {row.error or row.warning}"
+                     for row in site_rows if row.error or row.warning)
         site_rows.sort(key=lambda r: (r.t_mid or 0.0, r.session_id, r.path))
         sessions += site_rows
         ready = [row for row in site_rows if not row.error]

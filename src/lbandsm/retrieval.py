@@ -28,9 +28,13 @@ trial point's kernel call returns with its value
 (radiative.emissivity_slope_evaluator). A coordinate with a zero
 Jacobian column, or on a bound whose gradient points out of the box, is
 held fixed, and a trial point, clipped to the box, is kept only if it
-lowers the cost, so the cost never rises above the seed's. `evaluations` is
-the number of seed points scored (64, or 4,096 on the grid) plus the
-kernel calls of the solve.
+lowers the cost, so the cost never rises above the seed's. The damping
+follows the gain ratio of the actual to the predicted decrease (Madsen,
+Nielsen & Tingleff 2004, Methods for Non-Linear Least Squares Problems,
+sec. 3.2), and the solve ends converged when the damped, clipped step is
+within SM_TOL/1000 and TAU_TOL/1000 of the current point, before any
+kernel call at it. `evaluations` is the number of seed points scored
+(64, or 4,096 on the grid) plus the kernel calls of the solve.
 
 What the seeds read of a site and preset does not depend on the
 observation: the emissivities on the 64 sm points, the profile's
@@ -70,13 +74,16 @@ SM_TOL = 1e-5
 TAU_TOL = 1e-4
 SEED_GRID_N = 64          # coarse-grid points per dimension
 LM_MAX_STEPS = 100        # Levenberg-Marquardt Jacobians before giving up
-# Marquardt damping mu scales the diagonal of J^T J by (1 + mu); it falls
-# by _LM_MU_FACTOR after an accepted step and rises by it after a rejected
-# trial. A trial rejected at mu > _LM_MU_MAX, a step of ~1e-8 of the
-# Gauss-Newton one, means no damping gives descent.
+# Marquardt damping mu scales the diagonal of J^T J by (1 + mu). An
+# accepted step multiplies it by _gain_damping and resets nu to 2; a
+# rejected trial multiplies it by nu, which doubles (Madsen, Nielsen &
+# Tingleff 2004, sec. 3.2). A trial rejected at mu > _LM_MU_MAX, a step of
+# ~1e-8 of the Gauss-Newton one, means no damping gives descent. A clipped
+# step within _LM_STEP_TOL (sm, tau) of the current point ends the solve
+# converged.
 _LM_MU_START = 1e-3
-_LM_MU_FACTOR = 10.0
 _LM_MU_MAX = 1e8
+_LM_STEP_TOL = (SM_TOL / 1000.0, TAU_TOL / 1000.0)
 RDCA_LAMBDA = 20.0
 CONSTANT_T_E = 292.15     # K, fixed effective temperature for the DCA0/DCA1 setups
 DEFAULT_INCIDENCE_DEG = 40.0    # radiometer incidence where a site or command sets none
@@ -329,6 +336,18 @@ def _near(x, bound, tol):
     return abs(x - bound) <= tol
 
 
+def _gain_damping(actual, predicted):
+    """Factor on the damping mu after an accepted step that lowered the
+    cost by `actual` where the linear model predicted `predicted`:
+    max(1/3, 1 - (2 rho - 1)^3) of the gain ratio rho = actual / predicted.
+    rho is capped at 1, where the factor is already at its floor of 1/3, so
+    a predicted decrease that underflows or is <= 0 (a clipped step can
+    leave the model's reach) counts as rho = 1 and the cube cannot
+    overflow."""
+    rho = min(actual / predicted, 1.0) if predicted > 0.0 else 1.0
+    return max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+
+
 def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ):
     """Invert one observed TbPair under an algorithm configuration.
 
@@ -344,13 +363,14 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
 
     Returns:
         RetrievalResult, with tau None for the single-channel kinds,
-        whose opacity stays at tau_sca. `converged` is True after two
-        accepted steps in a row below SM_TOL/100 and TAU_TOL/100, when
-        no damped step lowers the cost any more, or on a corner of the
-        box that the gradient points out of; it is False when
-        LM_MAX_STEPS Jacobians did not get there, or when a step is not
-        finite (a λ near its bound overflows the normal equations). The
-        best point found is reported either way.
+        whose opacity stays at tau_sca. `converged` is True when the
+        damped, clipped step is within SM_TOL/1000 and TAU_TOL/1000 of
+        the current point (the solve then ends without evaluating it),
+        when no damping up to _LM_MU_MAX lowers the cost, or on a corner
+        of the box that the gradient points out of; it is False when
+        LM_MAX_STEPS Jacobians did not get there, or when the normal
+        equations are not finite (a λ near its bound overflows them).
+        The best point found is reported either way.
     """
     if not tb_obs.is_finite():
         raise DomainError(f"observed brightness temperatures must be finite, got {tb_obs}")
@@ -395,9 +415,8 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
 
     e_and_slope, g, res, cost = state(sm, tau)
     evaluations += 1
-    mu = _LM_MU_START
+    mu, nu = _LM_MU_START, 2.0
     converged = False
-    small_steps = 0
     for _ in range(LM_MAX_STEPS):
         # tau_omega_tb's partials in e and gamma, chained with the kernel's
         # analytic d e / d sm and with d gamma / d tau = -gamma / cos.
@@ -426,7 +445,9 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
             break
 
         # Raise the (Marquardt-scaled) damping until the clipped trial
-        # point lowers the cost.
+        # point lowers the cost. A clipped step below _LM_STEP_TOL ends the
+        # solve before its kernel call.
+        accepted = False
         while True:
             d11, d22 = a11 * (1.0 + mu), a22 * (1.0 + mu)
             if free_sm and free_tau:
@@ -434,32 +455,40 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
                 step_sm = (a12 * grad_tau - d22 * grad_sm) / det
                 step_tau = (a12 * grad_sm - d11 * grad_tau) / det
             elif free_sm:
-                step_sm, step_tau = -grad_sm / d11, 0.0
+                det, step_sm, step_tau = d11, -grad_sm / d11, 0.0
             else:
-                step_sm, step_tau = 0.0, -grad_tau / d22
-            if not (math.isfinite(step_sm) and math.isfinite(step_tau)):
-                cost_t = None   # the normal equations overflowed: no trial point
+                det, step_sm, step_tau = d22, 0.0, -grad_tau / d22
+            # An overflowed system (a lambda near its bound) gives a NaN
+            # step, or a 0.0 one over an infinite det: not converged.
+            if not (math.isfinite(det) and math.isfinite(step_sm)
+                    and math.isfinite(step_tau)):
                 break
             sm_t = min(max(sm + step_sm, sm_lo), sm_hi)
             tau_t = min(max(tau + step_tau, tau_lo), tau_hi) if free_tau else tau
+            d_sm, d_tau = sm_t - sm, tau_t - tau
+            if abs(d_sm) <= _LM_STEP_TOL[0] and abs(d_tau) <= _LM_STEP_TOL[1]:
+                converged = True
+                break
             e_t, g_t, res_t, cost_t = state(sm_t, tau_t)
             evaluations += 1
-            if cost_t < cost or mu > _LM_MU_MAX:
+            if cost_t < cost:
+                accepted = True
                 break
-            mu *= _LM_MU_FACTOR
-        if cost_t is None:
-            break              # not converged
-        if not cost_t < cost:
-            converged = True   # no damping gives descent
+            if mu > _LM_MU_MAX:
+                converged = True   # no damping gives descent
+                break
+            mu *= nu
+            nu *= 2.0
+        if not accepted:
             break
 
-        small = abs(sm_t - sm) <= SM_TOL / 100.0 and abs(tau_t - tau) <= TAU_TOL / 100.0
-        small_steps = small_steps + 1 if small else 0
+        # The linear model's decrease over the clipped step d: cost = |r|^2,
+        # so the model changes it by 2 g.d + d'Ad.
+        predicted = -(2.0 * (grad_sm * d_sm + grad_tau * d_tau) + a11 * d_sm * d_sm
+                      + 2.0 * a12 * d_sm * d_tau + a22 * d_tau * d_tau)
+        mu *= _gain_damping(cost - cost_t, predicted)
+        nu = 2.0
         sm, tau, e_and_slope, g, res, cost = sm_t, tau_t, e_t, g_t, res_t, cost_t
-        mu /= _LM_MU_FACTOR
-        if small_steps >= 2:
-            converged = True
-            break
 
     return RetrievalResult(
         sm=sm, tau=tau if fit_tau else None, cost=cost,

@@ -8,6 +8,7 @@ CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +46,18 @@ def test_report_matches_golden(golden_output, name):
     got = (golden_output / name).read_bytes()
     want = (GOLDEN_DIR / name).read_bytes()
     assert got == want, f"{name} differs from tests/golden/{name}"
+
+
+# seed points plus LM kernel calls over the golden campaign's 60
+# retrievals; 44,565 before the solve stopped on its first step below
+# tolerance, without evaluating it
+GOLDEN_EVALUATIONS = 44_395
+
+
+def test_golden_campaign_evaluations_are_pinned(golden_output):
+    with open(golden_output / "retrievals.csv", newline="") as fh:
+        total = sum(int(row["evaluations"]) for row in csv.DictReader(fh))
+    assert total == GOLDEN_EVALUATIONS
 
 
 if __name__ == "__main__":

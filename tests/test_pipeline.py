@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import errno
 import hashlib
+import logging
 import os
 import random
 import re
@@ -213,6 +214,35 @@ def test_malformed_session_reported_not_fatal(tmp_path):
     assert len(report.sessions) == 4
 
 
+def test_session_file_removed_after_load_is_a_data_error_naming_it(tmp_path):
+    """A session file gone between load_campaign and the run cannot be
+    sized for its chunk or read: one data error names it, and every other
+    session still gets a row for each preset."""
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=9, n_days=2, n_samples=20, voltage_site=None)
+    cfg = load_campaign(root / "campaign.cfg")
+    gone = root / "sessions" / "bare_2023-11-12.csv"
+    gone.unlink()
+    report = pipeline.run_pipeline(cfg, output_dir=tmp_path / "out")
+    assert len(report.data_errors) == 1 and str(gone) in report.data_errors[0]
+    assert [(r.site, r.session_id) for r in report.sessions] == [
+        ("bare", "bare_2023-11-11"), ("grass", "grass_2023-11-11"),
+        ("grass", "grass_2023-11-12")]
+    assert all([r.preset for r in row.retrievals] == sorted(retrieval.PRESET_NAMES)
+               for row in report.sessions)
+
+
+def test_verbose_run_logs_each_session_screening(tmp_path, caplog):
+    root = tmp_path / "camp"
+    synth.generate_campaign(root, seed=9, n_days=2, n_samples=20, voltage_site=None)
+    with caplog.at_level(logging.INFO, logger="lbandsm.pipeline"):
+        pipeline.run_pipeline(load_campaign(root / "campaign.cfg"), output_dir=tmp_path / "out")
+    lines = [r.getMessage() for r in caplog.records if r.name == "lbandsm.pipeline"]
+    assert len(lines) == 4
+    assert lines[0] == ("site bare session bare_2023-11-11: 17/20 accepted, rejections "
+                        "{'max_exceeded': 1, 'min_violated': 1, 'pol_order_violated': 1}")
+
+
 def test_empty_campaign_runs_with_warning(tmp_path):
     (tmp_path / "ref.csv").write_text(
         "timestamp,sm_1,soil_temp_k\n2023-11-11T14:05:00Z,0.2,290\n")
@@ -271,14 +301,15 @@ def _artifact_digests(out_dir, root):
 # formatted each session once and wrote each file in one call: the
 # fault-injection corpus (data errors, an empty session), a session name
 # with a comma, and a site without probes (retrieval errors, sessions
-# plotted without a reference)
+# plotted without a reference); each retrievals.csv, and the third
+# metrics.csv, re-frozen when the LM solve took gain-ratio damping
 FAULT_CORPUS_DIGESTS = {
     "metrics.csv": "28437b19c8204850cb33c4650db2c8123ac993b4b8954fd806f9c19a4665acc2",
     "metrics.txt": "7c95f4e74b8d9ac17f0d861a057bfb06368a764dec1d8a82ac0e956e8e4daeb9",
     "plot_sm_series.csv": "74eb9330a4bc5e0f09d6a59fa2979ee59c03ac2bf82ed028ac3640a735b0d623",
     "plot_tb_series.csv": "88e90cc0214c19cf3eba48bf938099a51fdd7a4d2f1c46df41d9c70e32f5b55c",
     "rejections.csv": "683487ae30d55be316092d0a281102b96e0de985c0938b8664de329d139f929c",
-    "retrievals.csv": "6fe400d5b239c480aac7aa14ea18686b0d9dc7d1a063722410b033a4c089400b",
+    "retrievals.csv": "0b9e177c23ce24ea7cafcf46379edac765234d5f9c1feec728d7536a1c8616a7",
     "run_warnings.txt": "208ccde00b1f95c44a46392f2026ea71cf045a41400545a488291c4f8c42a40c",
     "sessions.csv": "4f82c9984a5560dafb29af274473907dfaef423255af647e34e9af1a178c674a",
 }
@@ -288,16 +319,16 @@ COMMA_SESSION_DIGESTS = {
     "plot_sm_series.csv": "136e49e73a9e1f3e63e6c0904db8155c1f36d0d836b8ed81568e57f61d7166fd",
     "plot_tb_series.csv": "5ea747398c94d593929c54ec420d84b0c6033d97450925fdde5674e59923cdfb",
     "rejections.csv": "c57757bc6fd7fb507b1b6476275830ee437c544497f0385a591fae75081ff0a1",
-    "retrievals.csv": "d69bde90f022521844f0f1ebfb92d6c3ecab8361189d2963eeeceb259ef7ab8e",
+    "retrievals.csv": "79ea6521feb4603c82f01b4e19a651ee07cec2f7198ba528faf876fd7dc3ea76",
     "sessions.csv": "ce59c1d88ac6a61da99d79b229c7ba276c1b049f0d390c740ff9bfefbb6a8b99",
 }
 NO_REFERENCE_DIGESTS = {
-    "metrics.csv": "234728ed858b8649a6e9d48ba840c0d542204b243acb64d0f02182ea67b22fb9",
+    "metrics.csv": "d8e41500a1a7185eeaabd2cb4ea888fc7c7b46f3d38a1bf580c844ebbda93dbc",
     "metrics.txt": "ef49ed7c334ed1c6087c7f42614d9e7e495139c571d1ee8004e76671e4451d77",
     "plot_sm_series.csv": "d75f9ede0d7d2053dc6b6031d83cfc522387cff712845376981df649e95251cc",
     "plot_tb_series.csv": "8534e9e563af7c2c2f3f2519be3d81d13aced2f18c46fb4f23bdbdac5b0a76e7",
     "rejections.csv": "439de4c9c8ec1400db7045af8c6b094c69cebe7acc2af593c86190ee8239dbc7",
-    "retrievals.csv": "653f9bc6eb3af514fa068b635728ae817963bee5b73d0992b15305bb9398d130",
+    "retrievals.csv": "9e6774e3a5b5473691ec2e2caca0b5ed3cd99f2a5f56826a76274871693c8235",
     "run_warnings.txt": "7ea010bacd236009bb4d4c20a931f0c420dc3ad1817080138ba428c564e2e926",
     "sessions.csv": "0dc472ed699fc375056f5ada4c3d3d8639a51d34fd06cf3ef60507d7e422d3d2",
 }
@@ -826,8 +857,10 @@ def test_campaign_with_a_large_roughness_preset_completes(tmp_path):
 def test_huge_finite_tau_sca_is_a_retrieval_error_of_the_kinds_that_use_it(tmp_path, key, value):
     """An opacity table whose polynomial gives a huge finite tau_sca once
     overflowed RDCA's regularizer and aborted the run under warnings-as-
-    errors. SCAV, SCAH and RDCA now report each grass row as an error
-    naming the bound; the DCA kinds, which ignore tau_sca, keep their
+    errors, and later printed in full (a 315-character cell). Each grass
+    session now warns once that its tau_sca is outside the opacity box and
+    leaves its cell empty; SCAV, SCAH and RDCA report each grass row as
+    missing tau_sca; the DCA kinds, which ignore tau_sca, keep their
     results, and no report cell is inf or nan."""
     root = tmp_path / "camp"
     synth.generate_campaign(root, seed=7, n_days=2, n_samples=30)
@@ -846,13 +879,20 @@ def test_huge_finite_tau_sca_is_a_retrieval_error_of_the_kinds_that_use_it(tmp_p
     for name in REPORT_FILES:
         for row in csv.reader((tmp_path / "out" / name).read_text().splitlines()):
             assert not {"inf", "-inf", "nan"} & set(row), (name, row)
+    sessions = [r for r in report.sessions if r.site == "grass"]
+    assert len(sessions) == 2 and all(r.tau_sca is None for r in sessions)
+    session_warnings = [w for w in report.warnings if ": tau_sca " in w]
+    assert len(session_warnings) == 2
+    for line in session_warnings:
+        assert re.fullmatch(r"site grass session grass_\S+: "
+                            r"tau_sca \S+ is outside the opacity box \(0\.0, 3\.0\)", line)
     before = {(r.site, r.session_id, r.preset): r for r in clean.retrievals}
     grass = 0
     for r in report.retrievals:
         if r.site == "grass" and r.preset in ("SCAV", "SCAH", "RDCA"):
             grass += 1
             assert r.result is None
-            assert re.fullmatch(rf"{r.preset} needs tau_sca <= 3\.0, got \S+", r.error)
+            assert r.error == f"{r.preset} requires tau_sca"
         else:
             assert r == before[r.site, r.session_id, r.preset]
     assert grass == 6 and len(report.retrievals) == len(clean.retrievals) == 24
@@ -899,8 +939,10 @@ def _extreme_trial(root):
 
 def test_numeric_extremes_load_as_config_errors_or_run_clean(tmp_path):
     """A finite but extreme number in any input ends as a ConfigError at
-    load or as a run that raises no warning and prints no inf or nan: one
-    huge tau_sca, calibration gain or RDCA lambda once overflowed."""
+    load or as a run that raises no warning and prints no inf or nan, and
+    no cell outside an error column longer than 32 characters: one huge
+    tau_sca, calibration gain or RDCA lambda once overflowed, and a huge
+    tau_sca once printed in 315 characters."""
     base = tmp_path / "base"
     synth.generate_campaign(base, seed=7, n_days=3, n_samples=30)
     (base / "tau.cfg").write_text(kvconfig.read_package_text("data/tau_defaults.cfg"))
@@ -929,8 +971,11 @@ def test_numeric_extremes_load_as_config_errors_or_run_clean(tmp_path):
             if outcome == "config":
                 continue
             for report_file in REPORT_FILES:
-                for row in csv.reader((root / "out" / report_file).read_text().splitlines()):
+                header, *rows = csv.reader((root / "out" / report_file).read_text().splitlines())
+                for row in rows:
                     assert not {"inf", "-inf", "nan"} & set(row), (trial, report_file, row)
+                    assert all(len(cell) <= 32 for column, cell in zip(header, row)
+                               if column != "error"), (trial, report_file, row)
     assert outcomes["config"] and outcomes["run"], outcomes
 
 

@@ -1014,6 +1014,88 @@ def test_files_read_together_get_what_each_gets_alone(tmp_path, skip_leading):
                              + pp.load_session(paths[k:], **kwargs), alone)
 
 
+# what a fuzzed body may gain, half the time from each group: the stamp
+# and number alphabet, and the characters where np.loadtxt, csv.reader
+# and float() part ways, with non-ASCII digits and letters
+_FUZZ_TEXT = (list("0123456789,.:-TZ+eE\"") + ["nan", "inf", "_"],
+              list(" \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\0") + ["٣", "é", "\u2028", "\x85"])
+_FUZZ_VALUES = ("{:.6f}", "{:g}", "{:.3e}", "{:.0f}", "+{:.2f}", " {:.4f}", "{:.6f} ")
+
+
+def _fuzz_body(rng):
+    """A session body: canonical stamps with values in one of several
+    forms, then up to three edits (a character replaced, inserted or
+    deleted, a line repeated, two swapped or two joined, a blank line or a
+    stamp rewritten)."""
+    n = int(rng.integers(1, 25))
+    steps = rng.choice([0.0, 0.5, 0.069, 1.0, 60.0], size=n, p=[0.02, 0.3, 0.3, 0.3, 0.08])
+    epochs = 1.7e9 + float(rng.uniform(0, 86400 * 400)) + np.cumsum(steps)
+    form = _FUZZ_VALUES[int(rng.integers(len(_FUZZ_VALUES)))]
+    values = (f"{form.format(a)},{form.format(b)}"
+              for a, b in rng.uniform(-5.0, 350.0, size=(n, 2)).tolist())
+    lines = pp.session_text(("h",), epochs, values).split("\r\n")[1:-1]
+    for _ in range(int(rng.choice([0, 0, 0, 1, 1, 2, 3]))):
+        k = int(rng.integers(len(lines)))
+        edit = int(rng.integers(8 if k + 1 < len(lines) else 7))   # 7 joins k and k + 1
+        line = lines[k]
+        # anywhere, at the end of the stamp or at either end of the last value
+        at = int(rng.choice([rng.integers(len(line) + 1), line.find(","),
+                             line.rfind(",") + 1, len(line)]))
+        text = str(rng.choice(_FUZZ_TEXT[int(rng.integers(2))]))
+        if edit == 7:
+            lines[k:k + 2] = [line + text + lines[k + 1]]
+        elif edit == 0:
+            lines[k] = line[:at] + text + line[at + 1:]
+        elif edit == 1:
+            lines[k] = line[:at] + text + line[at:]
+        elif edit == 2:
+            lines[k] = line[:at] + line[at + 1:]
+        elif edit == 3:
+            lines.insert(k, line)
+        elif edit == 4:
+            j = int(rng.integers(len(lines)))
+            lines[k], lines[j] = lines[j], line
+        elif edit == 5:
+            lines.insert(k, str(rng.choice(["", "\r", " ", ",,"])))
+        else:
+            lines[k] = line.replace("Z", str(rng.choice(["+00:00", "", "z", "Z "])), 1)
+    end = str(rng.choice(["\r\n", "\n"]))
+    return end.join(lines) + str(rng.choice([end, "", end + end]))
+
+
+def test_fuzzed_bodies_parse_alike_on_every_path(tmp_path):
+    """Seeded differential fuzz of session ingestion, under warnings-as-
+    errors: load_session of several files gives each the Session or
+    DataError that it gets alone, and every body that _bulk_columns takes
+    gets the same columns, bit for bit, from session_from_records."""
+    rng = np.random.default_rng(20231111)
+    calibration = pp.CalibrationParams(gain_h=100.0, gain_v=99.5, offset_h=0.25, offset_v=-1.0)
+    bulk = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(300):
+            bodies = [_fuzz_body(rng) for _ in range(int(rng.integers(1, 5)))]
+            paths = []
+            for k, body in enumerate(bodies):
+                header = pp.VOLTAGE_HEADER if rng.integers(2) else pp.TB_HEADER
+                paths.append(tmp_path / f"t{trial}_{k}.csv")
+                paths[-1].write_bytes((",".join(header) + "\n" + body).encode("utf-8"))
+            skip = int(rng.integers(2))
+            alone = [pp.load_session([path], calibration, skip)[0] for path in paths]
+            _assert_same_results(pp.load_session(paths, calibration, skip), alone)
+            for body in bodies:
+                for increasing in (False, True):
+                    columns = pp._bulk_columns(body, increasing)
+                    if columns is None:
+                        continue
+                    bulk += 1
+                    want = pp.session_from_records(body, increasing=increasing)
+                    for got, name in zip(columns, ("timestamp", "tb_h", "tb_v")):
+                        col = getattr(want, name)
+                        assert (got.dtype, got.tobytes()) == (col.dtype, col.tobytes()), body
+    assert bulk > 200     # the bulk path took a good share of the bodies
+
+
 def test_joint_parse_takes_every_canonical_body(tmp_path):
     """The canonical bodies, the non-increasing one among them, parse as
     one, each cut at its record count with the blank lines "" and "\\r" not

@@ -396,8 +396,8 @@ def test_dual_result_is_local_minimum(name, surface, cover):
 
 
 # SHA-256 of the full-precision repr of every result of _retrieval_corpus,
-# frozen before the Jacobian moved to radiative.tau_omega_partials
-RETRIEVAL_DIGEST = "6d9b4d5328953618567a875dc6c4c71b3a58ef790e8d7b5980e28cd26c9bf28e"
+# re-frozen when the LM solve took gain-ratio damping and its pre-trial stop
+RETRIEVAL_DIGEST = "da00d2ea3456ec9144557099871fa8c04f1103bf83188407d8898158acef6fe7"
 
 
 def _retrieval_corpus():
@@ -452,15 +452,15 @@ def test_large_roughness_ends_on_a_boundary_result(name, omega):
 
 
 # SHA-256 of the full-precision results of the tied-row problems below,
-# frozen while the grid seed still scored each cell through tau_omega_tb
-TIED_ROWS_DIGEST = "abaa589bc6aca4b1ad550bc1585a3c32360ad10e62341258b2565c57d60168c7"
+# re-frozen when the LM solve took gain-ratio damping and its pre-trial stop
+TIED_ROWS_DIGEST = "952d0dc475ca4e3ac2ecde049fb5c1b0b2b4e58d6bf330e11f408ed06a6eb609"
 
 
 def test_tied_grid_rows_keep_their_results():
     """At h >= 20 e_p rounds to 1, so every row of the seed grid is equal
-    and the seed breaks the tie to the first row; RDCA then spends all
-    LM_MAX_STEPS at omega = 0.05. The results stay those of the per-cell
-    grid."""
+    and the seed breaks the tie to the first row. At omega = 0.05 RDCA
+    converges there, while DCA2 at TbPair(289, 289.5) still spends all
+    LM_MAX_STEPS. The results stay those of the per-cell grid."""
     def tied():
         for name in ("RDCA", "DCA2"):
             for cover, surface in (("bare_soil", BARE), ("grassland", GRASS)):
@@ -513,16 +513,57 @@ def test_largest_lambda_scores_the_grid_without_overflow(tau_sca):
 
 
 def test_overflowed_lm_step_ends_the_solve_unconverged():
-    """At lambda 1e152 the 2x2 system's d11 * d22 overflows, so the step is
-    NaN: the solve stops at once, not converged, with no kernel call at a
-    NaN sm. At 1e148 the system is finite and the solve converges."""
+    """At lambda 1e152 the 2x2 system's d11 * d22 overflows, so its
+    determinant is inf and the step 0.0 or NaN: the solve stops at once,
+    not converged (a 0.0 step is no sign of convergence there), with no
+    kernel call after the seed's. At 1e148 the system is finite and the
+    solve converges."""
     tb, algo = TbPair(230.0, 260.0), preset("RDCA", "grassland")
     result = rt.retrieve(tb, dataclasses.replace(algo, lam=1e152), GRASS, 290.0, tau_sca=0.2)
-    assert (result.converged, result.evaluations) == (False, 4100)
+    assert (result.converged, result.evaluations) == (False, 4097)
     assert math.isfinite(result.sm)
     result = rt.retrieve(tb, dataclasses.replace(algo, lam=1e148), GRASS, 290.0, tau_sca=0.2)
     assert (result.sm, result.tau, result.converged, result.evaluations) == \
-        (0.2241272946197352, 0.2, True, 4103)
+        (0.22412729438918041, 0.2, True, 4102)
+
+
+@pytest.mark.parametrize("h", [20.0, 40.0, 1000.0])
+def test_large_roughness_rdca_with_albedo_converges(h):
+    """At a large h with omega > 0, Gauss-Newton curvature underestimates
+    RDCA's large-residual cost, so tau zig-zags about its optimum; the
+    solve once spent all LM_MAX_STEPS there and reported converged false.
+    Gain-ratio damping ends it converged, in fewer Jacobians."""
+    algo = dataclasses.replace(preset("RDCA", "grassland"), h=h, omega=0.05)
+    result = rt.retrieve(TbPair(230.0, 260.0), algo, GRASS, 290.0, tau_sca=0.2)
+    assert result.converged
+    assert result.evaluations < rt.SEED_GRID_N ** 2 + 1 + rt.LM_MAX_STEPS
+    assert result.cost < 3075.68
+
+
+@pytest.mark.parametrize("rho,factor", [(0.1, 1.512), (0.5, 1.0), (0.9, 0.488),
+                                        (1.0, 1.0 / 3.0)])
+def test_gain_damping_follows_the_gain_ratio(rho, factor):
+    assert rt._gain_damping(rho * 8.0, 8.0) == pytest.approx(factor, rel=1e-12)
+
+
+@pytest.mark.parametrize("predicted", [5e-324, 1e-300, 0.0, -0.0, -246.2])
+def test_gain_damping_of_a_decrease_the_model_did_not_predict(predicted):
+    """Over a predicted decrease that underflows, an uncapped gain ratio
+    overflows its cube (OverflowError); one <= 0 divides by zero or flips
+    the ratio's sign. Both count as rho = 1, the floor factor."""
+    assert rt._gain_damping(855.7, predicted) == 1.0 / 3.0
+
+
+def test_step_the_model_predicts_as_a_rise_is_kept():
+    """Near grazing incidence a clipped step can lower the cost where the
+    linear model predicts a rise (here 855.7 K^2 actual against -246.2
+    predicted); the solve keeps it and still converges."""
+    surface = rt.make_surface(0.13, "bare_soil", 89.9)
+    algo = dataclasses.replace(preset("DCA2"), omega=0.05)
+    obs = TbPair(178.9894859954121, 101.62964764382505)
+    result = rt.retrieve(obs, algo, surface, 290.0)
+    assert result.converged and result.sm == rt.SM_BOUNDS[0]
+    assert result.cost < rt._seed_costs(obs, algo, surface, 290.0, None, ra.L_BAND_GHZ)[0].min()
 
 
 def test_dca_kinds_ignore_tau_sca_above_the_opacity_box():
