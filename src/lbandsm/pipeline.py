@@ -31,8 +31,11 @@ that joint parse fails, so every file gets the Session or DataError it
 gets alone. One chunk's sessions are screened and reduced before the
 next chunk is read.
 
-Every file is written to <name>.tmp before any is renamed into place, so
-a failed write is a DataError that leaves the previous artifacts whole.
+Each CSV row is one line of comma-joined cells: numbers by fixed format
+specs, and the free-text cells (site, session, preset, error) exactly as
+csv.writer quotes them. Every file is written to <name>.tmp before any
+is renamed into place, so a failed write is a DataError that leaves the
+previous artifacts whole.
 """
 
 from __future__ import annotations
@@ -314,35 +317,38 @@ def render_metrics_table(metrics_rows):
     return lines
 
 
-def _fmt(value, spec="{:.6f}"):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return spec.format(value)
+def _opt(value, spec):
+    """`value` formatted by `spec`; empty for None."""
+    return "" if value is None else format(value, spec)
 
 
 def result_fields(result):
     """The RESULT_COLUMNS fields of a RetrievalResult; empty for None."""
     if result is None:
         return [""] * len(RESULT_COLUMNS)
-    return [_fmt(result.sm), _fmt(result.tau), _fmt(result.cost, "{:.6e}"),
-            _fmt(result.converged), _fmt(result.boundary_hit), result.evaluations]
+    return [f"{result.sm:.6f}", _opt(result.tau, ".6f"), f"{result.cost:.6e}",
+            "true" if result.converged else "false",
+            "true" if result.boundary_hit else "false", f"{result.evaluations}"]
 
 
 def metrics_fields(report):
     """The METRICS_COLUMNS fields of a MetricsReport; empty for None."""
     if report is None:
         return [""] * len(METRICS_COLUMNS)
-    return [_fmt(report.bias), _fmt(report.rmse), _fmt(report.ubrmse),
+    return [f"{report.bias:.6f}", f"{report.rmse:.6f}", f"{report.ubrmse:.6f}",
             "" if math.isnan(report.r) else f"{report.r:.6f}", report.r_flag]
 
 
-def _csv_text(rows):
-    """CSV records of `rows`, each field quoted where it needs to be."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _text(cell):
+    """A free-text cell as csv.writer writes it within a row: unchanged
+    unless it holds a comma, a quote, a CR or an LF, and then as
+    csv.writer writes it (which, with an LF line terminator, leaves a cell
+    whose only such character is a CR unquoted)."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([cell])
+        return buf.getvalue()[:-1]
+    return cell
 
 
 def _write_set(out, files, stale=()):
@@ -354,8 +360,8 @@ def _write_set(out, files, stale=()):
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files:
-            path = out / name
-            tmp = out / (name + ".tmp")
+            path = os.path.join(out, name)
+            tmp = path + ".tmp"
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             written.append((tmp, path))
             try:
@@ -380,55 +386,59 @@ def _write_set(out, files, stale=()):
 
 def write_artifacts(report):
     """Write the report files in one pass over the sessions and the
-    retrievals each one owns, formatting each value once."""
-    sessions = [("site,session,t_mid,n_total,n_accepted,"
-                 "n_max_exceeded,n_min_violated,n_pol_order_violated,"
-                 "tb_h_rep,tb_v_rep,mean_h,std_h,p25_h,p50_h,p75_h,"
-                 "mean_v,std_v,p25_v,p50_v,p75_v,tb_min_h,tb_min_v,"
-                 "t_e_measured,sm_ref,sm_ref_std,tau_sca,error").split(",")]
-    rejections = [["site", "session", "flag", "count"]]
-    tb_series = [("site,session,t_mid,tb_h_p25,tb_h_p50,tb_h_p75,tb_h_mean,"
-                  "tb_v_p25,tb_v_p50,tb_v_p75,tb_v_mean").split(",")]
-    retrievals = [["site", "session", "t_mid", "preset", "t_e_used", "tau_sca",
-                   *RESULT_COLUMNS, "error"]]
-    sm_series = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi".split(",")]
+    retrievals each one owns, formatting each value once. Each CSV row is
+    one ",".join of its cells, the site, session, preset and error texts
+    through _text, so each file holds the bytes that csv.writer would
+    write for the same cells."""
+    sessions = ["site,session,t_mid,n_total,n_accepted,"
+                "n_max_exceeded,n_min_violated,n_pol_order_violated,"
+                "tb_h_rep,tb_v_rep,mean_h,std_h,p25_h,p50_h,p75_h,"
+                "mean_v,std_v,p25_v,p50_v,p75_v,tb_min_h,tb_min_v,"
+                "t_e_measured,sm_ref,sm_ref_std,tau_sca,error"]
+    rejections = ["site,session,flag,count"]
+    tb_series = ["site,session,t_mid,tb_h_p25,tb_h_p50,tb_h_p75,tb_h_mean,"
+                 "tb_v_p25,tb_v_p50,tb_v_p75,tb_v_mean"]
+    retrievals = [",".join(["site", "session", "t_mid", "preset", "t_e_used", "tau_sca",
+                            *RESULT_COLUMNS, "error"])]
+    sm_series = ["site,session,t_mid,preset,sm_retrieved,sm_ref,sm_ref_lo,sm_ref_hi"]
     t_mids = iter(format_utc_timestamps([r.t_mid for r in report.sessions
                                          if r.t_mid is not None]))
     for r in report.sessions:
+        key = f"{_text(r.site)},{_text(r.session_id)}"
         t_mid = "" if r.t_mid is None else next(t_mids)
-        counts = [r.flag_counts.get(f, 0) for f in QualityFlag]
+        counts = [f"{r.flag_counts.get(f, 0)}" for f in QualityFlag]
         stats = [""] * 12
         s = r.summary
         if s is not None:
             h, v = ([f"{x:.4f}" for x in (c.mean, c.std, c.p25, c.p50, c.p75)]
                     for c in (s.stats_h, s.stats_v))
             stats = [f"{r.rep.tb_h:.4f}", f"{r.rep.tb_v:.4f}", *h, *v]
-            tb_series.append([r.site, r.session_id, t_mid, *h[2:], h[0], *v[2:], v[0]])
-        sm_ref, tau_sca = _fmt(r.sm_ref), _fmt(r.tau_sca)
-        sessions.append([
-            r.site, r.session_id, t_mid, r.n_total, r.n_accepted, *counts, *stats,
-            _fmt(r.tb_min_h, "{:.4f}"), _fmt(r.tb_min_v, "{:.4f}"),
-            _fmt(r.t_e_measured, "{:.4f}"), sm_ref, _fmt(r.sm_ref_std),
-            tau_sca, r.error or ""])
-        rejections += ([r.site, r.session_id, flag.value, n]
-                       for flag, n in zip(QualityFlag, counts))
+            tb_series.append(",".join([key, t_mid, *h[2:], h[0], *v[2:], v[0]]))
+        sm_ref, tau_sca = _opt(r.sm_ref, ".6f"), _opt(r.tau_sca, ".6f")
+        sessions.append(",".join([
+            key, t_mid, f"{r.n_total}", f"{r.n_accepted}", *counts, *stats,
+            _opt(r.tb_min_h, ".4f"), _opt(r.tb_min_v, ".4f"),
+            _opt(r.t_e_measured, ".4f"), sm_ref, _opt(r.sm_ref_std, ".6f"),
+            tau_sca, _text(r.error or "")]))
+        rejections += (f"{key},{flag.value},{n}" for flag, n in zip(QualityFlag, counts))
         lo = hi = ""
         if r.sm_ref is not None:
-            lo = _fmt(max(r.sm_ref - 2.0 * r.sm_ref_std, 0.0))
-            hi = _fmt(r.sm_ref + 2.0 * r.sm_ref_std)
+            lo = f"{max(r.sm_ref - 2.0 * r.sm_ref_std, 0.0):.6f}"
+            hi = f"{r.sm_ref + 2.0 * r.sm_ref_std:.6f}"
         for rr in r.retrievals:
+            head = f"{key},{t_mid},{_text(rr.preset)}"
             fields = result_fields(rr.result)
-            retrievals.append([r.site, r.session_id, t_mid, rr.preset,
-                               _fmt(rr.t_e_used, "{:.4f}"), tau_sca, *fields, rr.error or ""])
+            retrievals.append(",".join([head, _opt(rr.t_e_used, ".4f"), tau_sca, *fields,
+                                        _text(rr.error or "")]))
             if rr.result is not None:
-                sm_series.append([r.site, r.session_id, t_mid, rr.preset, fields[0],
-                                  sm_ref, lo, hi])
+                sm_series.append(",".join([head, fields[0], sm_ref, lo, hi]))
 
-    metrics_rows = [["site", "preset", "n", *METRICS_COLUMNS]]
-    metrics_rows += ([m.site, m.preset, m.n, *metrics_fields(m.report)]
+    metrics_rows = [",".join(["site", "preset", "n", *METRICS_COLUMNS])]
+    metrics_rows += (",".join([_text(m.site), _text(m.preset), f"{m.n}",
+                               *metrics_fields(m.report)])
                      for m in report.metrics_rows)
 
-    files = [(name, _csv_text(rows)) for name, rows in (
+    files = [(name, "\n".join(lines) + "\n") for name, lines in (
         ("sessions.csv", sessions), ("rejections.csv", rejections),
         ("retrievals.csv", retrievals), ("metrics.csv", metrics_rows),
         ("plot_tb_series.csv", tb_series), ("plot_sm_series.csv", sm_series))]

@@ -369,7 +369,9 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
         when no damping up to _LM_MU_MAX lowers the cost, or on a corner
         of the box that the gradient points out of; it is False when
         LM_MAX_STEPS Jacobians did not get there, or when the normal
-        equations are not finite (a λ near its bound overflows them).
+        equations are not finite or singular (a λ near its bound
+        overflows them; tiny Jacobian columns near grazing incidence
+        underflow their determinant).
         The best point found is reported either way.
     """
     if not tb_obs.is_finite():
@@ -443,28 +445,33 @@ def retrieve(tb_obs, algo, surface, t_e, tau_sca=None, frequency_ghz=L_BAND_GHZ)
         if not (free_sm or free_tau):
             converged = True
             break
+        # A held coordinate's row and column of the damped system are the
+        # identity's and its gradient is 0, so one 2x2 solve steps the free
+        # ones and leaves it where it is.
+        hold_sm, hold_tau = float(not free_sm), float(not free_tau)
+        if not free_sm:
+            a11 = a12 = grad_sm = 0.0
+        if not free_tau:
+            a22 = a12 = grad_tau = 0.0
 
         # Raise the (Marquardt-scaled) damping until the clipped trial
         # point lowers the cost. A clipped step below _LM_STEP_TOL ends the
         # solve before its kernel call.
         accepted = False
         while True:
-            d11, d22 = a11 * (1.0 + mu), a22 * (1.0 + mu)
-            if free_sm and free_tau:
-                det = d11 * d22 - a12 * a12
-                step_sm = (a12 * grad_tau - d22 * grad_sm) / det
-                step_tau = (a12 * grad_sm - d11 * grad_tau) / det
-            elif free_sm:
-                det, step_sm, step_tau = d11, -grad_sm / d11, 0.0
-            else:
-                det, step_sm, step_tau = d22, 0.0, -grad_tau / d22
-            # An overflowed system (a lambda near its bound) gives a NaN
-            # step, or a 0.0 one over an infinite det: not converged.
-            if not (math.isfinite(det) and math.isfinite(step_sm)
-                    and math.isfinite(step_tau)):
+            d11, d22 = a11 * (1.0 + mu) + hold_sm, a22 * (1.0 + mu) + hold_tau
+            det = d11 * d22 - a12 * a12
+            # An overflowed system (a lambda near its bound) or one whose
+            # determinant underflows (tiny Jacobian columns at grazing
+            # incidence) has no usable step: not converged.
+            if not 0.0 < det < math.inf:
+                break
+            step_sm = (a12 * grad_tau - d22 * grad_sm) / det
+            step_tau = (a12 * grad_sm - d11 * grad_tau) / det
+            if not (math.isfinite(step_sm) and math.isfinite(step_tau)):
                 break
             sm_t = min(max(sm + step_sm, sm_lo), sm_hi)
-            tau_t = min(max(tau + step_tau, tau_lo), tau_hi) if free_tau else tau
+            tau_t = min(max(tau + step_tau, tau_lo), tau_hi)
             d_sm, d_tau = sm_t - sm, tau_t - tau
             if abs(d_sm) <= _LM_STEP_TOL[0] and abs(d_tau) <= _LM_STEP_TOL[1]:
                 converged = True

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lbandsm import kvconfig, pipeline, preprocess, retrieval, synth
+from lbandsm import kvconfig, pipeline, preprocess, retrieval, synth, validation
 from lbandsm.config import load_campaign
 from lbandsm.errors import ConfigError, DataError, DomainError, read_text, split_header
 from lbandsm.radiative import TbPair
@@ -661,6 +661,99 @@ def test_report_csvs_quote_a_session_name_with_a_comma(tmp_path):
             sessions = {row[header.index("session")] for row in rows}
             assert "bare_x,y" in sessions, name
     assert _artifact_digests(tmp_path / "out", root) == COMMA_SESSION_DIGESTS
+
+
+HOSTILE_TEXTS = ("a,b", 'say "hi"', "cr\rin", "lf\nin", " padded ", "", "ü")
+
+# the six CSVs of _hostile_report(HOSTILE_TEXTS), frozen with the writer
+# that fed every row to csv.writer
+HOSTILE_TEXT_DIGESTS = {
+    "sessions.csv": "aa45c4b6f8a159faa431e2a054cc774576bf3f294f9081478b8bb2da528ad225",
+    "rejections.csv": "a604ca7ffca292863ed283629cdeb16a720a3704cd219e65d666284d670583c4",
+    "retrievals.csv": "ebb797ce81e20cd5d0e8f93890f533dc00705aae4214397e8c4b166f1d1c8a38",
+    "metrics.csv": "f6f938cdd8080bffc3af17f6da8862d5b52fe4fae39dbbb4b9a6d04960908311",
+    "plot_tb_series.csv": "fad9a95f5e7c20544eaa83c7636f5bb632896741e4a3e2b63bba1a71c984a2fb",
+    "plot_sm_series.csv": "30d63b495a08d1b012e7eef4c927d2553fb58197e9c1e1db66a4ab4c5ef8d011",
+}
+
+
+def _hostile_report(texts, out_dir):
+    """A PipelineReport built by hand whose site, session, preset and error
+    cells take the seven `texts` in turn: a session with a summary and
+    retrievals (with a result, a single-channel result, errors), an empty
+    session, a session with no accepted record, and metrics rows with a
+    report, with an undefined r and with none."""
+    t = iter(texts * 4)
+    stats_h = preprocess.ChannelStats(250.5, 1.25, 249.0, 250.25, 251.5, 250.25)
+    stats_v = preprocess.ChannelStats(265.75, 0.5, 265.5, 265.75, 266.0, 265.75)
+    rich = pipeline.SessionRow(
+        site=next(t), session_id=next(t), t_mid=1699711234.567891, path="x",
+        n_total=60, n_accepted=57,
+        flag_counts={preprocess.QualityFlag.MAX_EXCEEDED: 1,
+                     preprocess.QualityFlag.POL_ORDER_VIOLATED: 2},
+        summary=preprocess.SessionSummary(stats_h, stats_v), rep=TbPair(250.25, 265.75),
+        tb_min_h=101.23456, tb_min_v=120.5, t_e_measured=290.125, sm_ref=0.25,
+        sm_ref_std=0.0375, tau_sca=0.0412345678)
+    result = retrieval.RetrievalResult(sm=0.2512345678, tau=0.1, cost=1.5e-9,
+                                       converged=True, boundary_hit=False, evaluations=68)
+    single = retrieval.RetrievalResult(sm=0.01, tau=None, cost=3.25, converged=False,
+                                       boundary_hit=True, evaluations=4105)
+    rich.retrievals = [
+        pipeline.RetrievalRow(rich.site, rich.session_id, next(t), 290.125, result),
+        pipeline.RetrievalRow(rich.site, rich.session_id, next(t), 290.0, single),
+        pipeline.RetrievalRow(rich.site, rich.session_id, next(t), None, error=next(t)),
+        pipeline.RetrievalRow(rich.site, rich.session_id, next(t), 275.5, error=next(t))]
+    empty = pipeline.SessionRow(site=next(t), session_id=next(t), t_mid=None, path="y",
+                                error=next(t))
+    rejected = pipeline.SessionRow(
+        site=next(t), session_id=next(t), t_mid=1699797600.0, path="z", n_total=5,
+        flag_counts={preprocess.QualityFlag.MIN_VIOLATED: 5}, tb_min_h=99.5,
+        tb_min_v=119.5, error=next(t))
+    metrics_rows = [
+        pipeline.MetricsRow(next(t), next(t), 3, validation.MetricsReport(
+            0.0123456, 0.0234567, 0.0198765, 0.9876543, 3)),
+        pipeline.MetricsRow(next(t), next(t), 2, validation.MetricsReport(
+            -0.5, 0.5, 0.0, float("nan"), 2, "zero_variance")),
+        pipeline.MetricsRow(next(t), next(t), 1)]
+    return pipeline.PipelineReport(sessions=[rich, empty, rejected],
+                                   metrics_rows=metrics_rows, warnings=[], data_errors=[],
+                                   output_dir=out_dir)
+
+
+REPORT_CSVS = ("sessions.csv", "rejections.csv", "retrievals.csv", "metrics.csv",
+               "plot_tb_series.csv", "plot_sm_series.csv")
+
+
+def test_report_csvs_quote_free_text_cells_as_csv_writer_does(tmp_path):
+    """Site, session, preset and error texts holding a comma, a quote, a
+    CR, an LF, padding, nothing or a non-ASCII letter are written as
+    csv.writer writes them: the six CSVs keep the digests frozen with a
+    writer that fed every row to csv.writer, and csv.reader reads every
+    cell back (but a bare CR, which csv.writer leaves unquoted)."""
+    report = _hostile_report(HOSTILE_TEXTS, tmp_path / "all")
+    pipeline.write_artifacts(report)
+    assert {name: hashlib.sha256((tmp_path / "all" / name).read_bytes()).hexdigest()
+            for name in REPORT_CSVS} == HOSTILE_TEXT_DIGESTS
+
+    texts = tuple(text for text in HOSTILE_TEXTS if "\r" not in text)
+    report = _hostile_report(texts, tmp_path / "readable")
+    pipeline.write_artifacts(report)
+    written = {}
+    for name in REPORT_CSVS:
+        with open(tmp_path / "readable" / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows), name
+        for column in ("site", "session", "preset", "error"):
+            if column in header:
+                written.setdefault(column, set()).update(
+                    row[header.index(column)] for row in rows)
+    sessions, retrievals = report.sessions, report.retrievals
+    assert written == {
+        "site": {r.site for r in sessions} | {m.site for m in report.metrics_rows},
+        "session": {r.session_id for r in sessions},
+        "preset": {r.preset for r in retrievals} | {m.preset for m in report.metrics_rows},
+        "error": {r.error or "" for r in sessions + retrievals}}
+    assert set(texts) <= set.union(*written.values())
 
 
 def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):

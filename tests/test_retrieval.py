@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 import re
 
 import numpy as np
@@ -525,6 +526,38 @@ def test_overflowed_lm_step_ends_the_solve_unconverged():
     result = rt.retrieve(tb, dataclasses.replace(algo, lam=1e148), GRASS, 290.0, tau_sca=0.2)
     assert (result.sm, result.tau, result.converged, result.evaluations) == \
         (0.22412729438918041, 0.2, True, 4102)
+
+
+def test_singular_lm_step_at_grazing_incidence_ends_the_solve_unconverged():
+    """At 89.99 deg both Jacobian columns are tiny (gamma ~ 1e-118 on the
+    seed grid's second tau column), so the 2x2 determinant underflows to
+    0.0. The solve once divided by it and raised ZeroDivisionError, which
+    run_pipeline does not catch; it now ends unconverged at the seed."""
+    algo = dataclasses.replace(preset("DCA1"), omega=0.05)
+    result = rt.retrieve(TbPair(196.4617664862967, 250.27265892741465), algo,
+                         rt.make_surface(0.13, "bare_soil", 89.99), 290.0)
+    assert (result.sm, result.tau, result.converged, result.boundary_hit,
+            result.evaluations) == (0.01, 0.047619047619047616, False, True, 4097)
+
+
+def test_grazing_incidence_scan_returns_a_result_for_every_problem():
+    """A seeded scan near grazing incidence, every kind that solves by LM on
+    both covers: each problem returns a result in the box. Five of these
+    300 once raised ZeroDivisionError; they now end unconverged."""
+    rng = random.Random(7)
+    names, covers = ("DCA1", "DCA2", "RDCA", "SCAV", "SCAH"), ("bare_soil", "grassland")
+    algos = {(name, cover): preset(name, cover) for name in names for cover in covers}
+    unconverged = 0
+    for _ in range(300):
+        name, cover = rng.choice(names), rng.choice(covers)
+        algo = dataclasses.replace(algos[name, cover], omega=rng.uniform(0.0, 0.2))
+        surface = rt.make_surface(0.13, cover, rng.uniform(89.9, 89.999))
+        tb = TbPair(rng.uniform(150.0, 290.0), rng.uniform(150.0, 290.0))
+        result = rt.retrieve(tb, algo, surface, 290.0, tau_sca=0.1)
+        assert rt.SM_BOUNDS[0] <= result.sm <= rt.SM_BOUNDS[1]
+        assert result.tau is None or rt.TAU_BOUNDS[0] <= result.tau <= rt.TAU_BOUNDS[1]
+        unconverged += not result.converged
+    assert unconverged == 5
 
 
 @pytest.mark.parametrize("h", [20.0, 40.0, 1000.0])
